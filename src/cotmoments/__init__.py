@@ -13,8 +13,6 @@ routes together.
 from __future__ import annotations
 
 from .cfn import (
-    CfnTable,
-    HarmonicTable,
     build_h0,
     build_h1,
     build_t0,
@@ -25,16 +23,14 @@ from .cfn import (
     table_to_json,
 )
 from .exact import (
-    BigRational,
     Partition,
     RationalPowerSeries,
     bernoulli,
-    binomial,
     cycle_count,
     euler_zigzag,
     partitions,
 )
-from .hpreal import HPReal, Tolerance, eta, log2, pi, to_digits, zeta
+from .hpreal import eta, log2, pi, to_digits, zeta
 from .moments import (
     MomentValue,
     ROUTES,
@@ -49,7 +45,6 @@ from .moments import (
     verify_h_integral_reduction,
 )
 from .quadrature import (
-    Integrand1D,
     QuadratureError,
     QuadratureResult,
     default_tolerance,
@@ -79,12 +74,7 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRational",
-    "CfnTable",
     "CheckRecord",
-    "HPReal",
-    "HarmonicTable",
-    "Integrand1D",
     "MomentValue",
     "Partition",
     "QuadratureError",
@@ -93,14 +83,12 @@ __all__ = [
     "RationalPowerSeries",
     "SUITES",
     "SeriesValue",
-    "Tolerance",
     "VerificationReport",
     "a0",
     "a0_via_recurrence",
     "a1",
     "a1_via_recurrence",
     "bernoulli",
-    "binomial",
     "binomial_gf_identities",
     "build_h0",
     "build_h1",

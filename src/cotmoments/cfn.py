@@ -33,8 +33,6 @@ from .exact import double_factorial_odd, fps_arcsin, fps_power
 from .report import VerificationReport
 
 __all__ = [
-    "CfnTable",
-    "HarmonicTable",
     "build_t0",
     "build_t1",
     "build_h0",
@@ -52,6 +50,9 @@ Fr = Fraction
 
 @dataclass(frozen=True)
 class _RationalTable:
+    """An exact triangle: t0/t1 (central factorial numbers) or h0/h1
+    (recursive harmonic numbers), indexed table[k, n]."""
+
     kind: str
     kmax: int
     nmax: int
@@ -67,14 +68,6 @@ class _RationalTable:
         return self.values[k]
 
 
-class CfnTable(_RationalTable):
-    """Triangle of central factorial numbers, kind 't0' (even) or 't1' (odd)."""
-
-
-class HarmonicTable(_RationalTable):
-    """Triangle of recursive harmonic numbers, kind 'h0' (even) or 'h1' (odd)."""
-
-
 def _check_bounds(kmax: int, nmax: int) -> None:
     if kmax < 0 or nmax < 0:
         raise ValueError("table bounds must be non-negative")
@@ -82,7 +75,7 @@ def _check_bounds(kmax: int, nmax: int) -> None:
         raise ValueError(f"need kmax <= nmax, got kmax={kmax} nmax={nmax}")
 
 
-def build_t0(kmax: int, nmax: int) -> CfnTable:
+def build_t0(kmax: int, nmax: int) -> _RationalTable:
     """Even central-factorial triangle t0, built densely by its recurrence."""
     _check_bounds(kmax, nmax)
     rows: List[List[Fraction]] = [[Fr(1)] + [Fr(0)] * nmax]
@@ -92,10 +85,10 @@ def build_t0(kmax: int, nmax: int) -> CfnTable:
         for n in range(1, nmax + 1):
             row[n] = prev[n - 1] + (n - 1) ** 2 * row[n - 1]
         rows.append(row)
-    return CfnTable("t0", kmax, nmax, tuple(tuple(r) for r in rows))
+    return _RationalTable("t0", kmax, nmax, tuple(tuple(r) for r in rows))
 
 
-def build_t1(kmax: int, nmax: int) -> CfnTable:
+def build_t1(kmax: int, nmax: int) -> _RationalTable:
     """Odd central-factorial triangle t1.
 
     The boundary row is t1(0,n) = ((2n-1)!!)^2 / 4^n (equal to 1 at n = 0),
@@ -111,10 +104,10 @@ def build_t1(kmax: int, nmax: int) -> CfnTable:
         for n in range(1, nmax + 1):
             row[n] = prev[n - 1] + Fr(2 * n - 1, 2) ** 2 * row[n - 1]
         rows.append(row)
-    return CfnTable("t1", kmax, nmax, tuple(tuple(r) for r in rows))
+    return _RationalTable("t1", kmax, nmax, tuple(tuple(r) for r in rows))
 
 
-def build_h0(kmax: int, nmax: int) -> HarmonicTable:
+def build_h0(kmax: int, nmax: int) -> _RationalTable:
     """Even recursive harmonic triangle H0 (nested sums of 1/i^2)."""
     _check_bounds(kmax, nmax)
     rows: List[List[Fraction]] = [[Fr(1)] + [Fr(0)] * nmax]
@@ -127,10 +120,10 @@ def build_h0(kmax: int, nmax: int) -> HarmonicTable:
         for n in range(k, nmax + 1):
             row[n] = row[n - 1] + prev[n - 1] / Fr((n - 1) ** 2)
         rows.append(row)
-    return HarmonicTable("h0", kmax, nmax, tuple(tuple(r) for r in rows))
+    return _RationalTable("h0", kmax, nmax, tuple(tuple(r) for r in rows))
 
 
-def build_h1(kmax: int, nmax: int) -> HarmonicTable:
+def build_h1(kmax: int, nmax: int) -> _RationalTable:
     """Odd recursive harmonic triangle H1 (nested sums of 1/(2i+1)^2)."""
     _check_bounds(kmax, nmax)
     rows: List[List[Fraction]] = [[Fr(1)] * (nmax + 1)]  # H1(0,n) = 1
@@ -140,7 +133,7 @@ def build_h1(kmax: int, nmax: int) -> HarmonicTable:
         for n in range(k, nmax + 1):
             row[n] = row[n - 1] + prev[n - 1] / Fr((2 * n - 1) ** 2)
         rows.append(row)
-    return HarmonicTable("h1", kmax, nmax, tuple(tuple(r) for r in rows))
+    return _RationalTable("h1", kmax, nmax, tuple(tuple(r) for r in rows))
 
 
 # ---------------------------------------------------------------------------

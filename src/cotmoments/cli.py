@@ -21,7 +21,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from mpmath import mp, mpf
 
@@ -103,26 +103,23 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         data = _load_config_file(args.config)
         for key in ("digits", "n"):
             if key in data:
-                cfg.__setattr__(key, int(data[key]))
+                try:
+                    setattr(cfg, key, int(data[key]))
+                except (TypeError, ValueError):
+                    raise UsageError(f"config key {key!r} must be an integer,"
+                                     f" got {data[key]!r}") from None
         for key in ("tol", "format", "out"):
             if key in data and data[key] is not None:
-                cfg.__setattr__(key, str(data[key]))
+                setattr(cfg, key, str(data[key]))
     env_digits = os.environ.get(ENV_DIGITS)
     if env_digits:
         try:
             cfg.digits = int(env_digits)
         except ValueError:
             raise UsageError(f"{ENV_DIGITS} must be an integer, got {env_digits!r}")
-    if getattr(args, "digits", None) is not None:
-        cfg.digits = args.digits
-    if getattr(args, "n", None) is not None:
-        cfg.n = args.n
-    if getattr(args, "tol", None) is not None:
-        cfg.tol = args.tol
-    if getattr(args, "format", None) is not None:
-        cfg.format = args.format
-    if getattr(args, "out", None) is not None:
-        cfg.out = args.out
+    for key in ("digits", "n", "tol", "format", "out"):
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
     cfg.validate()
     return cfg
 
@@ -152,6 +149,9 @@ def _parse_m_spec(spec: str) -> List[int]:
             lo, hi = int(match.group(1)), int(match.group(2))
             if lo > hi:
                 raise UsageError(f"empty range {piece!r} in --m")
+            if hi > _ETA_M_MAX:  # checked before the range is expanded
+                raise UsageError(
+                    f"--m values must satisfy 1 <= m <= {_ETA_M_MAX}, got {hi}")
             values.extend(range(lo, hi + 1))
         elif piece.isdigit():
             values.append(int(piece))
@@ -260,21 +260,13 @@ def cmd_moments(args: argparse.Namespace, cfg: RunConfig) -> int:
 # tables
 # ---------------------------------------------------------------------------
 
-_BUILDERS = {
-    "t0": cfn.build_t0,
-    "t1": cfn.build_t1,
-    "h0": cfn.build_h0,
-    "h1": cfn.build_h1,
-}
-
-
 def cmd_tables(args: argparse.Namespace, cfg: RunConfig) -> int:
     which = args.which
     kmax, nmax = args.kmax, args.nmax
     if not 0 <= kmax <= nmax <= _TABLE_MAX:
         raise UsageError(
             f"need 0 <= kmax <= nmax <= {_TABLE_MAX}, got kmax={kmax}, nmax={nmax}")
-    table = _BUILDERS[which](kmax, nmax)
+    table = cfn._BUILDERS[which](kmax, nmax)
     fmt = cfg.format or "csv"
     if fmt == "json":
         _emit(cfn.table_to_json(table), cfg.out)
@@ -296,11 +288,10 @@ def cmd_tables(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     suite = args.suite
     P, N = cfg.digits, cfg.n
-    tol = cfg.tolerance()
+    tol = cfg.tol  # None or a string: the suites take it at their own precision
     if suite == "all":
         report = VerificationReport("all", config={"digits": P, "N": N})
-        for sub in ("tables", "closed-forms", "consequences", "gf", "routes",
-                    "h-reduction"):
+        for sub in SUITES[1:]:  # SUITES[0] is "all"
             print(f"[verify] running {sub} ...", file=sys.stderr)
             part = run_suite(sub, P, N, tol)
             print(f"[verify]   {sub}: {part.pass_count} passed,"
@@ -394,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_t = sub.add_parser("tables", parents=[common],
                          help="dump an exact triangle as CSV/JSON/text")
-    p_t.add_argument("--which", required=True, choices=tuple(_BUILDERS),
+    p_t.add_argument("--which", required=True, choices=tuple(cfn._BUILDERS),
                      help="which triangle: t0, t1, h0, h1")
     p_t.add_argument("--kmax", type=int, default=5)
     p_t.add_argument("--nmax", type=int, default=5)

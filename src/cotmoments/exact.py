@@ -1,9 +1,8 @@
 """Exact integer/rational building blocks: combinatorial numbers, integer
 partitions, and truncated formal power series over the rationals.
 
-Everything in this module is exact — no floating point anywhere. `BigRational`
-is `fractions.Fraction`, which already guarantees lowest-terms reduction and a
-positive denominator.
+Everything in this module is exact — no floating point anywhere; rationals are
+`fractions.Fraction`, which keeps lowest terms and a positive denominator.
 """
 
 from __future__ import annotations
@@ -15,10 +14,8 @@ from fractions import Fraction
 from typing import Iterator, List, Sequence, Tuple
 
 __all__ = [
-    "BigRational",
     "Partition",
     "RationalPowerSeries",
-    "binomial",
     "bernoulli",
     "euler_zigzag",
     "partitions",
@@ -28,23 +25,12 @@ __all__ = [
     "fps_power",
 ]
 
-BigRational = Fraction
-
 Fr = Fraction  # local binding, used heavily below
 
 
 # ---------------------------------------------------------------------------
 # combinatorial numbers
 # ---------------------------------------------------------------------------
-
-def binomial(n: int, k: int) -> Fraction:
-    """Exact binomial coefficient C(n, k); 0 when k < 0 or k > n."""
-    if n < 0:
-        raise ValueError(f"binomial: n must be non-negative, got {n}")
-    if k < 0 or k > n:
-        return Fr(0)
-    return Fr(math.comb(n, k))
-
 
 _bernoulli_cache: List[Fraction] = [Fr(1)]
 _bernoulli_lock = threading.Lock()
@@ -227,13 +213,6 @@ class RationalPowerSeries:
             raise ValueError("coefficient index must be non-negative")
         return self.coefficients[i] if i <= self.order else Fr(0)
 
-    def __add__(self, other: "RationalPowerSeries") -> "RationalPowerSeries":
-        order = min(self.order, other.order)
-        return RationalPowerSeries(
-            tuple(self.coefficients[i] + other.coefficients[i] for i in range(order + 1)),
-            order,
-        )
-
     def __mul__(self, other: "RationalPowerSeries") -> "RationalPowerSeries":
         order = min(self.order, other.order)
         a, b = self.coefficients, other.coefficients
@@ -246,25 +225,6 @@ class RationalPowerSeries:
                 if bj:
                     out[i + j] += ai * bj
         return RationalPowerSeries(tuple(out), order)
-
-    def reciprocal(self) -> "RationalPowerSeries":
-        """Multiplicative inverse 1/S through the truncation order.
-
-        Requires a nonzero constant term.
-        """
-        c0 = self.coefficients[0]
-        if not c0:
-            raise ValueError("reciprocal: constant term must be nonzero")
-        inv0 = 1 / c0
-        out = [inv0] + [Fr(0)] * self.order
-        for n in range(1, self.order + 1):
-            acc = Fr(0)
-            for i in range(1, n + 1):
-                ci = self.coefficients[i]
-                if ci:
-                    acc += ci * out[n - i]
-            out[n] = -inv0 * acc
-        return RationalPowerSeries(tuple(out), self.order)
 
 
 def fps_arcsin(order: int) -> RationalPowerSeries:

@@ -1,9 +1,9 @@
 """Precision-parameterized real arithmetic and the analytic constants the
 identities need: pi, log 2, and the eta/zeta values at integer arguments.
 
-`HPReal` is mpmath's arbitrary-precision float.  Every function here takes the
-target precision P in decimal digits, computes with >= 10 guard digits inside
-an `mp.workdps` scope, and returns a value accurate to a few ulps at P digits.
+Values are mpmath floats.  Every function here takes the target precision P
+in decimal digits, computes with >= 10 guard digits inside an `mp.workdps`
+scope, and returns a value accurate to a few ulps at P digits.
 Composite computations elsewhere in the package follow the same pattern, so
 precision effectively propagates as the minimum of the operand precisions.
 
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import mpmath
@@ -29,8 +28,6 @@ from mpmath import mp, mpf
 from .exact import bernoulli
 
 __all__ = [
-    "HPReal",
-    "Tolerance",
     "GUARD_DIGITS",
     "MIN_DIGITS",
     "pi",
@@ -39,10 +36,7 @@ __all__ = [
     "zeta",
     "zeta_even_closed",
     "to_digits",
-    "pow10",
 ]
-
-HPReal = mpmath.mpf
 
 GUARD_DIGITS = 10
 MIN_DIGITS = 10
@@ -53,29 +47,9 @@ _eta_cache: Dict[Tuple[int, int], mpf] = {}
 _eta_lock = threading.Lock()
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """An absolute comparison bound."""
-
-    bound: HPReal
-
-    def __post_init__(self) -> None:
-        if not self.bound > 0:
-            raise ValueError("Tolerance: bound must be positive")
-
-    def accepts(self, difference) -> bool:
-        return abs(difference) <= self.bound
-
-
 def _require_digits(P: int) -> None:
     if P < MIN_DIGITS:
         raise ValueError(f"precision must be >= {MIN_DIGITS} digits, got {P}")
-
-
-def pow10(exponent: int, P: int = 30) -> mpf:
-    """10^exponent as an HPReal (handy for tolerances like pow10(-35))."""
-    with mp.workdps(max(P, MIN_DIGITS) + GUARD_DIGITS):
-        return +mpf(10) ** exponent
 
 
 def pi(P: int) -> mpf:

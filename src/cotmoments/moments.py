@@ -17,9 +17,8 @@ makes the cross-route agreement checks in `run_suite` meaningful.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from mpmath import mp, mpf
 
@@ -65,9 +64,6 @@ __all__ = [
 ]
 
 ROUTES = ("eta-closed-form", "cfn-series", "nested-series", "quadrature")
-
-SUITES = ("all", "tables", "closed-forms", "consequences", "gf", "routes",
-          "h-reduction")
 
 _DEFAULT_N = 100000
 
@@ -393,37 +389,26 @@ def verify_h_integral_reduction(k: int, jmax: int, N: int, P: int) -> Verificati
     report = VerificationReport("h-reduction",
                                 config={"digits": P, "N": N, "k": k, "jmax": jmax})
     fmt = _fmt(P)
-    odd_tails, odd_bounds = nested_tail_sums("odd", k, jmax, N, P)
-    even_tails, even_bounds = nested_tail_sums("even", k, jmax, N, P)
-    h1 = cfn.build_h1(k, jmax)
-    h0 = cfn.build_h0(k + 1, jmax)
     with mp.workdps(P + GUARD_DIGITS):
         w_odd = [(mp.pi / 2) ** (2 * l) / mp.factorial(2 * l) for l in range(k + 1)]
         w_even = [mp.pi ** (2 * l) / mp.factorial(2 * l + 1) for l in range(k + 1)]
-        for j in range(1, jmax + 1):
-            acc = mpf(0)
-            bound = mpf(0)
-            for l in range(k + 1):
-                acc += w_odd[l] * (-1) ** (k - l) * odd_tails[j][k - l]
-                bound += w_odd[l] * odd_bounds[k - l]
-            exact = h1[k, j]
-            report.add_numeric(
-                f"h1-reduction/k={k},j={j}",
-                "H1(k,j) = sum_l (pi/2)^(2l)/(2l)! (-1)^(k-l) T_(k-l)(j), odd tails",
-                acc, mpf(exact.numerator) / exact.denominator,
-                tol=+bound, fmt=fmt)
-        for j in range(1, jmax + 1):
-            acc = mpf(0)
-            bound = mpf(0)
-            for l in range(k + 1):
-                acc += w_even[l] * (-1) ** (k - l) * even_tails[j][k - l]
-                bound += w_even[l] * even_bounds[k - l]
-            exact = h0[k + 1, j]
-            report.add_numeric(
-                f"h0-reduction/k={k + 1},j={j}",
-                "H0(k+1,j) = sum_l pi^(2l)/(2l+1)! (-1)^(k-l) T_(k-l)(j), even tails",
-                acc, mpf(exact.numerator) / exact.denominator,
-                tol=+bound, fmt=fmt)
+        for kind, row, weights, table, anchor in (
+                ("odd", k, w_odd, cfn.build_h1(k, jmax),
+                 "H1(k,j) = sum_l (pi/2)^(2l)/(2l)! (-1)^(k-l) T_(k-l)(j), odd tails"),
+                ("even", k + 1, w_even, cfn.build_h0(k + 1, jmax),
+                 "H0(k+1,j) = sum_l pi^(2l)/(2l+1)! (-1)^(k-l) T_(k-l)(j), even tails")):
+            tails, bounds = nested_tail_sums(kind, k, jmax, N, P)
+            for j in range(1, jmax + 1):
+                acc = mpf(0)
+                bound = mpf(0)
+                for l in range(k + 1):
+                    acc += weights[l] * (-1) ** (k - l) * tails[j][k - l]
+                    bound += weights[l] * bounds[k - l]
+                exact = table[row, j]
+                report.add_numeric(
+                    f"{table.kind}-reduction/k={row},j={j}", anchor,
+                    acc, mpf(exact.numerator) / exact.denominator,
+                    tol=+bound, fmt=fmt)
     return report
 
 
@@ -485,14 +470,14 @@ def binomial_gf_identities(P: int, samples: Optional[Sequence] = None) -> Verifi
 # suites
 # ---------------------------------------------------------------------------
 
-def _suite_tables() -> VerificationReport:
+def _suite_tables(P: int, N: int, tol) -> VerificationReport:
     report = VerificationReport("tables")
     report.extend(cfn.check_reference_values(), prefix="reference")
     report.extend(cfn.check_factorial_relation(5, 10), prefix="factorial")
     return report
 
 
-def _suite_closed_forms(P: int, N_trunc: int = 10000) -> VerificationReport:
+def _suite_closed_forms(P: int, N: int, tol) -> VerificationReport:
     report = VerificationReport("closed-forms", config={"digits": P})
     fmt = _fmt(P)
     with mp.workdps(P + GUARD_DIGITS):
@@ -527,7 +512,7 @@ def _suite_closed_forms(P: int, N_trunc: int = 10000) -> VerificationReport:
                 euler_binomial_vanishing(k), 0)
         for k in range(1, 4):
             for kind in ("odd", "even"):
-                sv = r_truncated_nested(k, kind, P, N_trunc)
+                sv = r_truncated_nested(k, kind, P, 10000)
                 closed = (r_odd if kind == "odd" else r_even)(k, P).value
                 report.add_numeric(
                     f"r-{kind}-truncated/k={k}",
@@ -542,14 +527,14 @@ def _suite_closed_forms(P: int, N_trunc: int = 10000) -> VerificationReport:
     return report
 
 
-def _suite_gf(P: int) -> VerificationReport:
+def _suite_gf(P: int, N: int, tol) -> VerificationReport:
     report = VerificationReport("gf")
     report.extend(cfn.check_generating_functions(4, 31), prefix="coefficients")
     report.extend(binomial_gf_identities(P), prefix="samples")
     return report
 
 
-def _suite_routes(P: int, N: int, tol=None) -> VerificationReport:
+def _suite_routes(P: int, N: int, tol) -> VerificationReport:
     report = VerificationReport("routes", config={"digits": P, "N": N})
     fmt = _fmt(P)
     with mp.workdps(P + GUARD_DIGITS):
@@ -597,6 +582,23 @@ def _suite_routes(P: int, N: int, tol=None) -> VerificationReport:
     return report
 
 
+def _suite_h_reduction(P: int, N: int, tol) -> VerificationReport:
+    return verify_h_integral_reduction(2, 10, N, P)
+
+
+# every suite builder takes (P, N, tol); 'all' runs them in this order
+_SUITES = {
+    "tables": _suite_tables,
+    "closed-forms": _suite_closed_forms,
+    "consequences": verify_consequences,
+    "gf": _suite_gf,
+    "routes": _suite_routes,
+    "h-reduction": _suite_h_reduction,
+}
+
+SUITES = ("all",) + tuple(_SUITES)
+
+
 def run_suite(name: str, P: int = 50, N: int = _DEFAULT_N,
               tol=None) -> VerificationReport:
     """Build and run one named verification suite; 'all' folds every suite
@@ -604,20 +606,9 @@ def run_suite(name: str, P: int = 50, N: int = _DEFAULT_N,
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick from {SUITES}")
     _require_digits(P)
-    if name == "tables":
-        return _suite_tables()
-    if name == "closed-forms":
-        return _suite_closed_forms(P)
-    if name == "consequences":
-        return verify_consequences(P, N, tol)
-    if name == "gf":
-        return _suite_gf(P)
-    if name == "routes":
-        return _suite_routes(P, N, tol)
-    if name == "h-reduction":
-        return verify_h_integral_reduction(2, 10, N, P)
+    if name != "all":
+        return _SUITES[name](P, N, tol)
     report = VerificationReport("all", config={"digits": P, "N": N})
-    for sub in ("tables", "closed-forms", "consequences", "gf", "routes",
-                "h-reduction"):
+    for sub in _SUITES:
         report.extend(run_suite(sub, P, N, tol), prefix=sub)
     return report

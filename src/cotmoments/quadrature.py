@@ -23,14 +23,13 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from mpmath import mp, mpf
 
-from .hpreal import MIN_DIGITS, _require_digits
+from .hpreal import _require_digits
 
 __all__ = [
-    "Integrand1D",
     "QuadratureResult",
     "QuadratureError",
     "integrate_1d",
@@ -45,22 +44,6 @@ _WORK_GUARD = 15
 _DEFAULT_LEVEL_CAP = 12
 
 IntegrandFn = Callable[..., mpf]
-
-
-@dataclass(frozen=True)
-class Integrand1D:
-    """A 1-D integrand together with its declared endpoint behavior.
-
-    ``fn(x, da, db)`` receives the evaluation point and its exact distances
-    to the two endpoints.  ``singular_left``/``singular_right`` document
-    whether fn blows up (or loses digits) at an endpoint; they are metadata
-    for callers assembling reports and do not change the rule itself.
-    """
-
-    fn: IntegrandFn
-    singular_left: bool = False
-    singular_right: bool = False
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -151,15 +134,13 @@ def _truncation_range(P: int, tol: mpf) -> int:
 # the 1-D engine
 # ---------------------------------------------------------------------------
 
-def integrate_1d(f: Union[Integrand1D, IntegrandFn], a, b, P: int,
+def integrate_1d(f: IntegrandFn, a, b, P: int,
                  tol=None, level_cap: int = _DEFAULT_LEVEL_CAP) -> QuadratureResult:
-    """Integrate f over [a, b] to absolute accuracy ~tol at P digits.
-
-    f is either an Integrand1D or a bare callable ``f(x, da, db)``.
-    Raises QuadratureError if level_cap refinements do not reach tol.
+    """Integrate ``f(x, da, db)`` over [a, b] to absolute accuracy ~tol at
+    P digits.  Raises QuadratureError if level_cap refinements do not reach
+    tol.
     """
     _require_digits(P)
-    fn = f.fn if isinstance(f, Integrand1D) else f
     dps = P + _WORK_GUARD
     with mp.workdps(dps):
         a = mpf(a)
@@ -179,14 +160,17 @@ def integrate_1d(f: Union[Integrand1D, IntegrandFn], a, b, P: int,
             nodes = _node_levels(dps, tmax_q4, level)[level]
             part = mpf(0)
             tiny_run = 0
+            # cut the tail only after a contribution above the cutoff: an
+            # integrand peaked away from the centre starts with tiny ones
+            seen_large = False
             for offset, weight in nodes:
                 if offset == 1:
-                    contrib = weight * fn(a + r, r, r)
+                    contrib = weight * f(a + r, r, r)
                     evaluations += 1
                 else:
                     off = r * offset
-                    f_lo = fn(a + off, off, width - off)
-                    f_hi = fn(b - off, width - off, off)
+                    f_lo = f(a + off, off, width - off)
+                    f_hi = f(b - off, width - off, off)
                     contrib = weight * (f_lo + f_hi)
                     evaluations += 2
                 if not mp.isfinite(contrib):
@@ -197,10 +181,11 @@ def integrate_1d(f: Union[Integrand1D, IntegrandFn], a, b, P: int,
                 part += contrib
                 if abs(contrib) * h * r < cutoff:
                     tiny_run += 1
-                    if tiny_run >= 2:
+                    if tiny_run >= 2 and seen_large:
                         break
                 else:
                     tiny_run = 0
+                    seen_large = True
             s_new = (s / 2 + h * part) if level else part
             if level >= 1:
                 deltas.append(abs(r * (s_new - s)))
@@ -258,38 +243,19 @@ def integrate_2d_iterated(f, P: int, tol=None,
 # the moment integrals
 # ---------------------------------------------------------------------------
 
-def moment_quadrature(m: int, P: int, tol=None, form: str = "cot",
+def moment_quadrature(m: int, P: int, tol=None,
                       level_cap: int = _DEFAULT_LEVEL_CAP) -> mpf:
-    """The m-th cotangent moment by direct quadrature.
-
-    form="cot"     integral over [0, pi] of x^m/(2 m!) * cot(x/2); the
-                   half-angle cotangent is evaluated as tan(db/2) from the
-                   exact distance to the right endpoint.
-    form="arcsin"  the same value after v = 2 sin(x/2): integral over [0, 2]
-                   of (2 asin(v/2))^m / (m! v).  Near v = 2 the arcsine is
-                   folded as pi - 4 asin(sqrt(db/4)) to keep full precision.
-
-    The two forms share no nodes and no special-function code paths, so their
-    agreement is a genuine end-to-end check of the engine.
+    """The m-th cotangent moment by direct quadrature: the integral over
+    [0, pi] of x^m/(2 m!) * cot(x/2), with the half-angle cotangent
+    evaluated as tan(db/2) from the exact distance to the right endpoint.
     """
     if m < 1:
         raise ValueError(f"moment_quadrature: need m >= 1, got {m}")
-    if form not in ("cot", "arcsin"):
-        raise ValueError(f"moment_quadrature: unknown form {form!r}")
     _require_digits(P)
     with mp.workdps(P + _WORK_GUARD):
         fact = mp.factorial(m)
-        if form == "cot":
-            def f(x, da, db):
-                return x ** m / (2 * fact) * mp.tan(db / 2)
 
-            return integrate_1d(f, 0, mp.pi, P, tol, level_cap).value
+        def f(x, da, db):
+            return x ** m / (2 * fact) * mp.tan(db / 2)
 
-        def g(v, da, db):
-            if v <= 1:
-                theta = 2 * mp.asin(v / 2)
-            else:
-                theta = mp.pi - 4 * mp.asin(mp.sqrt(db / 4))
-            return theta ** m / (fact * v)
-
-        return integrate_1d(g, 0, 2, P, tol, level_cap).value
+        return integrate_1d(f, 0, mp.pi, P, tol, level_cap).value

@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from mpmath import mp, mpf
 
 from .exact import bernoulli, cycle_count, euler_zigzag, partitions
-from .hpreal import GUARD_DIGITS, _require_digits, eta, zeta
-from .quadrature import default_tolerance, integrate_1d
+from .hpreal import GUARD_DIGITS, _require_digits, zeta
+from .quadrature import integrate_1d
 
 __all__ = [
     "SeriesValue",
@@ -56,7 +56,24 @@ __all__ = [
     "fixed_point_bits",
 ]
 
-_KINDS = ("odd", "even")
+
+class _Family(NamedTuple):
+    """The plain integers that tell the odd family from the even one."""
+
+    j0: int        # first index
+    a: int         # inner weight w(j) = 1/(a j + c)^2
+    c: int
+    e: int         # outer weight b(j) = ratio(j) / ((a j + c)^2 (e j + f)),
+    f: int
+    s: int         # with ratio(j) = C(2j,j)/4^j if s = 1, else 4^j/C(2j,j)
+    pi2_div: int   # the full inner sum T_1(j0) is pi^2 / pi2_div
+    tail_den: int  # sum_{i>N} w(i) < 1/(tail_den N)
+
+
+_FAMILIES = {
+    "odd": _Family(j0=0, a=2, c=1, e=0, f=1, s=1, pi2_div=8, tail_den=4),
+    "even": _Family(j0=1, a=1, c=0, e=2, f=0, s=0, pi2_div=6, tail_den=1),
+}
 
 
 @dataclass(frozen=True)
@@ -77,8 +94,8 @@ class SeriesValue:
 
 
 def _require_kind(kind: str) -> None:
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    if kind not in _FAMILIES:
+        raise ValueError(f"kind must be one of {tuple(_FAMILIES)}, got {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +145,7 @@ def r_via_partitions(k: int, kind: str, P: int) -> SeriesValue:
         power_sums = {}
         for l in range(1, k + 1):
             zl = zeta(2 * l, P + 5)
-            if kind == "odd":
+            if _FAMILIES[kind].c:  # odd roots only: drop the even terms
                 zl = (1 - mpf(2) ** (-2 * l)) * zl
             power_sums[l] = zl
         acc = mpf(0)
@@ -140,8 +157,7 @@ def r_via_partitions(k: int, kind: str, P: int) -> SeriesValue:
                     term *= power_sums[l] ** m_l
             acc += term
         value = +acc
-    family = "R_odd" if kind == "odd" else "R_even"
-    return SeriesValue(family, k, value, "closed-form")
+    return SeriesValue(f"R_{kind}", k, value, "closed-form")
 
 
 def a1(k: int, P: int) -> SeriesValue:
@@ -224,25 +240,21 @@ def r_truncated_nested(k: int, kind: str, P: int, N: int = 10000) -> SeriesValue
     if N < 1:
         raise ValueError(f"r_truncated_nested: need N >= 1, got {N}")
     _require_digits(P)
+    fam = _FAMILIES[kind]
+    a, c = fam.a, fam.c
     with mp.workdps(P + GUARD_DIGITS):
         V = [mpf(1)] + [mpf(0)] * k
-        if kind == "odd":
-            w_tail = mpf(1) / (4 * N)  # sum_{i>N} (2i+1)^-2 < 1/(4N+2)
-            indices = range(0, N + 1)
-        else:
-            w_tail = mpf(1) / N        # sum_{i>N} i^-2 < 1/N
-            indices = range(1, N + 1)
-        for i in indices:
-            w = mpf(1) / ((2 * i + 1) ** 2 if kind == "odd" else i * i)
+        for i in range(fam.j0, N + 1):
+            w = mpf(1) / (a * i + c) ** 2
             for d in range(1, k + 1):
                 V[d] += w * V[d - 1]
+        w_tail = mpf(1) / (fam.tail_den * N)
         U = mpf(1)
         for d in range(1, k):
             U = V[d] + U * w_tail
         bound = +(U * w_tail)
         value = +V[k]
-    family = "R_odd" if kind == "odd" else "R_even"
-    return SeriesValue(family, k, value, "truncated-sum", error_bound=bound)
+    return SeriesValue(f"R_{kind}", k, value, "truncated-sum", error_bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -273,47 +285,32 @@ _family_lock = threading.Lock()
 
 
 def _sweep_family(kind: str, lmax: int, N: int, fbits: int) -> _FamilyData:
+    fam = _FAMILIES[kind]
+    a, e, s = fam.a, fam.e, fam.s
     one = 1 << fbits
     t = [one] + [0] * lmax
     sums = [0] * (lmax + 1)
     tails: Dict[int, List[int]] = {}
-    b_last = 0
-    if kind == "odd":
-        # outer weight b(j) = binom(2j,j) 4^-j / (2j+1)^2, streamed backwards
-        ratio = one
-        for i in range(1, N + 1):
-            ratio = ratio * (2 * i - 1) // (2 * i)
-        for j in range(N, -1, -1):
-            q = (2 * j + 1) ** 2
-            w = one // q
-            for d in range(1, lmax + 1):
-                t[d] += (t[d - 1] * w) >> fbits
-            bj = ratio // q
-            for d in range(lmax + 1):
-                sums[d] += (bj * t[d]) >> fbits
-            if j == N:
-                b_last = bj
-            if j <= _TAIL_RECORD_MAX:
-                tails[j] = list(t)
-            if j:
-                ratio = ratio * (2 * j) // (2 * j - 1)
-    else:
-        # outer weight b(j) = 4^j / (binom(2j,j) * 2 j^3), streamed backwards
-        ratio = one
-        for i in range(1, N + 1):
-            ratio = ratio * (2 * i) // (2 * i - 1)
-        for j in range(N, 0, -1):
-            w = one // (j * j)
-            for d in range(1, lmax + 1):
-                t[d] += (t[d - 1] * w) >> fbits
-            bj = ratio // (2 * j ** 3)
-            for d in range(lmax + 1):
-                sums[d] += (bj * t[d]) >> fbits
-            if j == N:
-                b_last = bj
-            if j <= _TAIL_RECORD_MAX:
-                tails[j] = list(t)
-            ratio = ratio * (2 * j - 1) // (2 * j)
+    ratio = one
+    for i in range(1, N + 1):
+        ratio = ratio * (2 * i - s) // (2 * i - 1 + s)
+    u = a * N + fam.c  # inner root a j + c
+    v = e * N + fam.f  # outer factor e j + f
+    b_last = ratio // (u * u * v)
+    # the outer weights b(j) are streamed backwards by their term ratio
+    for j in range(N, fam.j0 - 1, -1):
+        q = u * u
+        w = one // q
+        for d in range(1, lmax + 1):
+            t[d] += (t[d - 1] * w) >> fbits
+        bj = ratio // (q * v)
+        for d in range(lmax + 1):
+            sums[d] += (bj * t[d]) >> fbits
+        if j <= _TAIL_RECORD_MAX:
+            tails[j] = list(t)
+        ratio = ratio * (2 * j - 1 + s) // (2 * j - s)  # 0 after j = 0, unused
+        u -= a
+        v -= e
     return _FamilyData(kind=kind, lmax=lmax, N=N, fbits=fbits,
                        weighted_sums=sums, tails=tails, b_last=b_last)
 
@@ -328,8 +325,20 @@ def _nested_family(kind: str, lmax: int, N: int, fbits: int) -> _FamilyData:
         return data
 
 
-def _s_value(kind: str, l: int, P: int, N: int) -> Tuple[mpf, mpf]:
-    """(value, tail bound) for S_kind(l) truncated at N, at P digits."""
+def _tail_constants(kind: str, N: int) -> Tuple[mpf, mpf]:
+    """(inner_full, w_tail) at the working precision: the full inner sum
+    T_1(j0), the largest inner tail, and the bound on sum_{i>N} w(i)."""
+    fam = _FAMILIES[kind]
+    return mp.pi ** 2 / fam.pi2_div, mpf(1) / (fam.tail_den * N)
+
+
+def _s_value(kind: str, l: int, P: int, N: int) -> SeriesValue:
+    """S_kind(l) truncated at N, at P digits, with its tail bound."""
+    if l < 0:
+        raise ValueError(f"s_{kind}: need l >= 0, got {l}")
+    if N < 1:
+        raise ValueError(f"s_{kind}: need N >= 1, got {N}")
+    _require_digits(P)
     fbits = fixed_point_bits(P)
     data = _nested_family(kind, l, N, fbits)
     with mp.workdps(P + GUARD_DIGITS):
@@ -337,12 +346,7 @@ def _s_value(kind: str, l: int, P: int, N: int) -> Tuple[mpf, mpf]:
         value = +(mpf(data.weighted_sums[l]) / scale)
         b_sum = mpf(data.weighted_sums[0]) / scale        # sum of b(j), j <= N
         b_last = mpf(data.b_last) / scale
-        if kind == "odd":
-            inner_full = mp.pi ** 2 / 8                   # T_1(0), largest tail
-            w_tail = mpf(1) / (4 * N)
-        else:
-            inner_full = mp.pi ** 2 / 6                   # T_1(1) = zeta(2)
-            w_tail = mpf(1) / N
+        inner_full, w_tail = _tail_constants(kind, N)
         # truncation of each inner tail: l slots, each missing <= w_tail of
         # an inner sum bounded by inner_full, weighted by sum of b
         inner_err = b_sum * l * inner_full ** (l - 1) * w_tail if l else mpf(0)
@@ -352,31 +356,19 @@ def _s_value(kind: str, l: int, P: int, N: int) -> Tuple[mpf, mpf]:
         outer_err = mpf("1.05") * (mpf(2) / 3) * N * b_last * inner_full ** l
         fp_err = (l + 3) * (N + 1) * mpf(2) ** (-fbits)
         bound = +(inner_err + outer_err + fp_err)
-    return value, bound
+    return SeriesValue(f"S_{kind}", l, value, "truncated-sum", error_bound=bound)
 
 
 def s_odd(l: int, P: int, N: int = 100000) -> SeriesValue:
     """S_odd(l): central-binomial outer weights against the l-fold suffix
     tails of 1/(2i+1)^2.  S_odd(0) is the K1(1) series (= pi/2 log 2)."""
-    if l < 0:
-        raise ValueError(f"s_odd: need l >= 0, got {l}")
-    if N < 1:
-        raise ValueError(f"s_odd: need N >= 1, got {N}")
-    _require_digits(P)
-    value, bound = _s_value("odd", l, P, N)
-    return SeriesValue("S_odd", l, value, "truncated-sum", error_bound=bound)
+    return _s_value("odd", l, P, N)
 
 
 def s_even(l: int, P: int, N: int = 100000) -> SeriesValue:
     """S_even(l): inverse-central-binomial outer weights against the l-fold
     suffix tails of 1/i^2.  S_even(0) equals the second cotangent moment."""
-    if l < 0:
-        raise ValueError(f"s_even: need l >= 0, got {l}")
-    if N < 1:
-        raise ValueError(f"s_even: need N >= 1, got {N}")
-    _require_digits(P)
-    value, bound = _s_value("even", l, P, N)
-    return SeriesValue("S_even", l, value, "truncated-sum", error_bound=bound)
+    return _s_value("even", l, P, N)
 
 
 def nested_tail_sums(kind: str, dmax: int, jmax: int, N: int, P: int):
@@ -397,17 +389,11 @@ def nested_tail_sums(kind: str, dmax: int, jmax: int, N: int, P: int):
     _require_digits(P)
     fbits = fixed_point_bits(P)
     data = _nested_family(kind, dmax, N, fbits)
-    j_lo = 0 if kind == "odd" else 1
     with mp.workdps(P + GUARD_DIGITS):
         scale = mpf(2) ** fbits
         table = {j: [+(mpf(v) / scale) for v in data.tails[j][: dmax + 1]]
-                 for j in range(j_lo, jmax + 1)}
-        if kind == "odd":
-            inner_full = mp.pi ** 2 / 8
-            w_tail = mpf(1) / (4 * N)
-        else:
-            inner_full = mp.pi ** 2 / 6
-            w_tail = mpf(1) / N
+                 for j in range(_FAMILIES[kind].j0, jmax + 1)}
+        inner_full, w_tail = _tail_constants(kind, N)
         fp_err = (dmax + 2) * (N + 1) * mpf(2) ** (-fbits)
         bounds = [+(d * inner_full ** max(d - 1, 0) * w_tail + fp_err)
                   for d in range(dmax + 1)]

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import cotmoments.cli as cli
+from cotmoments.moments import run_suite
 from cotmoments.report import VerificationReport
 
 
@@ -134,6 +135,12 @@ def test_moments_usage_errors(capsys):
     assert run_cli(["moments", "--m", "13", "--route", "eta"], capsys)[0] == 0
 
 
+def test_moments_range_bound_checked_before_expansion(capsys):
+    code, _, err = run_cli(["moments", "--m", "1..1000000", "--route", "eta"], capsys)
+    assert code == 2
+    assert "m <= 40" in err
+
+
 def test_moments_unreachable_tolerance_fails(capsys):
     code, _, err = run_cli(
         ["moments", "--m", "1", "--route", "quad", "--tol", "1e-130"], capsys)
@@ -232,6 +239,17 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert json.loads(out)["summary"]["fail"] == 1
 
 
+def test_verify_all_matches_library_report(capsys):
+    code, out, err = run_cli(
+        ["verify", "--suite", "all", "--digits", "20", "--n", "4000"], capsys)
+    assert code == 0
+    body = json.loads(out)
+    body.pop("meta")
+    want = run_suite("all", P=20, N=4000).to_json()
+    assert json.dumps(body, indent=2, sort_keys=True) == want
+    assert err.count("[verify] running ") == 6
+
+
 def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--suite", "vibes"])
@@ -289,6 +307,15 @@ def test_bad_config_file(tmp_path, capsys):
     assert run_cli(["constants", "pi", "--config", str(broken)], capsys)[0] == 2
     assert run_cli(["constants", "pi", "--config",
                     str(tmp_path / "missing.json")], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("value", [None, [30]])
+def test_config_file_non_integer_digits(tmp_path, capsys, value):
+    cfgfile = tmp_path / "cot.json"
+    cfgfile.write_text(json.dumps({"digits": value}))
+    code, _, err = run_cli(["constants", "pi", "--config", str(cfgfile)], capsys)
+    assert code == 2
+    assert "'digits'" in err
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,9 @@ import pytest
 from mpmath import mp, mpf
 
 from cotmoments.hpreal import (
-    Tolerance,
     eta,
     log2,
     pi,
-    pow10,
     to_digits,
     zeta,
     zeta_even_closed,
@@ -160,21 +158,6 @@ def test_zeta_rejects_s_below_two():
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-def test_pow10():
-    with mp.workdps(40):
-        assert pow10(-7, 30) == mpf(10) ** -7
-        assert pow10(0, 30) == 1
-
-
-def test_tolerance_accepts():
-    tol = Tolerance(mpf("1e-10"))
-    assert tol.accepts(mpf("1e-11"))
-    assert tol.accepts(mpf("1e-10"))
-    assert not tol.accepts(mpf("2e-10"))
-    with pytest.raises(ValueError):
-        Tolerance(mpf(0))
-
 
 def test_to_digits_keeps_trailing_zeros():
     s = to_digits(mpf(2), 12)
