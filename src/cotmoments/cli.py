@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence
 from mpmath import mp, mpf
 
 from . import cfn
-from .hpreal import GUARD_DIGITS, eta, log2, pi, to_digits, zeta
+from .hpreal import _working, eta, log2, pi, to_digits, zeta
 from .moments import (
     ROUTES,
     SUITES,
@@ -77,11 +77,6 @@ class RunConfig:
                 positive = False
             if not positive:
                 raise UsageError(f"--tol must be a positive number, got {self.tol!r}")
-
-    def tolerance(self) -> mpf:
-        if self.tol is None:
-            return default_tolerance(self.digits)
-        return mpf(self.tol)
 
 
 def _load_config_file(path: str) -> Dict[str, object]:
@@ -193,10 +188,11 @@ def cmd_moments(args: argparse.Namespace, cfg: RunConfig) -> int:
     rows: List[MomentValue] = []
     for m in m_values:
         for route in routes:
-            rows.append(compute_moment(m, P, route, N=cfg.n, tol=cfg.tolerance()))
+            rows.append(compute_moment(m, P, route, N=cfg.n, tol=cfg.tol))
 
     disagreements: List[str] = []
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
+        tol_text = mp.nstr(default_tolerance(P) if cfg.tol is None else mpf(cfg.tol), 5)
         by_m: Dict[int, List[MomentValue]] = {}
         for mv in rows:
             by_m.setdefault(mv.m, []).append(mv)
@@ -215,7 +211,7 @@ def cmd_moments(args: argparse.Namespace, cfg: RunConfig) -> int:
     if fmt == "json":
         payload = {
             "command": "moments",
-            "config": {"digits": P, "n": cfg.n, "tol": mp.nstr(cfg.tolerance(), 5)},
+            "config": {"digits": P, "n": cfg.n, "tol": tol_text},
             "rows": [
                 {
                     "m": mv.m,

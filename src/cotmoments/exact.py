@@ -8,7 +8,6 @@ Everything in this module is exact — no floating point anywhere; rationals are
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Sequence, Tuple
@@ -32,10 +31,6 @@ Fr = Fraction  # local binding, used heavily below
 # combinatorial numbers
 # ---------------------------------------------------------------------------
 
-_bernoulli_cache: List[Fraction] = [Fr(1)]
-_bernoulli_lock = threading.Lock()
-
-
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (convention B_1 = -1/2), by the defining recurrence.
 
@@ -43,37 +38,18 @@ def bernoulli(n: int) -> Fraction:
 
         B_m = -1/(m+1) * sum_{j=0}^{m-1} C(m+1, j) B_j.
 
-    Values are cached in a growable table; only exact rationals are used.
+    The table is rebuilt on each call, which is cheap at the n <= 12 the
+    identities use; only exact rationals are used.
     """
     if n < 0:
         raise ValueError(f"bernoulli: n must be non-negative, got {n}")
-    with _bernoulli_lock:
-        while len(_bernoulli_cache) <= n:
-            m = len(_bernoulli_cache)
-            acc = Fr(0)
-            for j in range(m):
-                acc += math.comb(m + 1, j) * _bernoulli_cache[j]
-            _bernoulli_cache.append(-acc / (m + 1))
-        return _bernoulli_cache[n]
-
-
-_zigzag_rows: List[List[int]] = [[1]]
-_zigzag_lock = threading.Lock()
-
-
-def _zigzag_number(n: int) -> int:
-    # Boustrophedon (Seidel) triangle: row[0] = 0 (n >= 1) and
-    # row[k] = row[k-1] + prev[n-k]; the last entry of row n is the n-th
-    # zigzag number (1, 1, 1, 2, 5, 16, 61, ...).
-    with _zigzag_lock:
-        while len(_zigzag_rows) <= n:
-            prev = _zigzag_rows[-1]
-            m = len(prev)
-            row = [0] * (m + 1)
-            for k in range(1, m + 1):
-                row[k] = row[k - 1] + prev[m - k]
-            _zigzag_rows.append(row)
-        return _zigzag_rows[n][-1]
+    table = [Fr(1)]
+    for m in range(1, n + 1):
+        acc = Fr(0)
+        for j in range(m):
+            acc += math.comb(m + 1, j) * table[j]
+        table.append(-acc / (m + 1))
+    return table[n]
 
 
 def euler_zigzag(n: int) -> Fraction:
@@ -85,7 +61,15 @@ def euler_zigzag(n: int) -> Fraction:
     """
     if n < 0 or n % 2:
         raise ValueError(f"euler_zigzag: n must be even and non-negative, got {n}")
-    return Fr(_zigzag_number(n))
+    # Boustrophedon (Seidel) triangle: row[0] = 0 (m >= 1) and
+    # row[k] = row[k-1] + prev[m-k]; the last entry of row m is the m-th
+    # zigzag number (1, 1, 1, 2, 5, 16, 61, ...).
+    row = [1]
+    for m in range(1, n + 1):
+        prev, row = row, [0] * (m + 1)
+        for k in range(1, m + 1):
+            row[k] = row[k - 1] + prev[m - k]
+    return Fr(row[-1])
 
 
 def double_factorial_odd(n: int) -> int:

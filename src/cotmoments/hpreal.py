@@ -2,10 +2,16 @@
 identities need: pi, log 2, and the eta/zeta values at integer arguments.
 
 Values are mpmath floats.  Every function here takes the target precision P
-in decimal digits, computes with >= 10 guard digits inside an `mp.workdps`
-scope, and returns a value accurate to a few ulps at P digits.
-Composite computations elsewhere in the package follow the same pattern, so
-precision effectively propagates as the minimum of the operand precisions.
+in decimal digits, computes with >= 10 guard digits, and returns a value
+accurate to a few ulps at P digits.
+
+mpmath's working precision is process-global, so the package has one rule:
+every computation at a precision runs inside ``_working(P)``, which holds a
+single re-entrant module lock while it sets the precision.  Scopes nest (a
+moment route calls eta), and the package's caches are read and filled only
+inside a scope, so the lock guards them too.  Calls from several threads at
+any mix of precisions return the values of a serial run; the work itself is
+serialised.
 
 eta(s) is summed with the Chebyshev-weighted acceleration for alternating
 series with totally monotone terms: with d_n = ((3+sqrt 8)^n + (3+sqrt 8)^-n)/2
@@ -20,7 +26,8 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Dict, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, Tuple
 
 import mpmath
 from mpmath import mp, mpf
@@ -44,7 +51,15 @@ MIN_DIGITS = 10
 _ACCEL_RATE = math.log(3 + math.sqrt(8))  # ~1.7627
 
 _eta_cache: Dict[Tuple[int, int], mpf] = {}
-_eta_lock = threading.Lock()
+
+_PRECISION_LOCK = threading.RLock()
+
+
+@contextmanager
+def _working(P: int, guard: int = GUARD_DIGITS) -> Iterator[None]:
+    """The one precision scope: P + guard digits, under the package lock."""
+    with _PRECISION_LOCK, mp.workdps(P + guard):
+        yield
 
 
 def _require_digits(P: int) -> None:
@@ -55,14 +70,14 @@ def _require_digits(P: int) -> None:
 def pi(P: int) -> mpf:
     """pi to P digits."""
     _require_digits(P)
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         return +mp.pi
 
 
 def log2(P: int) -> mpf:
     """log 2 to P digits."""
     _require_digits(P)
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         return +mp.ln2
 
 
@@ -76,12 +91,11 @@ def eta(s: int, P: int) -> mpf:
         raise ValueError(f"eta: need s >= 1, got {s}")
     _require_digits(P)
     key = (s, P)
-    with _eta_lock:
-        hit = _eta_cache.get(key)
-    if hit is not None:
-        return hit
     n = int(math.ceil((P + 8) * math.log(10) / _ACCEL_RATE)) + 3
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
+        hit = _eta_cache.get(key)
+        if hit is not None:
+            return hit
         d = (3 + 2 * mp.sqrt(2)) ** n
         d = (d + 1 / d) / 2
         b = mpf(-1)
@@ -91,9 +105,7 @@ def eta(s: int, P: int) -> mpf:
             c = b - c
             acc += c / mpf(k + 1) ** s
             b *= mpf(2 * (k + n)) * (k - n) / ((2 * k + 1) * (k + 1))
-        value = +(acc / d)
-    with _eta_lock:
-        _eta_cache[key] = value
+        value = _eta_cache[key] = +(acc / d)
     return value
 
 
@@ -102,7 +114,7 @@ def zeta(s: int, P: int) -> mpf:
     if s < 2:
         raise ValueError(f"zeta: need s >= 2, got {s}")
     _require_digits(P)
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         return +(eta(s, P + 5) / (1 - mpf(2) ** (1 - s)))
 
 
@@ -117,7 +129,7 @@ def zeta_even_closed(s: int, P: int) -> mpf:
     _require_digits(P)
     l = s // 2
     b = abs(bernoulli(2 * l))
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         num = (2 * mp.pi) ** (2 * l) * mpf(b.numerator)
         return +(num / (2 * mp.factorial(2 * l) * b.denominator))
 

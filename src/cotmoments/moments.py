@@ -23,7 +23,7 @@ from typing import Callable, Dict, Optional, Sequence
 from mpmath import mp, mpf
 
 from . import cfn
-from .hpreal import GUARD_DIGITS, _require_digits, eta, zeta, zeta_even_closed
+from .hpreal import _require_digits, _working, eta, zeta, zeta_even_closed
 from .quadrature import (
     default_tolerance,
     integrate_1d,
@@ -99,7 +99,7 @@ def c_eta_route(m: int, P: int) -> MomentValue:
     if m < 1:
         raise ValueError(f"c_eta_route: need m >= 1, got {m}")
     _require_digits(P)
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         acc = mpf(0)
         for l in range(m // 2 + 1):
             p = m - 2 * l
@@ -163,7 +163,7 @@ def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> MomentValue:
             last = ((ratio // (2 * j ** 3)) * h[k]) >> fbits
             total += last
         scale_num, scale_den = 1, 1   # the 1/2 is folded into 2 j^3
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         unit = mpf(2) ** (-fbits)
         scale = mpf(scale_num) / scale_den
         value = +(total * unit * scale)
@@ -196,7 +196,7 @@ def c_nested_route(m: int, P: int, N: int = _DEFAULT_N) -> MomentValue:
         k = (m - 2) // 2
         series = [s_even(l, P, N) for l in range(k, -1, -1)]
     series.reverse()  # index by l again
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         acc = mpf(0)
         err = mpf(0)
         for l in range(k + 1):
@@ -242,7 +242,7 @@ def compute_moment(m: int, P: int, route: str = "eta",
     if canonical == "nested-series":
         return c_nested_route(m, P, N if N is not None else _DEFAULT_N)
     value = moment_quadrature(m, P, tol)
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         bound = +(default_tolerance(P) if tol is None else mpf(tol))
     return MomentValue(m=m, route="quadrature", value=value, error_bound=bound)
 
@@ -319,7 +319,7 @@ def verify_consequences(P: int, N: int = _DEFAULT_N, tol=None) -> VerificationRe
         raise ValueError(f"verify_consequences: need N >= 1, got {N}")
     report = VerificationReport("consequences", config={"digits": P, "N": N})
     fmt = _fmt(P)
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         tol_q = default_tolerance(P) if tol is None else mpf(tol)
         report.config["tol"] = mp.nstr(tol_q, 5)
         lg2 = eta(1, P + 5)
@@ -389,7 +389,7 @@ def verify_h_integral_reduction(k: int, jmax: int, N: int, P: int) -> Verificati
     report = VerificationReport("h-reduction",
                                 config={"digits": P, "N": N, "k": k, "jmax": jmax})
     fmt = _fmt(P)
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         w_odd = [(mp.pi / 2) ** (2 * l) / mp.factorial(2 * l) for l in range(k + 1)]
         w_even = [mp.pi ** (2 * l) / mp.factorial(2 * l + 1) for l in range(k + 1)]
         for kind, row, weights, table, anchor in (
@@ -428,7 +428,7 @@ def binomial_gf_identities(P: int, samples: Optional[Sequence] = None) -> Verifi
         samples = ("0", "0.25", "0.5", "0.75", "0.9")
     report = VerificationReport("gf-identities", config={"digits": P})
     fmt = _fmt(P)
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         tol = mpf(10) ** (-(P - 10))
         report.config["tol"] = mp.nstr(tol, 5)
         target = mpf(10) ** (-(P + 5))
@@ -480,7 +480,7 @@ def _suite_tables(P: int, N: int, tol) -> VerificationReport:
 def _suite_closed_forms(P: int, N: int, tol) -> VerificationReport:
     report = VerificationReport("closed-forms", config={"digits": P})
     fmt = _fmt(P)
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         tol8 = mpf(10) ** (-(P - 8))
         report.config["tol"] = mp.nstr(tol8, 5)
         for k in range(1, 7):
@@ -537,7 +537,7 @@ def _suite_gf(P: int, N: int, tol) -> VerificationReport:
 def _suite_routes(P: int, N: int, tol) -> VerificationReport:
     report = VerificationReport("routes", config={"digits": P, "N": N})
     fmt = _fmt(P)
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         tol_q = default_tolerance(P) if tol is None else mpf(tol)
         report.config["tol"] = mp.nstr(tol_q, 5)
         for m in range(1, 9):

@@ -21,13 +21,12 @@ exponent once the rule resolves the integrand.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from mpmath import mp, mpf
 
-from .hpreal import _require_digits
+from .hpreal import _require_digits, _working
 
 __all__ = [
     "QuadratureResult",
@@ -74,12 +73,12 @@ def default_tolerance(P: int) -> mpf:
 # ---------------------------------------------------------------------------
 # node tables
 #
-# Cached per (working dps, truncation range).  Entry [L] is the list of
-# (offset, weight) pairs new at level L, offset = 1 - tanh((pi/2) sinh t).
+# Cached per (working dps, truncation range) and built at that dps: callers
+# hold the precision scope.  Entry [L] is the list of (offset, weight) pairs
+# new at level L, offset = 1 - tanh((pi/2) sinh t).
 # ---------------------------------------------------------------------------
 
 _NODE_CACHE: Dict[Tuple[int, int], List[List[Tuple[mpf, mpf]]]] = {}
-_NODE_LOCK = threading.Lock()
 
 
 def _node_pair(t: mpf) -> Tuple[mpf, mpf]:
@@ -110,15 +109,12 @@ def _build_level(level: int, tmax: mpf) -> List[Tuple[mpf, mpf]]:
 
 
 def _node_levels(dps: int, tmax_q4: int, upto: int) -> List[List[Tuple[mpf, mpf]]]:
-    key = (dps, tmax_q4)
-    with _NODE_LOCK:
-        table = _NODE_CACHE.setdefault(key, [])
-        if len(table) <= upto:
-            with mp.workdps(dps):
-                tmax = mpf(tmax_q4) / 4
-                for level in range(len(table), upto + 1):
-                    table.append(_build_level(level, tmax))
-        return table
+    table = _NODE_CACHE.setdefault((dps, tmax_q4), [])
+    if len(table) <= upto:
+        tmax = mpf(tmax_q4) / 4
+        for level in range(len(table), upto + 1):
+            table.append(_build_level(level, tmax))
+    return table
 
 
 def _truncation_range(P: int, tol: mpf) -> int:
@@ -142,7 +138,7 @@ def integrate_1d(f: IntegrandFn, a, b, P: int,
     """
     _require_digits(P)
     dps = P + _WORK_GUARD
-    with mp.workdps(dps):
+    with _working(P, _WORK_GUARD):
         a = mpf(a)
         b = mpf(b)
         tol = default_tolerance(P) if tol is None else mpf(tol)
@@ -216,7 +212,7 @@ def integrate_2d_iterated(f, P: int, tol=None,
     its truncation error does not pollute the outer convergence test.
     """
     _require_digits(P)
-    with mp.workdps(P + _WORK_GUARD):
+    with _working(P, _WORK_GUARD):
         tol = default_tolerance(P) if tol is None else mpf(tol)
         inner_tol = tol / 50
         inner_evaluations = 0
@@ -252,7 +248,7 @@ def moment_quadrature(m: int, P: int, tol=None,
     if m < 1:
         raise ValueError(f"moment_quadrature: need m >= 1, got {m}")
     _require_digits(P)
-    with mp.workdps(P + _WORK_GUARD):
+    with _working(P, _WORK_GUARD):
         fact = mp.factorial(m)
 
         def f(x, da, db):

@@ -27,14 +27,13 @@ for fbits >= 140.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from mpmath import mp, mpf
 
 from .exact import bernoulli, cycle_count, euler_zigzag, partitions
-from .hpreal import GUARD_DIGITS, _require_digits, zeta
+from .hpreal import _require_digits, _working, zeta
 from .quadrature import integrate_1d
 
 __all__ = [
@@ -109,7 +108,7 @@ def r_odd(k: int, P: int) -> SeriesValue:
         raise ValueError(f"r_odd: need k >= 1, got {k}")
     _require_digits(P)
     z = euler_zigzag(2 * k)
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         value = +((mp.pi / 2) ** (2 * k) * int(z) / mp.factorial(2 * k))
     return SeriesValue("R_odd", k, value, "closed-form")
 
@@ -121,7 +120,7 @@ def r_even(k: int, P: int) -> SeriesValue:
         raise ValueError(f"r_even: need k >= 1, got {k}")
     _require_digits(P)
     b = abs(bernoulli(2 * k))
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         scale = 2 * (2 ** (2 * k - 1) - 1)
         value = +(scale * mpf(b.numerator) * mp.pi ** (2 * k)
                   / (b.denominator * mp.factorial(2 * k)))
@@ -141,7 +140,7 @@ def r_via_partitions(k: int, kind: str, P: int) -> SeriesValue:
     _require_kind(kind)
     _require_digits(P)
     kfact = math.factorial(k)
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         power_sums = {}
         for l in range(1, k + 1):
             zl = zeta(2 * l, P + 5)
@@ -165,7 +164,7 @@ def a1(k: int, P: int) -> SeriesValue:
     if k < 0:
         raise ValueError(f"a1: need k >= 0, got {k}")
     _require_digits(P)
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         value = +((mp.pi / 2) ** (2 * k) / mp.factorial(2 * k))
     return SeriesValue("A1", k, value, "closed-form")
 
@@ -175,7 +174,7 @@ def a0(k: int, P: int) -> SeriesValue:
     if k < 0:
         raise ValueError(f"a0: need k >= 0, got {k}")
     _require_digits(P)
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         value = +(mp.pi ** (2 * k) / mp.factorial(2 * k + 1))
     return SeriesValue("A0", k, value, "closed-form")
 
@@ -184,7 +183,7 @@ def _a_recurrence(k: int, P: int, r_closed, family: str) -> SeriesValue:
     if k < 0:
         raise ValueError(f"a-recurrence: need k >= 0, got {k}")
     _require_digits(P)
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         rs = [None] + [r_closed(l, P + 5).value for l in range(1, k + 1)]
         a_vals = [mpf(1)]
         for j in range(1, k + 1):
@@ -242,7 +241,7 @@ def r_truncated_nested(k: int, kind: str, P: int, N: int = 10000) -> SeriesValue
     _require_digits(P)
     fam = _FAMILIES[kind]
     a, c = fam.a, fam.c
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         V = [mpf(1)] + [mpf(0)] * k
         for i in range(fam.j0, N + 1):
             w = mpf(1) / (a * i + c) ** 2
@@ -281,7 +280,6 @@ class _FamilyData:
 
 
 _family_cache: Dict[Tuple[str, int, int], _FamilyData] = {}
-_family_lock = threading.Lock()
 
 
 def _sweep_family(kind: str, lmax: int, N: int, fbits: int) -> _FamilyData:
@@ -316,13 +314,17 @@ def _sweep_family(kind: str, lmax: int, N: int, fbits: int) -> _FamilyData:
 
 
 def _nested_family(kind: str, lmax: int, N: int, fbits: int) -> _FamilyData:
+    """The cached sweep for (kind, N, fbits); callers hold the precision scope.
+
+    Callers ask for rising depths (the suites need 0, 1 and 2), so a sweep
+    always covers depth 2: one sweep per key instead of one per depth.
+    """
     key = (kind, N, fbits)
-    with _family_lock:
-        data = _family_cache.get(key)
-        if data is None or data.lmax < lmax:
-            data = _sweep_family(kind, lmax, N, fbits)
-            _family_cache[key] = data
-        return data
+    data = _family_cache.get(key)
+    if data is None or data.lmax < lmax:
+        data = _sweep_family(kind, max(lmax, 2), N, fbits)
+        _family_cache[key] = data
+    return data
 
 
 def _tail_constants(kind: str, N: int) -> Tuple[mpf, mpf]:
@@ -340,8 +342,8 @@ def _s_value(kind: str, l: int, P: int, N: int) -> SeriesValue:
         raise ValueError(f"s_{kind}: need N >= 1, got {N}")
     _require_digits(P)
     fbits = fixed_point_bits(P)
-    data = _nested_family(kind, l, N, fbits)
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
+        data = _nested_family(kind, l, N, fbits)
         scale = mpf(2) ** fbits
         value = +(mpf(data.weighted_sums[l]) / scale)
         b_sum = mpf(data.weighted_sums[0]) / scale        # sum of b(j), j <= N
@@ -388,8 +390,8 @@ def nested_tail_sums(kind: str, dmax: int, jmax: int, N: int, P: int):
         raise ValueError(f"nested_tail_sums: need N > jmax, got N={N}")
     _require_digits(P)
     fbits = fixed_point_bits(P)
-    data = _nested_family(kind, dmax, N, fbits)
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
+        data = _nested_family(kind, dmax, N, fbits)
         scale = mpf(2) ** fbits
         table = {j: [+(mpf(v) / scale) for v in data.tails[j][: dmax + 1]]
                  for j in range(_FAMILIES[kind].j0, jmax + 1)}
@@ -468,7 +470,7 @@ def _kernel(z, P: int, method: str, series_fn, integral_fn, at_zero: mpf) -> mpf
     _require_digits(P)
     if method not in ("auto", "series", "integral"):
         raise ValueError(f"kernel: unknown method {method!r}")
-    with mp.workdps(P + GUARD_DIGITS):
+    with _working(P):
         z = mpf(z)
         if not 0 <= z <= 1:
             raise ValueError(f"kernel: need 0 <= z <= 1, got {mp.nstr(z, 8)}")

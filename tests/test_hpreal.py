@@ -10,11 +10,13 @@ cross-checks.
 from __future__ import annotations
 
 import math
+import pathlib
 from fractions import Fraction as Fr
 
 import pytest
 from mpmath import mp, mpf
 
+import cotmoments
 from cotmoments.hpreal import (
     eta,
     log2,
@@ -169,3 +171,17 @@ def test_values_are_cached():
     b = eta(3, 30)
     assert a == b
     assert pi(25) == pi(25)
+
+
+def test_one_precision_scope_in_the_package():
+    # mpmath's precision is process-global: only hpreal._working may set it,
+    # under the package's single lock
+    package = pathlib.Path(cotmoments.__file__).parent
+    rlocks = 0
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        rlocks += text.count("RLock(")
+        if path.name != "hpreal.py":
+            assert "mp.workdps(" not in text, path.name
+            assert "threading" not in text, path.name
+    assert rlocks == 1

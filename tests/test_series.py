@@ -13,6 +13,7 @@ import threading
 import pytest
 from mpmath import mp, mpf
 
+from cotmoments import series
 from cotmoments.hpreal import eta, log2, pi
 from cotmoments.series import (
     SeriesValue,
@@ -214,6 +215,41 @@ def test_s_values_deterministic_and_threadsafe():
         t.join()
     assert len(set(map(str, results))) == 1
     assert s_odd(1, 30, N=4000).value == results[0]
+
+
+def test_mixed_precision_threads_return_serial_values():
+    # mpmath's precision is process-global; the uncached kernel shows a
+    # thread that computes under another thread's precision
+    reference = {P: kernel_k1("0.5", P, method="series") for P in (15, 60)}
+    wrong = []
+
+    def work(P):
+        for _ in range(30):
+            value = kernel_k1("0.5", P, method="series")
+            if value != reference[P]:
+                wrong.append((P, value))
+
+    threads = [threading.Thread(target=work, args=(P,)) for P in (15, 60, 15, 60)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert wrong == []
+
+
+def test_rising_depths_cost_one_sweep(monkeypatch):
+    calls = []
+    sweep = series._sweep_family
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(series, "_family_cache", {})
+    monkeypatch.setattr(series, "_sweep_family", counted)
+    for l in range(3):
+        s_odd(l, 30, N=4000)
+    assert len(calls) == 1
 
 
 def test_s_rejects_bad_arguments():
