@@ -267,6 +267,8 @@ def _ci3(x, da, db):
 
 def _ci2_factory():
     cache: Dict[mpf, tuple] = {}
+    # every inner integral runs over the same x0 nodes
+    cache0: Dict[mpf, mpf] = {}
 
     def f(x0, da0, db0, x1, da1, db1):
         # log(x0) log(x1) / (sqrt(1 - x0^2 x1^2) (1 - x1^2))
@@ -276,8 +278,12 @@ def _ci2_factory():
             pre = (mp.log(x1) / q1, q1)
             cache[x1] = pre
         log_ratio, q1 = pre
+        log0 = cache0.get(x0)
+        if log0 is None:
+            log0 = mp.log(x0)
+            cache0[x0] = log0
         inner = db0 * (1 + x0) + x0 * x0 * q1  # 1 - x0^2 x1^2, exactly
-        return mp.log(x0) * log_ratio / mp.sqrt(inner)
+        return log0 * log_ratio / mp.sqrt(inner)
 
     return f
 

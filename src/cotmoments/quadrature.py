@@ -16,6 +16,13 @@ Levels halve the mesh in t; level L contributes the odd multiples of
 2^-L.  The trapezoidal sums S_L then satisfy S_L = S_{L-1}/2 + h*(new),
 and successive gaps |S_L - S_{L-1}| shrink roughly quadratically in the
 exponent once the rule resolves the integrand.
+
+Two-dimensional integrals are iterated: the outer rule's integrand is an
+inner 1-D integral.  Outer node i, of raw weight w_i, gets the inner
+tolerance (tol/50)*max(1, kappa/w_i) with kappa = 1/(2*tmax + 1), so the
+nodes whose weight cannot move the sum are integrated coarsely; the inner
+errors then reach the result as at most 0.03*tol (the proof is in
+integrate_2d_iterated).
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from mpmath import mp, mpf
 
-from .hpreal import _require_digits, _working
+from .hpreal import _PRECISION_LOCK, _require_digits, _working
 
 __all__ = [
     "QuadratureResult",
@@ -66,8 +73,11 @@ class QuadratureError(Exception):
 
 
 def default_tolerance(P: int) -> mpf:
-    """The package-wide default target accuracy for P digits: 10^-(P-10)."""
-    return mpf(10) ** (-(P - 10))
+    """The package-wide default target accuracy for P digits: 10^-(P-10),
+    at the caller's precision.  It is computed under the package lock, so
+    another thread's precision scope cannot change that precision midway."""
+    with _PRECISION_LOCK:
+        return mpf(10) ** (-(P - 10))
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +146,13 @@ def integrate_1d(f: IntegrandFn, a, b, P: int,
     P digits.  Raises QuadratureError if level_cap refinements do not reach
     tol.
     """
+    return _tanh_sinh(lambda x, da, db, weight: f(x, da, db), a, b, P, tol,
+                      level_cap)
+
+
+def _tanh_sinh(f, a, b, P: int, tol, level_cap: int) -> QuadratureResult:
+    """The level loop of integrate_1d; f is called as ``f(x, da, db, w)``
+    with w the raw node weight (the node's share of the sum is h*r*w*f)."""
     _require_digits(P)
     dps = P + _WORK_GUARD
     with _working(P, _WORK_GUARD):
@@ -161,12 +178,12 @@ def integrate_1d(f: IntegrandFn, a, b, P: int,
             seen_large = False
             for offset, weight in nodes:
                 if offset == 1:
-                    contrib = weight * f(a + r, r, r)
+                    contrib = weight * f(a + r, r, r, weight)
                     evaluations += 1
                 else:
                     off = r * offset
-                    f_lo = f(a + off, off, width - off)
-                    f_hi = f(b - off, width - off, off)
+                    f_lo = f(a + off, off, width - off, weight)
+                    f_hi = f(b - off, width - off, off, weight)
                     contrib = weight * (f_lo + f_hi)
                     evaluations += 2
                 if not mp.isfinite(contrib):
@@ -208,26 +225,59 @@ def integrate_2d_iterated(f, P: int, tol=None,
     """Iterated tanh-sinh integral of f over the unit square.
 
     f is called as ``f(x0, da0, db0, x1, da1, db1)``; x0 is the inner
-    variable.  The inner integral is pushed 50x below the outer tolerance so
-    its truncation error does not pollute the outer convergence test.
+    variable.  Each outer node gets an inner tolerance set by its weight.
+
+    The outer value is r*h*sum_i w_i*F_i, with r = 1/2, h the outer mesh,
+    w_i the raw node weight and F_i the inner integral at outer node i.
+    Node i's inner integral is computed to
+
+        e_i = (tol/50) * max(1, kappa/w_i),   kappa = 1/(2*tmax + 1),
+
+    where tmax is the outer t-range.  If each inner error is at most e_i,
+    the inner errors reach the outer value as at most
+
+        r*h*sum_i w_i*e_i = r*(tol/50) * h*sum_i max(w_i, kappa)
+                         <= r*(tol/50) * (h*sum_i w_i + kappa*h*n).
+
+    The n nodes with |t| <= tmax on the mesh h number at most 2*tmax/h + 1,
+    so kappa*h*n <= kappa*(2*tmax + h) <= 1.  h*sum_i w_i is the trapezoidal
+    sum of the weight function, whose integral over all t is 2; the outer
+    rule returns from level 2 on (h <= 1/4), where that sum exceeds 2 by
+    less than 1e-13, and a cut tail only drops positive terms.  So the
+    inner errors cost at most r*(tol/50)*3 = 0.03*tol, against
+    r*(tol/50)*2 for a flat tol/50 on every node: most outer nodes have
+    w_i far below kappa and need only a coarse inner integral.
+
+    An inner QuadratureError is raised again naming its outer node and
+    inner tolerance, with the inner best, gap and levels.
     """
     _require_digits(P)
     with _working(P, _WORK_GUARD):
         tol = default_tolerance(P) if tol is None else mpf(tol)
-        inner_tol = tol / 50
+        base_tol = tol / 50
+        # 1/(2*tmax + 1), with tmax = _truncation_range(...)/4 as in _tanh_sinh
+        kappa = 1 / (mpf(_truncation_range(P, tol)) / 2 + 1)
         inner_evaluations = 0
 
-        def outer(x1, da1, db1):
+        def outer(x1, da1, db1, weight):
             nonlocal inner_evaluations
 
             def inner(x0, da0, db0):
                 return f(x0, da0, db0, x1, da1, db1)
 
-            res = integrate_1d(inner, 0, 1, P, inner_tol, level_cap)
+            inner_tol = base_tol * max(1, kappa / weight)
+            try:
+                res = integrate_1d(inner, 0, 1, P, inner_tol, level_cap)
+            except QuadratureError as exc:
+                raise QuadratureError(
+                    f"inner integral at x1 = {mp.nstr(x1, 10)}"
+                    f" (1 - x1 = {mp.nstr(db1, 3)}),"
+                    f" inner tol {mp.nstr(inner_tol, 3)}: {exc}",
+                    best=exc.best, gap=exc.gap, levels=exc.levels) from exc
             inner_evaluations += res.evaluations
             return res.value
 
-        res = integrate_1d(outer, 0, 1, P, tol, level_cap)
+        res = _tanh_sinh(outer, 0, 1, P, tol, level_cap)
         return QuadratureResult(value=res.value,
                                 error_estimate=res.error_estimate,
                                 levels=res.levels,

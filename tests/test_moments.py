@@ -14,6 +14,8 @@ from cotmoments.hpreal import to_digits
 from cotmoments.moments import (
     ROUTES,
     SUITES,
+    _ci2_factory,
+    _ci4_factory,
     binomial_gf_identities,
     c_cfn_route,
     c_eta_route,
@@ -23,6 +25,7 @@ from cotmoments.moments import (
     verify_consequences,
     verify_h_integral_reduction,
 )
+from cotmoments.quadrature import integrate_2d_iterated
 
 # 40-digit references, frozen from mpmath closed forms
 _FROZEN = {
@@ -146,6 +149,13 @@ def test_consequence_config_recorded():
     rep = verify_consequences(25, N=20000)
     assert rep.config["digits"] == 25
     assert rep.config["N"] == 20000
+
+
+@pytest.mark.parametrize("factory", [_ci2_factory, _ci4_factory])
+def test_2d_consequence_integral_evaluations(factory):
+    # light outer nodes get coarse inner integrals: 26,782 and 26,578
+    # evaluations with a flat inner tolerance, under 19,000 with the budget
+    assert integrate_2d_iterated(factory(), 30).evaluations <= 21000
 
 
 # ---------------------------------------------------------------------------

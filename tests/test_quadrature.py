@@ -5,14 +5,18 @@ integrals against a float midpoint-rule oracle, and the failure paths.
 from __future__ import annotations
 
 import math
+import threading
 
 import pytest
 from mpmath import mp, mpf
 
-from cotmoments.hpreal import eta, log2, pi
+from cotmoments.hpreal import _working, eta, log2, pi
 from cotmoments.quadrature import (
+    _WORK_GUARD,
     QuadratureError,
     QuadratureResult,
+    _node_levels,
+    _truncation_range,
     default_tolerance,
     integrate_1d,
     integrate_2d_iterated,
@@ -24,6 +28,36 @@ def test_default_tolerance():
     with mp.workdps(60):
         assert default_tolerance(50) == mpf(10) ** -40
         assert default_tolerance(30) == mpf(10) ** -20
+
+
+def test_default_tolerance_ignores_another_threads_scope():
+    serial = default_tolerance(40)
+    entered = threading.Event()
+    release = threading.Event()
+    seen = []
+
+    def hold():
+        with _working(200):
+            entered.set()
+            release.wait(10)
+
+    def ask():
+        seen.append(default_tolerance(40))
+
+    holder = threading.Thread(target=hold)
+    holder.start()
+    try:
+        assert entered.wait(10)
+        asker = threading.Thread(target=ask)
+        asker.start()
+        # unlocked, the call finishes here, inside the other scope
+        asker.join(0.3)
+    finally:
+        release.set()
+    holder.join(10)
+    asker.join(10)
+    assert not holder.is_alive() and not asker.is_alive()
+    assert seen == [serial]
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +233,21 @@ def test_level_cap_raises_with_context():
     assert err.value.levels == 4  # base level plus three refinements
 
 
+def test_inner_failure_names_its_outer_node():
+    # the first outer node is the midpoint x1 = 1/2, whose weight pi/2 keeps
+    # the flat inner tolerance tol/50; one refinement cannot converge
+    with pytest.raises(QuadratureError) as err:
+        integrate_2d_iterated(
+            lambda x0, da0, db0, x1, da1, db1: mp.exp(x0 * x1), 25,
+            level_cap=1)
+    message = str(err.value)
+    assert "x1 = 0.5" in message
+    assert f"inner tol {mp.nstr(default_tolerance(25) / 50, 3)}" in message
+    assert err.value.best is not None
+    assert err.value.gap is not None
+    assert err.value.levels == 2
+
+
 def test_non_finite_integrand_raises():
     def bad(x, da, db):
         return mpf("nan")
@@ -227,14 +276,33 @@ def test_2d_constant_and_separable():
         assert abs(res.value - mpf(1) / 4) < mpf(10) ** -14
 
 
-def test_2d_central_binomial_identity():
+@pytest.mark.parametrize("P", [10, 40, 300])
+def test_inner_tolerance_budget_bound(P):
+    # integrate_2d_iterated's docstring: from level 2 on, the outer nodes
+    # give h * sum_i max(w_i, kappa) <= 3, against h * sum_i w_i ~ 2
+    with _working(P, _WORK_GUARD):
+        tmax_q4 = _truncation_range(P, default_tolerance(P))
+        kappa = 1 / (mpf(tmax_q4) / 2 + 1)
+        levels = _node_levels(P + _WORK_GUARD, tmax_q4, 5)
+        # the midpoint is listed once; every other node stands for two
+        weights = [levels[0][0][1]] + [w for _, w in levels[0][1:]] * 2
+        for level in range(1, 6):
+            weights += [w for _, w in levels[level]] * 2
+            h = mpf(2) ** -level
+            if level >= 2:
+                assert abs(h * sum(weights) - 2) < mpf(10) ** -13
+                assert h * sum(max(w, kappa) for w in weights) <= 3
+
+
+@pytest.mark.parametrize("P", [25, 40])
+def test_2d_central_binomial_identity(P):
     """Double integral over the unit square of 1/sqrt(1 - x0^2 x1^2), which
     expands to sum C(2j,j) 4^-j/(2j+1)^2 = (pi/2) log 2.  The corner factor
     is evaluated from the exact endpoint distances:
     1 - x0^2 x1^2 = db0 (1+x0) + x0^2 db1 (1+x1)."""
     def f(x0, da0, db0, x1, da1, db1):
         return 1 / mp.sqrt(db0 * (1 + x0) + x0 ** 2 * db1 * (1 + x1))
-    res = integrate_2d_iterated(f, 25)
-    with mp.workdps(35):
-        target = pi(30) / 2 * log2(30)
-        assert abs(res.value - target) < mpf(10) ** -13
+    res = integrate_2d_iterated(f, P)
+    with mp.workdps(P + 10):
+        target = pi(P + 5) / 2 * log2(P + 5)
+        assert abs(res.value - target) < default_tolerance(P)
