@@ -256,9 +256,12 @@ def _ci1(x, da, db):
     return -mp.log(x) / mp.sqrt(db * (1 + x))
 
 
+_HALF = mpf(0.5)  # exact at any precision; built once, not per evaluation
+
+
 def _ci3(x, da, db):
     # asin(sqrt x)^2 / x on [0, 1]; near 1 fold the arcsine through db
-    if x > mpf("0.5"):
+    if x > _HALF:
         s = mp.pi / 2 - mp.asin(mp.sqrt(db))
     else:
         s = mp.asin(mp.sqrt(x))
@@ -266,40 +269,43 @@ def _ci3(x, da, db):
 
 
 def _ci2_factory():
-    cache: Dict[mpf, tuple] = {}
+    # an inner integral passes one x1 object to all of its evaluations, so
+    # the x1 constants are kept for the last x1 seen, tested by identity
+    last_x1 = log_ratio = q1 = None
     # every inner integral runs over the same x0 nodes
-    cache0: Dict[mpf, mpf] = {}
+    cache0: Dict[mpf, tuple] = {}
 
     def f(x0, da0, db0, x1, da1, db1):
         # log(x0) log(x1) / (sqrt(1 - x0^2 x1^2) (1 - x1^2))
-        pre = cache.get(x1)
-        if pre is None:
+        nonlocal last_x1, log_ratio, q1
+        if x1 is not last_x1:
             q1 = db1 * (1 + x1)               # 1 - x1^2, exactly
-            pre = (mp.log(x1) / q1, q1)
-            cache[x1] = pre
-        log_ratio, q1 = pre
-        log0 = cache0.get(x0)
-        if log0 is None:
-            log0 = mp.log(x0)
-            cache0[x0] = log0
-        inner = db0 * (1 + x0) + x0 * x0 * q1  # 1 - x0^2 x1^2, exactly
-        return log0 * log_ratio / mp.sqrt(inner)
+            log_ratio = mp.log(x1) / q1
+            last_x1 = x1
+        pre0 = cache0.get(x0)
+        if pre0 is None:
+            pre0 = (mp.log(x0), db0 * (1 + x0), x0 * x0)
+            cache0[x0] = pre0
+        log0, lead, sq = pre0
+        # 1 - x0^2 x1^2 = db0 (1 + x0) + x0^2 (1 - x1^2), exactly
+        return log0 * log_ratio / mp.sqrt(lead + sq * q1)
 
     return f
 
 
 def _ci4_factory():
-    cache: Dict[mpf, mpf] = {}
+    # the x1 constant of the last x1 seen, as in _ci2_factory
+    last_x1 = pre = None
 
     def f(x0, da0, db0, x1, da1, db1):
         # asin^2(sqrt(x0 x1)) / (x0 x1) * log(x1)/(1 - x1)
-        pre = cache.get(x1)
-        if pre is None:
+        nonlocal last_x1, pre
+        if x1 is not last_x1:
             pre = mp.log(x1) / db1             # 1 - x1 = db1 exactly
-            cache[x1] = pre
+            last_x1 = x1
         t = x0 * x1
         u = db0 + x0 * db1                     # 1 - x0 x1, exactly
-        if t > mpf("0.5"):
+        if t > _HALF:
             s = mp.pi / 2 - mp.asin(mp.sqrt(u))
         else:
             s = mp.asin(mp.sqrt(t))

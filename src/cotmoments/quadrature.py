@@ -15,14 +15,20 @@ cot(x/2) on [0, pi], or ``mp.log(da)`` for log(x) at 0.
 Levels halve the mesh in t; level L contributes the odd multiples of
 2^-L.  The trapezoidal sums S_L then satisfy S_L = S_{L-1}/2 + h*(new),
 and successive gaps |S_L - S_{L-1}| shrink roughly quadratically in the
-exponent once the rule resolves the integrand.
+exponent once the rule resolves the integrand.  A level's geometry (each
+node pair's abscissas, endpoint distances and weight) is derived once from
+the node table, so the loop over its nodes does only the integrand's work;
+a non-finite value is caught by testing the level's sum, which any
+non-finite contribution leaves non-finite, before the level is used.
 
 Two-dimensional integrals are iterated: the outer rule's integrand is an
 inner 1-D integral.  Outer node i, of raw weight w_i, gets the inner
 tolerance (tol/50)*max(1, kappa/w_i) with kappa = 1/(2*tmax + 1), so the
 nodes whose weight cannot move the sum are integrated coarsely; the inner
 errors then reach the result as at most 0.03*tol (the proof is in
-integrate_2d_iterated).
+integrate_2d_iterated).  Every inner integral runs over [0, 1] at the same
+precision, so one 2-D call derives the [0, 1] geometry of each level once
+and shares it with all of them; a 1-D call keeps none.
 """
 
 from __future__ import annotations
@@ -150,9 +156,25 @@ def integrate_1d(f: IntegrandFn, a, b, P: int,
                       level_cap)
 
 
-def _tanh_sinh(f, a, b, P: int, tol, level_cap: int) -> QuadratureResult:
+def _pairs(nodes, a, b, r, width):
+    """A level's mirrored node pairs on [a, b] as (x_lo, x_hi, near, far, w):
+    x_lo = a + near and x_hi = b - near, with near = r*offset the distance of
+    each from its own endpoint and far = width - near from the other."""
+    for offset, weight in nodes:
+        near = r * offset
+        yield a + near, b - near, near, width - near, weight
+
+
+def _tanh_sinh(f, a, b, P: int, tol, level_cap: int,
+               shared: Optional[Dict[int, List[list]]] = None) -> QuadratureResult:
     """The level loop of integrate_1d; f is called as ``f(x, da, db, w)``
-    with w the raw node weight (the node's share of the sum is h*r*w*f)."""
+    with w the raw node weight (the node's share of the sum is h*r*w*f).
+
+    A level's geometry is derived from its node table before its nodes are
+    evaluated.  Alone, a call derives it as it walks and keeps nothing;
+    calls over the same [a, b] at the same P may pass one ``shared`` dict,
+    which keeps every level any of them reaches for the others.
+    """
     _require_digits(P)
     dps = P + _WORK_GUARD
     with _working(P, _WORK_GUARD):
@@ -164,41 +186,56 @@ def _tanh_sinh(f, a, b, P: int, tol, level_cap: int) -> QuadratureResult:
         tmax_q4 = _truncation_range(P, tol)
         # per-node contributions below this are treated as converged tail
         cutoff = tol * mpf(10) ** -4
+        kept = None if shared is None else shared.setdefault(tmax_q4, [])
 
         s = mpf(0)
         deltas: List[mpf] = []
         evaluations = 0
         for level in range(level_cap + 1):
             h = mpf(2) ** (-level)
+            # h is a power of two, so |c|*hr rounds exactly as (|c|*h)*r
+            hr = h * r
             nodes = _node_levels(dps, tmax_q4, level)[level]
             part = mpf(0)
             tiny_run = 0
             # cut the tail only after a contribution above the cutoff: an
             # integrand peaked away from the centre starts with tiny ones
             seen_large = False
-            for offset, weight in nodes:
-                if offset == 1:
-                    contrib = weight * f(a + r, r, r, weight)
-                    evaluations += 1
-                else:
-                    off = r * offset
-                    f_lo = f(a + off, off, width - off, weight)
-                    f_hi = f(b - off, width - off, off, weight)
-                    contrib = weight * (f_lo + f_hi)
-                    evaluations += 2
-                if not mp.isfinite(contrib):
-                    raise QuadratureError(
-                        f"integrand returned a non-finite value at level {level}"
-                        " (endpoint distances are passed for a reason)",
-                        best=r * s, levels=level)
+            if level == 0:
+                # the centre node, t = 0 (offset 1), is its own mirror image;
+                # a cut needs two tiny pairs after a large contribution, which
+                # resets the run, so only its size counts
+                weight = nodes[0][1]
+                nodes = nodes[1:]
+                contrib = weight * f(a + r, r, r, weight)
+                evaluations += 1
                 part += contrib
-                if abs(contrib) * h * r < cutoff:
+                seen_large = abs(contrib) * hr >= cutoff
+            if kept is None:
+                pairs = _pairs(nodes, a, b, r, width)
+            else:
+                if len(kept) == level:
+                    kept.append(list(_pairs(nodes, a, b, r, width)))
+                pairs = kept[level]
+            for x_lo, x_hi, near, far, weight in pairs:
+                contrib = weight * (f(x_lo, near, far, weight)
+                                    + f(x_hi, far, near, weight))
+                evaluations += 2
+                part += contrib
+                if abs(contrib) * hr < cutoff:
                     tiny_run += 1
                     if tiny_run >= 2 and seen_large:
                         break
                 else:
                     tiny_run = 0
                     seen_large = True
+            # a non-finite contribution leaves the level's sum non-finite
+            # (inf + -inf is nan), so one test per level finds it
+            if not mp.isfinite(part):
+                raise QuadratureError(
+                    f"integrand returned a non-finite value at level {level}"
+                    " (endpoint distances are passed for a reason)",
+                    best=r * s, levels=level)
             s_new = (s / 2 + h * part) if level else part
             if level >= 1:
                 deltas.append(abs(r * (s_new - s)))
@@ -258,16 +295,18 @@ def integrate_2d_iterated(f, P: int, tol=None,
         # 1/(2*tmax + 1), with tmax = _truncation_range(...)/4 as in _tanh_sinh
         kappa = 1 / (mpf(_truncation_range(P, tol)) / 2 + 1)
         inner_evaluations = 0
+        # every inner integral, and the outer one, walks the same [0, 1] nodes
+        shared: Dict[int, List[list]] = {}
 
         def outer(x1, da1, db1, weight):
             nonlocal inner_evaluations
 
-            def inner(x0, da0, db0):
+            def inner(x0, da0, db0, w0):
                 return f(x0, da0, db0, x1, da1, db1)
 
             inner_tol = base_tol * max(1, kappa / weight)
             try:
-                res = integrate_1d(inner, 0, 1, P, inner_tol, level_cap)
+                res = _tanh_sinh(inner, 0, 1, P, inner_tol, level_cap, shared)
             except QuadratureError as exc:
                 raise QuadratureError(
                     f"inner integral at x1 = {mp.nstr(x1, 10)}"
@@ -277,7 +316,7 @@ def integrate_2d_iterated(f, P: int, tol=None,
             inner_evaluations += res.evaluations
             return res.value
 
-        res = _tanh_sinh(outer, 0, 1, P, tol, level_cap)
+        res = _tanh_sinh(outer, 0, 1, P, tol, level_cap, shared)
         return QuadratureResult(value=res.value,
                                 error_estimate=res.error_estimate,
                                 levels=res.levels,
@@ -299,9 +338,9 @@ def moment_quadrature(m: int, P: int, tol=None,
         raise ValueError(f"moment_quadrature: need m >= 1, got {m}")
     _require_digits(P)
     with _working(P, _WORK_GUARD):
-        fact = mp.factorial(m)
+        two_fact = 2 * mp.factorial(m)
 
         def f(x, da, db):
-            return x ** m / (2 * fact) * mp.tan(db / 2)
+            return x ** m / two_fact * mp.tan(db / 2)
 
         return integrate_1d(f, 0, mp.pi, P, tol, level_cap).value

@@ -34,7 +34,7 @@ from mpmath import mp, mpf
 
 from .exact import bernoulli, cycle_count, euler_zigzag, partitions
 from .hpreal import _require_digits, _working, zeta
-from .quadrature import integrate_1d
+from .quadrature import _WORK_GUARD, integrate_1d
 
 __all__ = [
     "SeriesValue",
@@ -440,10 +440,12 @@ def _kernel_series_k0(z: mpf, P: int) -> mpf:
 
 def _kernel_integral_k1(z: mpf, P: int) -> mpf:
     one_minus_z = 1 - z
+    # rounded at the precision integrate_1d evaluates f in
+    switch = mpf("0.3", dps=P + _WORK_GUARD)
 
     def f(y, da, db):
         u = db + one_minus_z  # 1 - y, exactly
-        if u < mpf("0.3"):
+        if u < switch:
             val = mp.pi / 2 - 2 * mp.asin(mp.sqrt(u / 2))
         else:
             val = mp.asin(y)
@@ -454,10 +456,12 @@ def _kernel_integral_k1(z: mpf, P: int) -> mpf:
 
 def _kernel_integral_k0(z: mpf, P: int) -> mpf:
     one_minus_z = 1 - z
+    # rounded at the precision integrate_1d evaluates f in
+    switch = mpf("0.3", dps=P + _WORK_GUARD)
 
     def f(y, da, db):
         u = db + one_minus_z  # 1 - y, exactly
-        if u < mpf("0.3"):
+        if u < switch:
             s = mp.pi / 2 - mp.asin(mp.sqrt(u))
         else:
             s = mp.asin(mp.sqrt(y))

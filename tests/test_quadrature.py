@@ -4,12 +4,15 @@ integrals against a float midpoint-rule oracle, and the failure paths.
 
 from __future__ import annotations
 
+import ast
 import math
+import pathlib
 import threading
 
 import pytest
 from mpmath import mp, mpf
 
+import cotmoments
 from cotmoments.hpreal import _working, eta, log2, pi
 from cotmoments.quadrature import (
     _WORK_GUARD,
@@ -255,6 +258,38 @@ def test_non_finite_integrand_raises():
         integrate_1d(bad, 0, 1, 30)
 
 
+def test_nan_from_one_pair_raises_at_its_level():
+    # +inf at x_lo and -inf at x_hi of the first pair of level 1: the pair
+    # sums to nan, which the level's finiteness check must still catch
+    P = 30
+    with _working(P, _WORK_GUARD):
+        tmax_q4 = _truncation_range(P, default_tolerance(P))
+        near = _node_levels(P + _WORK_GUARD, tmax_q4, 1)[1][0][0] / 2
+
+    def f(x, da, db):
+        if da == near:
+            return mp.inf
+        if db == near:
+            return -mp.inf
+        return mpf(1)
+
+    with pytest.raises(QuadratureError, match="non-finite value at level 1"):
+        integrate_1d(f, 0, 1, P)
+
+
+def test_non_finite_inner_node_names_its_outer_node():
+    # the first outer node is x1 = 1/2; its inner centre node is x0 = 1/2
+    def f(x0, da0, db0, x1, da1, db1):
+        return mp.inf if x0 == x1 == mpf(0.5) else x0 * x1
+
+    with pytest.raises(QuadratureError) as err:
+        integrate_2d_iterated(f, 25)
+    message = str(err.value)
+    assert message.startswith("inner integral at x1 = 0.5 ")
+    assert "non-finite value at level 0" in message
+    assert err.value.levels == 0
+
+
 def test_repeated_runs_are_deterministic():
     a = integrate_1d(lambda x, da, db: mp.sqrt(da), 0, 1, 30)
     b = integrate_1d(lambda x, da, db: mp.sqrt(da), 0, 1, 30)
@@ -306,3 +341,127 @@ def test_2d_central_binomial_identity(P):
     with mp.workdps(P + 10):
         target = pi(P + 5) / 2 * log2(P + 5)
         assert abs(res.value - target) < default_tolerance(P)
+
+
+# ---------------------------------------------------------------------------
+# reference: the level loop with its geometry derived per node
+# ---------------------------------------------------------------------------
+
+def _reference_tanh_sinh(f, a, b, P, tol=None, level_cap=12):
+    """The level loop as it was before each level's geometry was derived
+    once: offsets scaled, endpoint distances and h*r recomputed and
+    finiteness tested per node.  f is called as f(x, da, db, w)."""
+    with _working(P, _WORK_GUARD):
+        a = mpf(a)
+        b = mpf(b)
+        tol = default_tolerance(P) if tol is None else mpf(tol)
+        width = b - a
+        r = width / 2
+        tmax_q4 = _truncation_range(P, tol)
+        cutoff = tol * mpf(10) ** -4
+        s = mpf(0)
+        deltas = []
+        evaluations = 0
+        for level in range(level_cap + 1):
+            h = mpf(2) ** (-level)
+            nodes = _node_levels(P + _WORK_GUARD, tmax_q4, level)[level]
+            part = mpf(0)
+            tiny_run = 0
+            seen_large = False
+            for offset, weight in nodes:
+                if offset == 1:
+                    contrib = weight * f(a + r, r, r, weight)
+                    evaluations += 1
+                else:
+                    off = r * offset
+                    f_lo = f(a + off, off, width - off, weight)
+                    f_hi = f(b - off, width - off, off, weight)
+                    contrib = weight * (f_lo + f_hi)
+                    evaluations += 2
+                if not mp.isfinite(contrib):
+                    raise QuadratureError(f"non-finite at level {level}")
+                part += contrib
+                if abs(contrib) * h * r < cutoff:
+                    tiny_run += 1
+                    if tiny_run >= 2 and seen_large:
+                        break
+                else:
+                    tiny_run = 0
+                    seen_large = True
+            s_new = (s / 2 + h * part) if level else part
+            if level >= 1:
+                deltas.append(abs(r * (s_new - s)))
+            s = s_new
+            if level >= 2 and deltas[-1] <= tol:
+                return QuadratureResult(value=+(r * s),
+                                        error_estimate=+(2 * deltas[-1]),
+                                        levels=level + 1,
+                                        evaluations=evaluations,
+                                        deltas=tuple(deltas))
+        raise QuadratureError(f"no convergence within {level_cap} levels")
+
+
+def _reference_2d(f, P):
+    """The iterated rule over the reference loop, with the same inner
+    tolerance budget (tol/50)*max(1, kappa/w_i)."""
+    with _working(P, _WORK_GUARD):
+        tol = default_tolerance(P)
+        kappa = 1 / (mpf(_truncation_range(P, tol)) / 2 + 1)
+        inner_evaluations = 0
+
+        def outer(x1, da1, db1, weight):
+            nonlocal inner_evaluations
+            res = _reference_tanh_sinh(
+                lambda x0, da0, db0, w0: f(x0, da0, db0, x1, da1, db1),
+                0, 1, P, tol / 50 * max(1, kappa / weight))
+            inner_evaluations += res.evaluations
+            return res.value
+
+        res = _reference_tanh_sinh(outer, 0, 1, P, tol)
+        return QuadratureResult(value=res.value,
+                                error_estimate=res.error_estimate,
+                                levels=res.levels,
+                                evaluations=res.evaluations + inner_evaluations,
+                                deltas=res.deltas)
+
+
+@pytest.mark.parametrize("f, a, b, P", [
+    (lambda x, da, db: x ** 200, -1, 1, 30),
+    (lambda x, da, db: -mp.log(da), 0, 1, 40),
+    (lambda x, da, db: mp.sqrt(da), 0, 1, 30),
+], ids=["x^200", "log-endpoint", "sqrt"])
+def test_1d_matches_the_reference_loop(f, a, b, P):
+    ref = _reference_tanh_sinh(lambda x, da, db, w: f(x, da, db), a, b, P)
+    # value, error_estimate, levels, evaluations and deltas, exactly
+    assert integrate_1d(f, a, b, P) == ref
+
+
+def test_2d_matches_the_reference_loop():
+    def f(x0, da0, db0, x1, da1, db1):
+        return 1 / mp.sqrt(db0 * (1 + x0) + x0 ** 2 * db1 * (1 + x1))
+    assert integrate_2d_iterated(f, 25) == _reference_2d(f, 25)
+
+
+def test_integrands_parse_no_decimal_strings():
+    # an integrand runs once per node, and mpf("0.5") there costs several
+    # microseconds per evaluation: such constants are built outside it
+    package = pathlib.Path(cotmoments.__file__).parent
+    inner_outer = ["x0", "da0", "db0", "x1", "da1", "db1"]
+    found = []
+    for name in ("moments.py", "quadrature.py", "series.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            params = [arg.arg for arg in fn.args.args]
+            if params[-2:] != ["da", "db"] and params != inner_outer:
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id",
+                                    getattr(node.func, "attr", None)) == "mpf"
+                        and node.args
+                        and isinstance(node.args[0], ast.Constant)
+                        and isinstance(node.args[0].value, str)):
+                    found.append(f"{name}:{node.lineno} {fn.name}")
+    assert found == []
