@@ -116,17 +116,6 @@ class Partition:
         """The partitioned integer k = sum(l * pi_l)."""
         return sum(l * m for l, m in enumerate(self.multiplicities, start=1))
 
-    @property
-    def length(self) -> int:
-        """Number of parts."""
-        return sum(self.multiplicities)
-
-    def parts(self) -> Tuple[int, ...]:
-        """Parts in decreasing order, e.g. (2, 1, 1)."""
-        out: List[int] = []
-        for l in range(len(self.multiplicities), 0, -1):
-            out.extend([l] * self.multiplicities[l - 1])
-        return tuple(out)
 
 
 def _descending_parts(remaining: int, maxpart: int) -> Iterator[List[int]]:
@@ -181,15 +170,6 @@ class RationalPowerSeries:
             raise ValueError("RationalPowerSeries: order must be non-negative")
         if len(self.coefficients) != self.order + 1:
             raise ValueError("RationalPowerSeries: need exactly order+1 coefficients")
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Sequence[Fraction | int], order: int | None = None) -> "RationalPowerSeries":
-        cs = [Fr(c) for c in coeffs]
-        if order is None:
-            order = len(cs) - 1
-        if len(cs) < order + 1:
-            cs.extend([Fr(0)] * (order + 1 - len(cs)))
-        return cls(tuple(cs[: order + 1]), order)
 
     def coefficient(self, i: int) -> Fraction:
         """Coefficient of z^i (0 beyond the truncation order)."""

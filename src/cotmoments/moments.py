@@ -17,13 +17,14 @@ makes the cross-route agreement checks in `run_suite` meaningful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 from mpmath import mp, mpf
 
 from . import cfn
-from .hpreal import _require_digits, _working, eta, zeta, zeta_even_closed
+from .hpreal import GUARD_DIGITS, _require_digits, _working, eta, zeta, zeta_even_closed
 from .quadrature import (
     default_tolerance,
     integrate_1d,
@@ -95,17 +96,28 @@ def c_eta_route(m: int, P: int) -> MomentValue:
               + [m even] (-1)^(m/2) zeta(m+1).
 
     The single finite closed form; every other route is checked against it.
+
+    The terms cancel: their absolute sum is at most e^pi + zeta(2), while
+    C(m) >= pi^(m+2)/(4 (m+2)!) because cot(x/2) = tan((pi-x)/2) >= (pi-x)/2
+    on [0, pi).  The sum runs with enough extra digits that P + 5 of them
+    survive cancelling the digits of that ratio; the guard digits cover
+    this up to m = 10, where no digits are added.
     """
     if m < 1:
         raise ValueError(f"c_eta_route: need m >= 1, got {m}")
     _require_digits(P)
+    log10_floor = ((m + 2) * math.log10(math.pi) - math.log10(4)
+                   - math.lgamma(m + 3) / math.log(10))
+    cancelled = math.ceil(math.log10(math.exp(math.pi) + math.pi ** 2 / 6) - log10_floor)
+    Q = P + max(0, cancelled + 5 - GUARD_DIGITS)
     with _working(P):
-        acc = mpf(0)
-        for l in range(m // 2 + 1):
-            p = m - 2 * l
-            acc += (-1) ** l * mp.pi ** p / mp.factorial(p) * eta(2 * l + 1, P + 5)
-        if m % 2 == 0:
-            acc += (-1) ** (m // 2) * zeta(m + 1, P + 5)
+        with _working(Q):
+            acc = mpf(0)
+            for l in range(m // 2 + 1):
+                p = m - 2 * l
+                acc += (-1) ** l * mp.pi ** p / mp.factorial(p) * eta(2 * l + 1, Q + 5)
+            if m % 2 == 0:
+                acc += (-1) ** (m // 2) * zeta(m + 1, Q + 5)
         value = +acc
     return MomentValue(m=m, route="eta-closed-form", value=value)
 
@@ -189,22 +201,16 @@ def c_nested_route(m: int, P: int, N: int = _DEFAULT_N) -> MomentValue:
     if m < 1:
         raise ValueError(f"c_nested_route: need m >= 1, got {m}")
     _require_digits(P)
-    if m % 2:
-        k = (m - 1) // 2
-        series = [s_odd(l, P, N) for l in range(k, -1, -1)]
-    else:
-        k = (m - 2) // 2
-        series = [s_even(l, P, N) for l in range(k, -1, -1)]
+    k = (m - 1) // 2
+    # 2^(2l+1) pi^(2k-2l)/(2k-2l)! = 2^(2k+1) A1(k-l); the even weight is A0(k-l)
+    s_fn, a_fn, scale = (s_odd, a1, 2 ** (2 * k + 1)) if m % 2 else (s_even, a0, 1)
+    series = [s_fn(l, P, N) for l in range(k, -1, -1)]
     series.reverse()  # index by l again
     with _working(P):
         acc = mpf(0)
         err = mpf(0)
         for l in range(k + 1):
-            if m % 2:
-                weight = mpf(2) ** (2 * l + 1) * mp.pi ** (2 * k - 2 * l) \
-                    / mp.factorial(2 * k - 2 * l)
-            else:
-                weight = mp.pi ** (2 * k - 2 * l) / mp.factorial(2 * k - 2 * l + 1)
+            weight = scale * a_fn(k - l, P).value
             acc += (-1) ** l * weight * series[l].value
             err += weight * series[l].error_bound
         value = +acc
@@ -402,8 +408,8 @@ def verify_h_integral_reduction(k: int, jmax: int, N: int, P: int) -> Verificati
                                 config={"digits": P, "N": N, "k": k, "jmax": jmax})
     fmt = _fmt(P)
     with _working(P):
-        w_odd = [(mp.pi / 2) ** (2 * l) / mp.factorial(2 * l) for l in range(k + 1)]
-        w_even = [mp.pi ** (2 * l) / mp.factorial(2 * l + 1) for l in range(k + 1)]
+        w_odd = [a1(l, P).value for l in range(k + 1)]
+        w_even = [a0(l, P).value for l in range(k + 1)]
         for kind, row, weights, table, anchor in (
                 ("odd", k, w_odd, cfn.build_h1(k, jmax),
                  "H1(k,j) = sum_l (pi/2)^(2l)/(2l)! (-1)^(k-l) T_(k-l)(j), odd tails"),
@@ -428,27 +434,22 @@ def verify_h_integral_reduction(k: int, jmax: int, N: int, P: int) -> Verificati
 # generating-function identities at sample points
 # ---------------------------------------------------------------------------
 
-def binomial_gf_identities(P: int, samples: Optional[Sequence] = None) -> VerificationReport:
+def binomial_gf_identities(P: int) -> VerificationReport:
     """The two central-binomial generating functions, evaluated numerically:
 
         sum_j C(2j,j) (x/2)^(2j)        = 1/sqrt(1 - x^2)
         (1/2) sum_j (2x)^(2j)/(j^2 C(2j,j)) = asin^2(x)
 
-    Each sample in [0, 0.9] must match to 10^-(P-10)."""
+    Each of x = 0, 0.25, 0.5, 0.75, 0.9 must match to 10^-(P-10)."""
     _require_digits(P)
-    if samples is None:
-        samples = ("0", "0.25", "0.5", "0.75", "0.9")
     report = VerificationReport("gf-identities", config={"digits": P})
     fmt = _fmt(P)
     with _working(P):
         tol = mpf(10) ** (-(P - 10))
         report.config["tol"] = mp.nstr(tol, 5)
         target = mpf(10) ** (-(P + 5))
-        for sample in samples:
-            x = mpf(sample if isinstance(sample, str) else str(sample))
-            if not 0 <= x <= mpf("0.9"):
-                raise ValueError(
-                    f"binomial_gf_identities: samples must lie in [0, 0.9], got {sample!r}")
+        for sample in ("0", "0.25", "0.5", "0.75", "0.9"):
+            x = mpf(sample)
             label = mp.nstr(x, 8)
             xx = x * x
             # identity 1: sum_j C(2j,j) (x/2)^(2j) = (1 - x^2)^(-1/2)
@@ -522,9 +523,12 @@ def _suite_closed_forms(P: int, N: int, tol) -> VerificationReport:
                 f"euler-vanishing/k={k}",
                 "sum_l (-1)^(l+1) C(2k,2l) E*_2l = 0",
                 euler_binomial_vanishing(k), 0)
+        # deepest first: one sweep per kind then serves every depth
+        truncated = {(k, kind): r_truncated_nested(k, kind, P, 10000)
+                     for k in (3, 2, 1) for kind in ("odd", "even")}
         for k in range(1, 4):
             for kind in ("odd", "even"):
-                sv = r_truncated_nested(k, kind, P, 10000)
+                sv = truncated[k, kind]
                 closed = (r_odd if kind == "odd" else r_even)(k, P).value
                 report.add_numeric(
                     f"r-{kind}-truncated/k={k}",

@@ -146,14 +146,12 @@ def _truncation_range(P: int, tol: mpf) -> int:
 # the 1-D engine
 # ---------------------------------------------------------------------------
 
-def integrate_1d(f: IntegrandFn, a, b, P: int,
-                 tol=None, level_cap: int = _DEFAULT_LEVEL_CAP) -> QuadratureResult:
+def integrate_1d(f: IntegrandFn, a, b, P: int, tol=None) -> QuadratureResult:
     """Integrate ``f(x, da, db)`` over [a, b] to absolute accuracy ~tol at
-    P digits.  Raises QuadratureError if level_cap refinements do not reach
+    P digits.  Raises QuadratureError if the capped refinements do not reach
     tol.
     """
-    return _tanh_sinh(lambda x, da, db, weight: f(x, da, db), a, b, P, tol,
-                      level_cap)
+    return _tanh_sinh(lambda x, da, db, weight: f(x, da, db), a, b, P, tol)
 
 
 def _pairs(nodes, a, b, r, width):
@@ -165,7 +163,7 @@ def _pairs(nodes, a, b, r, width):
         yield a + near, b - near, near, width - near, weight
 
 
-def _tanh_sinh(f, a, b, P: int, tol, level_cap: int,
+def _tanh_sinh(f, a, b, P: int, tol,
                shared: Optional[Dict[int, List[list]]] = None) -> QuadratureResult:
     """The level loop of integrate_1d; f is called as ``f(x, da, db, w)``
     with w the raw node weight (the node's share of the sum is h*r*w*f).
@@ -191,6 +189,7 @@ def _tanh_sinh(f, a, b, P: int, tol, level_cap: int,
         s = mpf(0)
         deltas: List[mpf] = []
         evaluations = 0
+        level_cap = _DEFAULT_LEVEL_CAP
         for level in range(level_cap + 1):
             h = mpf(2) ** (-level)
             # h is a power of two, so |c|*hr rounds exactly as (|c|*h)*r
@@ -257,8 +256,7 @@ def _tanh_sinh(f, a, b, P: int, tol, level_cap: int,
             levels=level_cap + 1)
 
 
-def integrate_2d_iterated(f, P: int, tol=None,
-                          level_cap: int = _DEFAULT_LEVEL_CAP) -> QuadratureResult:
+def integrate_2d_iterated(f, P: int, tol=None) -> QuadratureResult:
     """Iterated tanh-sinh integral of f over the unit square.
 
     f is called as ``f(x0, da0, db0, x1, da1, db1)``; x0 is the inner
@@ -306,7 +304,7 @@ def integrate_2d_iterated(f, P: int, tol=None,
 
             inner_tol = base_tol * max(1, kappa / weight)
             try:
-                res = _tanh_sinh(inner, 0, 1, P, inner_tol, level_cap, shared)
+                res = _tanh_sinh(inner, 0, 1, P, inner_tol, shared)
             except QuadratureError as exc:
                 raise QuadratureError(
                     f"inner integral at x1 = {mp.nstr(x1, 10)}"
@@ -316,7 +314,7 @@ def integrate_2d_iterated(f, P: int, tol=None,
             inner_evaluations += res.evaluations
             return res.value
 
-        res = _tanh_sinh(outer, 0, 1, P, tol, level_cap, shared)
+        res = _tanh_sinh(outer, 0, 1, P, tol, shared)
         return QuadratureResult(value=res.value,
                                 error_estimate=res.error_estimate,
                                 levels=res.levels,
@@ -328,8 +326,7 @@ def integrate_2d_iterated(f, P: int, tol=None,
 # the moment integrals
 # ---------------------------------------------------------------------------
 
-def moment_quadrature(m: int, P: int, tol=None,
-                      level_cap: int = _DEFAULT_LEVEL_CAP) -> mpf:
+def moment_quadrature(m: int, P: int, tol=None) -> mpf:
     """The m-th cotangent moment by direct quadrature: the integral over
     [0, pi] of x^m/(2 m!) * cot(x/2), with the half-angle cotangent
     evaluated as tan(db/2) from the exact distance to the right endpoint.
@@ -343,4 +340,4 @@ def moment_quadrature(m: int, P: int, tol=None,
         def f(x, da, db):
             return x ** m / two_fact * mp.tan(db / 2)
 
-        return integrate_1d(f, 0, mp.pi, P, tol, level_cap).value
+        return integrate_1d(f, 0, mp.pi, P, tol).value

@@ -49,9 +49,6 @@ class VerificationReport:
     config: Dict[str, object] = field(default_factory=dict)
     checks: List[CheckRecord] = field(default_factory=list)
 
-    def add(self, record: CheckRecord) -> None:
-        self.checks.append(record)
-
     def add_exact(self, id: str, anchor: str, lhs: object, rhs: object) -> bool:
         """Record an exact-equality check; diff is a 0/1 flag."""
         ok = lhs == rhs

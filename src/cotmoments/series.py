@@ -4,9 +4,10 @@ Three layers live here:
 
 * closed forms — r_odd/r_even (zigzag / Bernoulli), a1/a0 (pure pi powers),
   and the alternating recurrences tying A to R;
-* truncated evaluations with explicit tail bounds — the weakly-nested
-  prefix sums behind R (``r_truncated_nested``) and the kernel-weighted
-  suffix sums S_odd/S_even used by the nested moment route;
+* truncated evaluations with explicit tail bounds — the kernel-weighted
+  suffix sums S_odd/S_even used by the nested moment route, and the
+  weakly-nested sums behind R (``r_truncated_nested``), which are the same
+  sweep's suffix tails at the first index j0;
 * the kernels K1(z) and K0(z), each computable by power series and by
   integral, which must agree wherever both converge.
 
@@ -19,9 +20,12 @@ carried as round(v * 2^fbits).  The inner suffix tails
 satisfy T_d(j) = T_d(j+1) + w(j) * T_{d-1}(j), so one backward sweep over
 j = N..0 updates all depths at once; the outer weights b(j) (central-binomial
 ratios over (2j+1)^2 resp. 2j^3) are streamed backwards by their term ratio.
-Each right-shift floors, losing < 2^-fbits, so the total fixed-point error is
-below (lmax + 3) * (N + 1) * 2^-fbits — negligible against the series tails
-for fbits >= 140.
+Each right-shift floors, losing < 2^-fbits, so the fixed-point error grows
+like (N + 1) * 2^-fbits — negligible against the series tails for
+fbits >= 140.  ``r_truncated_nested`` proves its allowance, 2^(k+2) (N + 1)
+2^-fbits at depth k, and its bound is rigorous.  The S values and the tail
+tables add (l + 3) resp. (dmax + 2) times (N + 1) 2^-fbits, which that
+proof does not cover beyond depth 1.
 """
 
 from __future__ import annotations
@@ -224,14 +228,28 @@ def euler_binomial_vanishing(k: int) -> int:
 # ---------------------------------------------------------------------------
 
 def r_truncated_nested(k: int, kind: str, P: int, N: int = 10000) -> SeriesValue:
-    """R(k) as the direct k-fold weakly-increasing nested sum, truncated at N.
+    """R(k) as the k-fold weakly-increasing nested sum over j0 <= i <= N.
 
-    The prefix values V_d(N) are accumulated in one sweep (V_d += w_i V_{d-1}
-    with V_{d-1} already updated at i, which realizes i_1 <= ... <= i_d).
-    The error bound is rigorous: with w_tail >= sum_{i>N} w_i and
-    U_0 = 1, U_d = V_d(N) + U_{d-1} w_tail, the truncation error of V_k is
-    at most U_{k-1} * w_tail (every dropped tuple has its largest index > N,
-    and the remaining d-1 indices are bounded by the full sum U_{d-1}).
+    The value is the S-family sweep's suffix tail T_k(j0), and the prefix
+    values V_d = T_d(j0), d < k, come from the same sweep.  The error bound
+    is rigorous, rounding at the working precision aside.  Truncation: with
+    w_tail >= sum_{i>N} w_i and U_0 = 1, U_d = V_d + U_{d-1} w_tail, the
+    truncated sum misses at most U_{k-1} * w_tail (every dropped tuple has
+    its largest index > N, and the remaining d-1 indices are bounded by the
+    full sum U_{d-1}).
+
+    Fixed point: let e = 2^-fbits.  Every R(d) is below 2 (R_odd(d) =
+    (4/pi) beta(2d+1), R_even(d) = 2 eta(2d)).  Each of the N+1 steps floors
+    w(j) and the product w(j) T_{d-1}(j), so by induction on d the swept
+    T_d(j0) lies below the truncated sum by at most
+
+        c_d (N+1) e,   c_1 = 1,   c_d = 2 c_{d-1} + 3 = 2^(d+1) - 3:
+
+    sum w < 2 carries the depth d-1 error, and the two floors lose less than
+    (T_{d-1} + 1) e < 3e per step.  Read from the sweep, the V_d make
+    U_{k-1} * w_tail smaller by at most sum_{d<k} c_d (N+1) e, as
+    w_tail <= 1; the allowance 2^(k+2) (N+1) e that the bound adds covers
+    both.
     """
     if k < 1:
         raise ValueError(f"r_truncated_nested: need k >= 1, got {k}")
@@ -239,19 +257,17 @@ def r_truncated_nested(k: int, kind: str, P: int, N: int = 10000) -> SeriesValue
     if N < 1:
         raise ValueError(f"r_truncated_nested: need N >= 1, got {N}")
     _require_digits(P)
-    fam = _FAMILIES[kind]
-    a, c = fam.a, fam.c
+    fbits = fixed_point_bits(P)
     with _working(P):
-        V = [mpf(1)] + [mpf(0)] * k
-        for i in range(fam.j0, N + 1):
-            w = mpf(1) / (a * i + c) ** 2
-            for d in range(1, k + 1):
-                V[d] += w * V[d - 1]
-        w_tail = mpf(1) / (fam.tail_den * N)
+        data = _nested_family(kind, k, N, fbits)
+        scale = mpf(2) ** fbits
+        V = [mpf(v) / scale for v in data.tails[_FAMILIES[kind].j0]]
+        _, w_tail = _tail_constants(kind, N)
         U = mpf(1)
         for d in range(1, k):
             U = V[d] + U * w_tail
-        bound = +(U * w_tail)
+        fp_err = 2 ** (k + 2) * (N + 1) * mpf(2) ** (-fbits)
+        bound = +(U * w_tail + fp_err)
         value = +V[k]
     return SeriesValue(f"R_{kind}", k, value, "truncated-sum", error_bound=bound)
 
@@ -316,8 +332,9 @@ def _sweep_family(kind: str, lmax: int, N: int, fbits: int) -> _FamilyData:
 def _nested_family(kind: str, lmax: int, N: int, fbits: int) -> _FamilyData:
     """The cached sweep for (kind, N, fbits); callers hold the precision scope.
 
-    Callers ask for rising depths (the suites need 0, 1 and 2), so a sweep
+    The S values are asked for at rising depths 0, 1 and 2, so a sweep
     always covers depth 2: one sweep per key instead of one per depth.
+    Deeper callers (R up to depth 3) ask for their deepest value first.
     """
     key = (kind, N, fbits)
     data = _family_cache.get(key)

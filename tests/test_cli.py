@@ -4,6 +4,8 @@ precedence, and report determinism."""
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -323,9 +325,13 @@ def test_config_file_non_integer_digits(tmp_path, capsys, value):
 # ---------------------------------------------------------------------------
 
 def test_console_script_roundtrip():
+    # the child imports the package under test, installed or not
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cotmoments.cli", "constants", "pi",
          "--digits", "20"],
-        capture_output=True, text=True, timeout=60)
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == "pi 3.1415926535897932385"

@@ -13,6 +13,7 @@ import pytest
 from mpmath import mp, mpf
 
 import cotmoments
+from cotmoments import quadrature
 from cotmoments.hpreal import _working, eta, log2, pi
 from cotmoments.quadrature import (
     _WORK_GUARD,
@@ -227,22 +228,23 @@ def test_error_estimate_is_conservative():
         assert abs(res.value - true) <= default_tolerance(35)  # the contract
 
 
-def test_level_cap_raises_with_context():
+def test_level_cap_raises_with_context(monkeypatch):
+    monkeypatch.setattr(quadrature, "_DEFAULT_LEVEL_CAP", 3)
     with pytest.raises(QuadratureError) as err:
         integrate_1d(lambda x, da, db: mp.exp(x), 0, 1, 40,
-                     tol=mpf(10) ** -60, level_cap=3)
+                     tol=mpf(10) ** -60)
     assert err.value.best is not None
     assert err.value.gap is not None
     assert err.value.levels == 4  # base level plus three refinements
 
 
-def test_inner_failure_names_its_outer_node():
+def test_inner_failure_names_its_outer_node(monkeypatch):
     # the first outer node is the midpoint x1 = 1/2, whose weight pi/2 keeps
     # the flat inner tolerance tol/50; one refinement cannot converge
+    monkeypatch.setattr(quadrature, "_DEFAULT_LEVEL_CAP", 1)
     with pytest.raises(QuadratureError) as err:
         integrate_2d_iterated(
-            lambda x0, da0, db0, x1, da1, db1: mp.exp(x0 * x1), 25,
-            level_cap=1)
+            lambda x0, da0, db0, x1, da1, db1: mp.exp(x0 * x1), 25)
     message = str(err.value)
     assert "x1 = 0.5" in message
     assert f"inner tol {mp.nstr(default_tolerance(25) / 50, 3)}" in message

@@ -9,12 +9,14 @@ integral evaluations.
 from __future__ import annotations
 
 import threading
+from fractions import Fraction as Fr
 
 import pytest
 from mpmath import mp, mpf
 
 from cotmoments import series
 from cotmoments.hpreal import eta, log2, pi
+from cotmoments.moments import _suite_closed_forms
 from cotmoments.series import (
     SeriesValue,
     a0,
@@ -153,6 +155,53 @@ def test_truncated_nested_bound_shrinks_with_n():
         assert tight.error_bound < loose.error_bound
         # partial sums of positive terms increase toward the limit
         assert loose.value < tight.value < r_odd(2, 30).value
+
+
+@pytest.mark.parametrize("kind,j0", [("odd", 0), ("even", 1)])
+def test_truncated_nested_reads_the_sweep(kind, j0):
+    for k in (1, 2, 3):
+        table, _ = nested_tail_sums(kind, k, j0, 3000, 30)
+        assert r_truncated_nested(k, kind, 30, N=3000).value == table[j0][k], k
+
+
+def _exact_nested_sum(k, kind, N):
+    """The k-fold weakly-increasing sum over j0 <= i <= N, as a Fraction."""
+    a, c, j0 = (2, 1, 0) if kind == "odd" else (1, 0, 1)
+    V = [Fr(1)] + [Fr(0)] * k
+    for i in range(j0, N + 1):
+        w = Fr(1, (a * i + c) ** 2)
+        for d in range(1, k + 1):
+            V[d] += w * V[d - 1]
+    return V[k]
+
+
+@pytest.mark.parametrize("kind,closed", [("odd", r_odd), ("even", r_even)])
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_truncated_nested_small_n(kind, closed, N):
+    P = 30
+    for k in (1, 2, 3):
+        t = r_truncated_nested(k, kind, P, N=N)
+        exact = _exact_nested_sum(k, kind, N)
+        with mp.workdps(80):
+            # the sweep's allowance, plus the value's rounding to P + 10 digits
+            slack = (2 ** (k + 2) * (N + 1) * mpf(2) ** -fixed_point_bits(P)
+                     + t.value * mpf(10) ** -(P + 9))
+            assert abs(t.value - mpf(exact.numerator) / exact.denominator) <= slack
+            assert abs(t.value - closed(k, P).value) <= t.error_bound, (kind, k, N)
+
+
+def test_closed_forms_suite_costs_one_sweep_per_kind(monkeypatch):
+    calls = []
+    sweep = series._sweep_family
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(series, "_family_cache", {})
+    monkeypatch.setattr(series, "_sweep_family", counted)
+    _suite_closed_forms(30, 10000, None)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
