@@ -13,24 +13,30 @@ independent routes compute it:
 
 No route shares code with another past the constants layer, which is what
 makes the cross-route agreement checks in `run_suite` meaningful.
+
+The consequence identities 2 and 4 are double integrals over the unit
+square, and their inner integral is one of the central-binomial kernels
+K1, K0.  Those kernels are incomplete moments of cot (with y = sin t,
+z K1(z) = int_0^asin z t cot t dt), so a Bernoulli power series in
+theta = asin z gives them, with terms falling by 4x each.  The quadrature
+evidence for both identities is therefore a 1-D tanh-sinh integral of the
+kernel-reduced integrand, the kernel summed by Horner's rule; no 2-D rule
+runs in the suites.  The theta-series shares nothing with the series
+layer's K1/K0, and the suite checks the two against each other.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from functools import partial
+from typing import Callable, Optional
 
 from mpmath import mp, mpf
 
 from . import cfn
 from .hpreal import GUARD_DIGITS, _require_digits, _working, eta, zeta, zeta_even_closed
-from .quadrature import (
-    default_tolerance,
-    integrate_1d,
-    integrate_2d_iterated,
-    moment_quadrature,
-)
+from .quadrature import _WORK_GUARD, default_tolerance, integrate_1d, moment_quadrature
 from .report import VerificationReport
 from .series import (
     a0,
@@ -274,64 +280,103 @@ def _ci3(x, da, db):
     return s * s / x
 
 
-def _ci2_factory():
-    # an inner integral passes one x1 object to all of its evaluations, so
-    # the x1 constants are kept for the last x1 seen, tested by identity
-    last_x1 = log_ratio = q1 = None
-    # every inner integral runs over the same x0 nodes
-    cache0: Dict[mpf, tuple] = {}
-
-    def f(x0, da0, db0, x1, da1, db1):
-        # log(x0) log(x1) / (sqrt(1 - x0^2 x1^2) (1 - x1^2))
-        nonlocal last_x1, log_ratio, q1
-        if x1 is not last_x1:
-            q1 = db1 * (1 + x1)               # 1 - x1^2, exactly
-            log_ratio = mp.log(x1) / q1
-            last_x1 = x1
-        pre0 = cache0.get(x0)
-        if pre0 is None:
-            pre0 = (mp.log(x0), db0 * (1 + x0), x0 * x0)
-            cache0[x0] = pre0
-        log0, lead, sq = pre0
-        # 1 - x0^2 x1^2 = db0 (1 + x0) + x0^2 (1 - x1^2), exactly
-        return log0 * log_ratio / mp.sqrt(lead + sq * q1)
-
-    return f
+def _log(x, db):
+    # log(x) on [0, 1]; near 1 fold it through db = 1 - x
+    return mp.log1p(-db) if x > _HALF else mp.log(x)
 
 
-def _ci4_factory():
-    # the x1 constant of the last x1 seen, as in _ci2_factory
-    last_x1 = pre = None
+def _theta_kernels(P: int):
+    """K1 and K0 by Horner's rule on their theta-series, built once per P.
 
-    def f(x0, da0, db0, x1, da1, db1):
-        # asin^2(sqrt(x0 x1)) / (x0 x1) * log(x1)/(1 - x1)
-        nonlocal last_x1, pre
-        if x1 is not last_x1:
-            pre = mp.log(x1) / db1             # 1 - x1 = db1 exactly
-            last_x1 = x1
-        t = x0 * x1
-        u = db0 + x0 * db1                     # 1 - x0 x1, exactly
-        if t > _HALF:
-            s = mp.pi / 2 - mp.asin(mp.sqrt(u))
+    Returns (k1, k0), each called as k(z, 1 - z) for 0 < z <= 1.  With
+    y = sin t the kernels are incomplete moments of cot:
+
+        z K1(z) = int_0^theta t cot t dt,      theta = asin z,
+        K0(z)   = int_0^theta 2 t^2 cot t dt,  theta = asin sqrt z.
+
+    Since t cot t = sum_k a_k t^(2k), with a_k = (-1)^k B_2k 4^k/(2k)!, and
+    a_k = -2 zeta(2k)/pi^(2k) for k >= 1,
+
+        z K1(z) = theta   sum_k a_k theta^(2k)/(2k+1),
+        K0(z)   = theta^2 sum_k a_k theta^(2k)/(k+1).
+
+    Truncation after k = K.  Both coefficients c_k have |c_k| <= |a_k|, and
+    theta <= pi/2, so |c_k theta^(2k)| <= 2 zeta(2k) (theta/pi)^(2k)
+    <= 2 zeta(2) 4^(-k): the dropped terms sum to at most
+    2 zeta(2) 4^(-K)/3 = (pi^2/9) 4^(-K).  The prefactors theta/z (as
+    sin theta >= 2 theta/pi) and theta^2 are at most pi/2 and pi^2/4, so
+    each truncated kernel is within (pi^4/36) 4^(-K) < 3 * 4^(-K) of the
+    true one.  K is the least with 3 * 4^(-K) <= 10^-(P + _WORK_GUARD), the
+    working precision of the integrals.
+
+    The Bernoulli numbers are mpmath's: the kernels share nothing with
+    the series layer's K1/K0, which the consequence checks compare against.
+    """
+    K = math.ceil((P + _WORK_GUARD + math.log10(3)) / math.log10(4))
+    with _working(P, _WORK_GUARD):
+        a = [mp.bernoulli(2 * k) * (-4) ** k / mp.factorial(2 * k)
+             for k in range(K + 1)]
+        # highest degree first, for Horner's rule
+        c1 = [a[k] / (2 * k + 1) for k in range(K, -1, -1)]
+        c0 = [a[k] / (k + 1) for k in range(K, -1, -1)]
+        half_pi = mp.pi / 2
+
+    def horner(coeffs, s):
+        acc = mpf(0)
+        for c in coeffs:
+            acc = acc * s + c
+        return acc
+
+    def k1(z, dz):
+        # near 1, asin z = pi/2 - acos z = pi/2 - 2 asin(sqrt(dz/2))
+        if z > _HALF:
+            theta = half_pi - 2 * mp.asin(mp.sqrt(dz / 2))
         else:
-            s = mp.asin(mp.sqrt(t))
-        return s * s / t * pre
+            theta = mp.asin(z)
+        return theta * horner(c1, theta * theta) / z
 
-    return f
+    def k0(z, dz):
+        # near 1, fold the arcsine through dz as _ci3 does
+        if z > _HALF:
+            theta = half_pi - mp.asin(mp.sqrt(dz))
+        else:
+            theta = mp.asin(mp.sqrt(z))
+        s = theta * theta
+        return s * horner(c0, s)
+
+    return k1, k0
+
+
+def _ci2(k1, x, da, db):
+    # -log(x) K1(x) / (1 - x^2) on [0, 1]; 1 - x^2 = db (1 + x) exactly
+    return -_log(x, db) * k1(x, db) / (db * (1 + x))
+
+
+def _ci4(k0, x, da, db):
+    # K0(x) log(x) / (x (1 - x)) on [0, 1]; 1 - x = db exactly
+    return k0(x, db) * _log(x, db) / (x * db)
 
 
 _CONSEQUENCE_ANCHORS = {
     1: "int_0^1 -log(x)/sqrt(1-x^2) dx = (pi/2) log2 = S_odd(0)",
-    2: "int int log(x0)log(x1)/(sqrt(1-x0^2 x1^2)(1-x1^2)) = pi^3/24 log2 + pi/8 eta(3) = S_odd(1)",
+    2: "int int log(x0)log(x1)/(sqrt(1-x0^2 x1^2)(1-x1^2)) = -int_0^1 log(x) K1(x)/(1-x^2) dx = pi^3/24 log2 + pi/8 eta(3) = S_odd(1)",
     3: "int_0^1 asin^2(sqrt x)/x dx = pi^2/2 log2 - 7/3 eta(3) = S_even(0)",
-    4: "int int asin^2(sqrt(x0 x1))/(x0 x1) * log(x1)/(1-x1) = -pi^4/24 log2 - pi^2/9 eta(3) + 31/15 eta(5) = -S_even(1)",
+    4: "int int asin^2(sqrt(x0 x1))/(x0 x1) * log(x1)/(1-x1) = int_0^1 K0(x) log(x)/(x(1-x)) dx = -pi^4/24 log2 - pi^2/9 eta(3) + 31/15 eta(5) = -S_even(1)",
 }
 
 
 def verify_consequences(P: int, N: int = _DEFAULT_N, tol=None) -> VerificationReport:
     """The four k = 0, 1 identities, each computed three independent ways:
-    truncated nested series, tanh-sinh quadrature (1-D or 2-D), and the
-    closed form in the {pi, log2, eta(3), eta(5)} basis."""
+    truncated nested series, 1-D tanh-sinh quadrature, and the closed form
+    in the {pi, log2, eta(3), eta(5)} basis.
+
+    Consequences 2 and 4 are double integrals whose inner integral is a
+    kernel: int_0^1 log(x0)/sqrt(1 - x0^2 x1^2) dx0 = -K1(x1) (substitute
+    u = x0 x1 and integrate by parts), and the inner integral of 4 is
+    K0(x1)/x1.  Their quadrature evidence is the remaining 1-D integral,
+    with the kernels summed by their theta-series (_theta_kernels); the
+    consequence-{2,4}/kernel checks hold that series against the series
+    layer's K1/K0 power series."""
     _require_digits(P)
     if N < 1:
         raise ValueError(f"verify_consequences: need N >= 1, got {N}")
@@ -366,11 +411,12 @@ def verify_consequences(P: int, N: int = _DEFAULT_N, tol=None) -> VerificationRe
                                _CONSEQUENCE_ANCHORS[i], val, closed[i],
                                tol=bound, fmt=fmt)
 
+        k1, k0 = _theta_kernels(P)
         quad = {
             1: integrate_1d(_ci1, 0, 1, P, tol_q).value,
-            2: integrate_2d_iterated(_ci2_factory(), P, tol_q).value,
+            2: integrate_1d(partial(_ci2, k1), 0, 1, P, tol_q).value,
             3: integrate_1d(_ci3, 0, 1, P, tol_q).value,
-            4: integrate_2d_iterated(_ci4_factory(), P, tol_q).value,
+            4: integrate_1d(partial(_ci4, k0), 0, 1, P, tol_q).value,
         }
         for i in range(1, 5):
             report.add_numeric(f"consequence-{i}/quadrature-vs-closed",
@@ -382,6 +428,18 @@ def verify_consequences(P: int, N: int = _DEFAULT_N, tol=None) -> VerificationRe
         report.add_numeric("consequence-1/dimension-one",
                            "-2 int_0^1 log(x)/sqrt(1-x^2) dx = C(1) = pi log2",
                            2 * quad[1], c1, tol=2 * tol_q, fmt=fmt)
+
+        tol10 = mpf(10) ** (-(P - 10))
+        for z in ("0.25", "0.5", "0.75"):
+            x = mpf(z)
+            report.add_numeric(
+                f"consequence-2/kernel/z={z}",
+                "z K1(z) = int_0^asin(z) t cot t dt by its theta-series matches the K1 power series",
+                k1(x, 1 - x), kernel_k1(z, P, method="series"), tol=tol10, fmt=fmt)
+            report.add_numeric(
+                f"consequence-4/kernel/z={z}",
+                "K0(z) = int_0^asin(sqrt z) 2t^2 cot t dt by its theta-series matches the K0 power series",
+                k0(x, 1 - x), kernel_k0(z, P, method="series"), tol=tol10, fmt=fmt)
     return report
 
 

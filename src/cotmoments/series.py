@@ -22,10 +22,11 @@ j = N..0 updates all depths at once; the outer weights b(j) (central-binomial
 ratios over (2j+1)^2 resp. 2j^3) are streamed backwards by their term ratio.
 Each right-shift floors, losing < 2^-fbits, so the fixed-point error grows
 like (N + 1) * 2^-fbits — negligible against the series tails for
-fbits >= 140.  ``r_truncated_nested`` proves its allowance, 2^(k+2) (N + 1)
-2^-fbits at depth k, and its bound is rigorous.  The S values and the tail
-tables add (l + 3) resp. (dmax + 2) times (N + 1) 2^-fbits, which that
-proof does not cover beyond depth 1.
+fbits >= 140.  ``r_truncated_nested`` proves the allowance 2^(d+2) (N + 1)
+2^-fbits for a tail at depth d, and both it and ``nested_tail_sums`` add
+that allowance, so their bounds are rigorous.  The S values add
+(l + 3) (N + 1) 2^-fbits, which that proof does not cover beyond depth 1:
+like their calibrated outer tail, it is an estimate.
 """
 
 from __future__ import annotations
@@ -373,6 +374,8 @@ def _s_value(kind: str, l: int, P: int, N: int) -> SeriesValue:
         # (integral comparison; the 1.05 safety factor absorbs the calibrated
         # prefactor drift — heuristic, checked against closed forms in tests)
         outer_err = mpf("1.05") * (mpf(2) / 3) * N * b_last * inner_full ** l
+        # fixed-point rounding, (l + 3) (N + 1) 2^-fbits: an estimate like
+        # outer_err, as r_truncated_nested's proof covers it to depth 1 only
         fp_err = (l + 3) * (N + 1) * mpf(2) ** (-fbits)
         bound = +(inner_err + outer_err + fp_err)
     return SeriesValue(f"S_{kind}", l, value, "truncated-sum", error_bound=bound)
@@ -395,8 +398,10 @@ def nested_tail_sums(kind: str, dmax: int, jmax: int, N: int, P: int):
 
     Returns (table, bounds): table[j][d] is the truncated T_d(j) as an mpf
     (j starts at 0 for the odd family, 1 for the even one), and bounds[d] is
-    a rigorous truncation bound valid for every j: d * U^(d-1) * w_tail with
-    U the full inner sum and w_tail the dropped single-index tail.
+    a rigorous bound valid for every j: the truncation d * U^(d-1) * w_tail,
+    with U the full inner sum and w_tail the dropped single-index tail, plus
+    the fixed-point allowance 2^(d+2) (N+1) 2^-fbits, which covers the
+    (2^(d+1) - 3) (N+1) 2^-fbits proved in ``r_truncated_nested``.
     """
     _require_kind(kind)
     if dmax < 0 or jmax < 0:
@@ -413,8 +418,8 @@ def nested_tail_sums(kind: str, dmax: int, jmax: int, N: int, P: int):
         table = {j: [+(mpf(v) / scale) for v in data.tails[j][: dmax + 1]]
                  for j in range(_FAMILIES[kind].j0, jmax + 1)}
         inner_full, w_tail = _tail_constants(kind, N)
-        fp_err = (dmax + 2) * (N + 1) * mpf(2) ** (-fbits)
-        bounds = [+(d * inner_full ** max(d - 1, 0) * w_tail + fp_err)
+        unit = (N + 1) * mpf(2) ** (-fbits)
+        bounds = [+(d * inner_full ** max(d - 1, 0) * w_tail + 2 ** (d + 2) * unit)
                   for d in range(dmax + 1)]
     return table, bounds
 

@@ -7,15 +7,18 @@ package's own eta acceleration.
 
 from __future__ import annotations
 
+import ast
+import pathlib
+from functools import partial
+
 import pytest
 from mpmath import mp, mpf
 
+from cotmoments import moments, quadrature
 from cotmoments.hpreal import to_digits
 from cotmoments.moments import (
     ROUTES,
     SUITES,
-    _ci2_factory,
-    _ci4_factory,
     binomial_gf_identities,
     c_cfn_route,
     c_eta_route,
@@ -25,7 +28,7 @@ from cotmoments.moments import (
     verify_consequences,
     verify_h_integral_reduction,
 )
-from cotmoments.quadrature import integrate_2d_iterated
+from cotmoments.quadrature import default_tolerance, integrate_1d, integrate_2d_iterated
 
 # 40-digit references, frozen from mpmath closed forms
 _FROZEN = {
@@ -158,6 +161,9 @@ def test_consequences_all_pass():
         assert f"consequence-{i}/nested-vs-closed" in ids
         assert f"consequence-{i}/quadrature-vs-closed" in ids
     assert "consequence-1/dimension-one" in ids
+    for i in (2, 4):
+        for z in ("0.25", "0.5", "0.75"):
+            assert f"consequence-{i}/kernel/z={z}" in ids
     assert all(c.anchor for c in rep.checks)
 
 
@@ -167,11 +173,113 @@ def test_consequence_config_recorded():
     assert rep.config["N"] == 20000
 
 
+def _ci2_factory():
+    # consequence 2 as the double integral
+    # log(x0) log(x1) / (sqrt(1 - x0^2 x1^2) (1 - x1^2)); the x1 constants
+    # are kept for the last x1 seen, and the x0 ones per x0
+    last_x1 = log_ratio = q1 = None
+    cache0 = {}
+
+    def f(x0, da0, db0, x1, da1, db1):
+        nonlocal last_x1, log_ratio, q1
+        if x1 is not last_x1:
+            q1 = db1 * (1 + x1)               # 1 - x1^2, exactly
+            log_ratio = mp.log(x1) / q1
+            last_x1 = x1
+        pre0 = cache0.get(x0)
+        if pre0 is None:
+            pre0 = (mp.log(x0), db0 * (1 + x0), x0 * x0)
+            cache0[x0] = pre0
+        log0, lead, sq = pre0
+        # 1 - x0^2 x1^2 = db0 (1 + x0) + x0^2 (1 - x1^2), exactly
+        return log0 * log_ratio / mp.sqrt(lead + sq * q1)
+
+    return f
+
+
+def _ci4_factory():
+    # consequence 4 as the double integral
+    # asin^2(sqrt(x0 x1)) / (x0 x1) * log(x1)/(1 - x1)
+    last_x1 = pre = None
+
+    def f(x0, da0, db0, x1, da1, db1):
+        nonlocal last_x1, pre
+        if x1 is not last_x1:
+            pre = mp.log(x1) / db1             # 1 - x1 = db1 exactly
+            last_x1 = x1
+        t = x0 * x1
+        u = db0 + x0 * db1                     # 1 - x0 x1, exactly
+        if t > moments._HALF:
+            s = mp.pi / 2 - mp.asin(mp.sqrt(u))
+        else:
+            s = mp.asin(mp.sqrt(t))
+        return s * s / t * pre
+
+    return f
+
+
 @pytest.mark.parametrize("factory", [_ci2_factory, _ci4_factory])
 def test_2d_consequence_integral_evaluations(factory):
     # light outer nodes get coarse inner integrals: 26,782 and 26,578
     # evaluations with a flat inner tolerance, under 19,000 with the budget
     assert integrate_2d_iterated(factory(), 30).evaluations <= 21000
+
+
+def _reduced(i, P):
+    k1, k0 = moments._theta_kernels(P)
+    f = partial(moments._ci2, k1) if i == 2 else partial(moments._ci4, k0)
+    return integrate_1d(f, 0, 1, P)
+
+
+@pytest.mark.parametrize("i,factory", [(2, _ci2_factory), (4, _ci4_factory)])
+def test_2d_and_kernel_reduced_integrals_agree(i, factory):
+    P = 30
+    double = integrate_2d_iterated(factory(), P).value
+    single = _reduced(i, P).value
+    with mp.workdps(P + 10):
+        assert abs(double - single) <= default_tolerance(P)
+
+
+def test_consequences_use_no_2d_rule(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_consequences called integrate_2d_iterated")
+
+    monkeypatch.setattr(quadrature, "integrate_2d_iterated", refuse)
+    monkeypatch.setattr(moments, "integrate_2d_iterated", refuse, raising=False)
+    evaluations = {}
+
+    def counted(f, *args):
+        res = integrate_1d(f, *args)
+        name = getattr(getattr(f, "func", f), "__name__", "?")
+        evaluations[name] = res.evaluations
+        return res
+
+    monkeypatch.setattr(moments, "integrate_1d", counted)
+    rep = verify_consequences(30)
+    assert rep.all_passed, [c.id for c in rep.failing()]
+    # 131 each at P = 30; the 2-D rule took about 18,000 each
+    assert 0 < evaluations["_ci2"] <= 300
+    assert 0 < evaluations["_ci4"] <= 300
+
+
+_SERIES_NAMES = {"kernel_k0", "kernel_k1", "s_odd", "s_even", "nested_tail_sums"}
+
+
+def test_reduced_integrands_share_nothing_with_the_series_route():
+    # the theta-series kernels stand apart from the series layer's K1/K0,
+    # or the kernel checks and the reduced integrals test it against itself
+    tree = ast.parse(pathlib.Path(moments.__file__).read_text(encoding="utf-8"))
+    scanned = {"_theta_kernels", "_ci2", "_ci4", "_log"}
+    found, seen = [], set()
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in scanned:
+            seen.add(fn.name)
+            for node in ast.walk(fn):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if name in _SERIES_NAMES:
+                    found.append(f"{fn.name}:{node.lineno} {name}")
+    assert seen == scanned
+    assert found == []
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,21 @@ def test_tail_sums_validation():
         nested_tail_sums("odd", 2, 10, 5, 30)  # N must exceed jmax
 
 
+@pytest.mark.parametrize("kind", ["odd", "even"])
+def test_tail_sums_allowance_covers_the_proved_rounding(kind):
+    # r_truncated_nested proves the swept T_d low by at most
+    # (2^(d+1) - 3)(N+1) 2^-fbits; a flat (dmax + 2) units falls short at d = 2
+    P, N, dmax = 30, 50, 2
+    _, bounds = nested_tail_sums(kind, dmax, 3, N, P)
+    with mp.workdps(80):
+        inner = pi(80) ** 2 / (8 if kind == "odd" else 6)
+        w_tail = mpf(1) / ((4 if kind == "odd" else 1) * N)
+        unit = (N + 1) * mpf(2) ** -fixed_point_bits(P)
+        for d in range(1, dmax + 1):
+            allowance = bounds[d] - d * inner ** (d - 1) * w_tail
+            assert allowance >= (2 ** (d + 1) - 3) * unit, d
+
+
 def test_fixed_point_bits_floor():
     assert fixed_point_bits(10) == 140
     assert fixed_point_bits(50) >= 50 * 3.32
