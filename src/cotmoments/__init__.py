@@ -49,7 +49,6 @@ from .quadrature import (
     QuadratureResult,
     default_tolerance,
     integrate_1d,
-    integrate_2d_iterated,
     moment_quadrature,
 )
 from .report import CheckRecord, VerificationReport
@@ -106,7 +105,6 @@ __all__ = [
     "euler_binomial_vanishing",
     "euler_zigzag",
     "integrate_1d",
-    "integrate_2d_iterated",
     "kernel_k0",
     "kernel_k1",
     "log2",

@@ -20,8 +20,8 @@ K1, K0.  Those kernels are incomplete moments of cot (with y = sin t,
 z K1(z) = int_0^asin z t cot t dt), so a Bernoulli power series in
 theta = asin z gives them, with terms falling by 4x each.  The quadrature
 evidence for both identities is therefore a 1-D tanh-sinh integral of the
-kernel-reduced integrand, the kernel summed by Horner's rule; no 2-D rule
-runs in the suites.  The theta-series shares nothing with the series
+kernel-reduced integrand, the kernel summed by Horner's rule; the package
+has no 2-D rule.  The theta-series shares nothing with the series
 layer's K1/K0, and the suite checks the two against each other.
 """
 

@@ -21,14 +21,9 @@ the node table, so the loop over its nodes does only the integrand's work;
 a non-finite value is caught by testing the level's sum, which any
 non-finite contribution leaves non-finite, before the level is used.
 
-Two-dimensional integrals are iterated: the outer rule's integrand is an
-inner 1-D integral.  Outer node i, of raw weight w_i, gets the inner
-tolerance (tol/50)*max(1, kappa/w_i) with kappa = 1/(2*tmax + 1), so the
-nodes whose weight cannot move the sum are integrated coarsely; the inner
-errors then reach the result as at most 0.03*tol (the proof is in
-integrate_2d_iterated).  Every inner integral runs over [0, 1] at the same
-precision, so one 2-D call derives the [0, 1] geometry of each level once
-and shares it with all of them; a 1-D call keeps none.
+The rule is one-dimensional; the consequence identities' double integrals
+reach it already reduced to 1-D integrals of theta-series kernels
+(moments.py).
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ __all__ = [
     "QuadratureResult",
     "QuadratureError",
     "integrate_1d",
-    "integrate_2d_iterated",
     "moment_quadrature",
     "default_tolerance",
 ]
@@ -146,14 +140,6 @@ def _truncation_range(P: int, tol: mpf) -> int:
 # the 1-D engine
 # ---------------------------------------------------------------------------
 
-def integrate_1d(f: IntegrandFn, a, b, P: int, tol=None) -> QuadratureResult:
-    """Integrate ``f(x, da, db)`` over [a, b] to absolute accuracy ~tol at
-    P digits.  Raises QuadratureError if the capped refinements do not reach
-    tol.
-    """
-    return _tanh_sinh(lambda x, da, db, weight: f(x, da, db), a, b, P, tol)
-
-
 def _pairs(nodes, a, b, r, width):
     """A level's mirrored node pairs on [a, b] as (x_lo, x_hi, near, far, w):
     x_lo = a + near and x_hi = b - near, with near = r*offset the distance of
@@ -163,28 +149,25 @@ def _pairs(nodes, a, b, r, width):
         yield a + near, b - near, near, width - near, weight
 
 
-def _tanh_sinh(f, a, b, P: int, tol,
-               shared: Optional[Dict[int, List[list]]] = None) -> QuadratureResult:
-    """The level loop of integrate_1d; f is called as ``f(x, da, db, w)``
-    with w the raw node weight (the node's share of the sum is h*r*w*f).
-
-    A level's geometry is derived from its node table before its nodes are
-    evaluated.  Alone, a call derives it as it walks and keeps nothing;
-    calls over the same [a, b] at the same P may pass one ``shared`` dict,
-    which keeps every level any of them reaches for the others.
+def integrate_1d(f: IntegrandFn, a, b, P: int, tol=None) -> QuadratureResult:
+    """Integrate ``f(x, da, db)`` over [a, b], a <= b, to absolute accuracy
+    ~tol at P digits.  Raises QuadratureError if the capped refinements do
+    not reach tol, and ValueError for reversed (or NaN) limits, whose
+    endpoint distances would be negative.
     """
     _require_digits(P)
     dps = P + _WORK_GUARD
     with _working(P, _WORK_GUARD):
         a = mpf(a)
         b = mpf(b)
+        if not a <= b:
+            raise ValueError(f"integrate_1d: need a <= b, got [{a}, {b}]")
         tol = default_tolerance(P) if tol is None else mpf(tol)
         width = b - a
         r = width / 2
         tmax_q4 = _truncation_range(P, tol)
         # per-node contributions below this are treated as converged tail
         cutoff = tol * mpf(10) ** -4
-        kept = None if shared is None else shared.setdefault(tmax_q4, [])
 
         s = mpf(0)
         deltas: List[mpf] = []
@@ -206,19 +189,12 @@ def _tanh_sinh(f, a, b, P: int, tol,
                 # resets the run, so only its size counts
                 weight = nodes[0][1]
                 nodes = nodes[1:]
-                contrib = weight * f(a + r, r, r, weight)
+                contrib = weight * f(a + r, r, r)
                 evaluations += 1
                 part += contrib
                 seen_large = abs(contrib) * hr >= cutoff
-            if kept is None:
-                pairs = _pairs(nodes, a, b, r, width)
-            else:
-                if len(kept) == level:
-                    kept.append(list(_pairs(nodes, a, b, r, width)))
-                pairs = kept[level]
-            for x_lo, x_hi, near, far, weight in pairs:
-                contrib = weight * (f(x_lo, near, far, weight)
-                                    + f(x_hi, far, near, weight))
+            for x_lo, x_hi, near, far, weight in _pairs(nodes, a, b, r, width):
+                contrib = weight * (f(x_lo, near, far) + f(x_hi, far, near))
                 evaluations += 2
                 part += contrib
                 if abs(contrib) * hr < cutoff:
@@ -254,72 +230,6 @@ def _tanh_sinh(f, a, b, P: int, tol,
             f" (last gap {mp.nstr(deltas[-1], 3) if deltas else 'n/a'})",
             best=+(r * s), gap=deltas[-1] if deltas else None,
             levels=level_cap + 1)
-
-
-def integrate_2d_iterated(f, P: int, tol=None) -> QuadratureResult:
-    """Iterated tanh-sinh integral of f over the unit square.
-
-    f is called as ``f(x0, da0, db0, x1, da1, db1)``; x0 is the inner
-    variable.  Each outer node gets an inner tolerance set by its weight.
-
-    The outer value is r*h*sum_i w_i*F_i, with r = 1/2, h the outer mesh,
-    w_i the raw node weight and F_i the inner integral at outer node i.
-    Node i's inner integral is computed to
-
-        e_i = (tol/50) * max(1, kappa/w_i),   kappa = 1/(2*tmax + 1),
-
-    where tmax is the outer t-range.  If each inner error is at most e_i,
-    the inner errors reach the outer value as at most
-
-        r*h*sum_i w_i*e_i = r*(tol/50) * h*sum_i max(w_i, kappa)
-                         <= r*(tol/50) * (h*sum_i w_i + kappa*h*n).
-
-    The n nodes with |t| <= tmax on the mesh h number at most 2*tmax/h + 1,
-    so kappa*h*n <= kappa*(2*tmax + h) <= 1.  h*sum_i w_i is the trapezoidal
-    sum of the weight function, whose integral over all t is 2; the outer
-    rule returns from level 2 on (h <= 1/4), where that sum exceeds 2 by
-    less than 1e-13, and a cut tail only drops positive terms.  So the
-    inner errors cost at most r*(tol/50)*3 = 0.03*tol, against
-    r*(tol/50)*2 for a flat tol/50 on every node: most outer nodes have
-    w_i far below kappa and need only a coarse inner integral.
-
-    An inner QuadratureError is raised again naming its outer node and
-    inner tolerance, with the inner best, gap and levels.
-    """
-    _require_digits(P)
-    with _working(P, _WORK_GUARD):
-        tol = default_tolerance(P) if tol is None else mpf(tol)
-        base_tol = tol / 50
-        # 1/(2*tmax + 1), with tmax = _truncation_range(...)/4 as in _tanh_sinh
-        kappa = 1 / (mpf(_truncation_range(P, tol)) / 2 + 1)
-        inner_evaluations = 0
-        # every inner integral, and the outer one, walks the same [0, 1] nodes
-        shared: Dict[int, List[list]] = {}
-
-        def outer(x1, da1, db1, weight):
-            nonlocal inner_evaluations
-
-            def inner(x0, da0, db0, w0):
-                return f(x0, da0, db0, x1, da1, db1)
-
-            inner_tol = base_tol * max(1, kappa / weight)
-            try:
-                res = _tanh_sinh(inner, 0, 1, P, inner_tol, shared)
-            except QuadratureError as exc:
-                raise QuadratureError(
-                    f"inner integral at x1 = {mp.nstr(x1, 10)}"
-                    f" (1 - x1 = {mp.nstr(db1, 3)}),"
-                    f" inner tol {mp.nstr(inner_tol, 3)}: {exc}",
-                    best=exc.best, gap=exc.gap, levels=exc.levels) from exc
-            inner_evaluations += res.evaluations
-            return res.value
-
-        res = _tanh_sinh(outer, 0, 1, P, tol, shared)
-        return QuadratureResult(value=res.value,
-                                error_estimate=res.error_estimate,
-                                levels=res.levels,
-                                evaluations=res.evaluations + inner_evaluations,
-                                deltas=res.deltas)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,101 @@
+"""Reference tanh-sinh loops for the tests: the 1-D level loop with its
+geometry derived per node, and an iterated 2-D rule over it.
+
+The 1-D loop is what ``integrate_1d`` must reproduce exactly; the 2-D rule
+evaluates the consequence identities' double integrals, against which the
+package's kernel-reduced 1-D integrals are checked.
+"""
+
+from __future__ import annotations
+
+from mpmath import mp, mpf
+
+from cotmoments.hpreal import _working
+from cotmoments.quadrature import (
+    _WORK_GUARD,
+    QuadratureError,
+    QuadratureResult,
+    _node_levels,
+    _truncation_range,
+    default_tolerance,
+)
+
+
+def _reference_tanh_sinh(f, a, b, P, tol=None, level_cap=12):
+    """The level loop as it was before each level's geometry was derived
+    once: offsets scaled, endpoint distances and h*r recomputed and
+    finiteness tested per node.  f is called as f(x, da, db, w)."""
+    with _working(P, _WORK_GUARD):
+        a = mpf(a)
+        b = mpf(b)
+        tol = default_tolerance(P) if tol is None else mpf(tol)
+        width = b - a
+        r = width / 2
+        tmax_q4 = _truncation_range(P, tol)
+        cutoff = tol * mpf(10) ** -4
+        s = mpf(0)
+        deltas = []
+        evaluations = 0
+        for level in range(level_cap + 1):
+            h = mpf(2) ** (-level)
+            nodes = _node_levels(P + _WORK_GUARD, tmax_q4, level)[level]
+            part = mpf(0)
+            tiny_run = 0
+            seen_large = False
+            for offset, weight in nodes:
+                if offset == 1:
+                    contrib = weight * f(a + r, r, r, weight)
+                    evaluations += 1
+                else:
+                    off = r * offset
+                    f_lo = f(a + off, off, width - off, weight)
+                    f_hi = f(b - off, width - off, off, weight)
+                    contrib = weight * (f_lo + f_hi)
+                    evaluations += 2
+                if not mp.isfinite(contrib):
+                    raise QuadratureError(f"non-finite at level {level}")
+                part += contrib
+                if abs(contrib) * h * r < cutoff:
+                    tiny_run += 1
+                    if tiny_run >= 2 and seen_large:
+                        break
+                else:
+                    tiny_run = 0
+                    seen_large = True
+            s_new = (s / 2 + h * part) if level else part
+            if level >= 1:
+                deltas.append(abs(r * (s_new - s)))
+            s = s_new
+            if level >= 2 and deltas[-1] <= tol:
+                return QuadratureResult(value=+(r * s),
+                                        error_estimate=+(2 * deltas[-1]),
+                                        levels=level + 1,
+                                        evaluations=evaluations,
+                                        deltas=tuple(deltas))
+        raise QuadratureError(f"no convergence within {level_cap} levels")
+
+
+def _reference_2d(f, P):
+    """The iterated rule over the reference loop on the unit square, f called
+    as f(x0, da0, db0, x1, da1, db1) with x0 inner.  Outer node i, of raw
+    weight w_i, gets the inner tolerance (tol/50)*max(1, kappa/w_i), with
+    kappa = 1/(2*tmax + 1)."""
+    with _working(P, _WORK_GUARD):
+        tol = default_tolerance(P)
+        kappa = 1 / (mpf(_truncation_range(P, tol)) / 2 + 1)
+        inner_evaluations = 0
+
+        def outer(x1, da1, db1, weight):
+            nonlocal inner_evaluations
+            res = _reference_tanh_sinh(
+                lambda x0, da0, db0, w0: f(x0, da0, db0, x1, da1, db1),
+                0, 1, P, tol / 50 * max(1, kappa / weight))
+            inner_evaluations += res.evaluations
+            return res.value
+
+        res = _reference_tanh_sinh(outer, 0, 1, P, tol)
+        return QuadratureResult(value=res.value,
+                                error_estimate=res.error_estimate,
+                                levels=res.levels,
+                                evaluations=res.evaluations + inner_evaluations,
+                                deltas=res.deltas)
