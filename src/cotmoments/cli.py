@@ -21,7 +21,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from mpmath import mp, mpf
 
@@ -185,10 +185,13 @@ def cmd_moments(args: argparse.Namespace, cfg: RunConfig) -> int:
             raise UsageError(
                 f"series routes are limited to m <= {_SERIES_M_MAX} (got m={m});"
                 " use the eta or quadrature route")
-    rows: List[MomentValue] = []
-    for m in m_values:
+    # deepest first: the series routes' cached sweeps then serve every
+    # shallower m instead of sweeping again at each new depth
+    computed: Dict[Tuple[int, str], MomentValue] = {}
+    for m in sorted(set(m_values), reverse=True):
         for route in routes:
-            rows.append(compute_moment(m, P, route, N=cfg.n, tol=cfg.tol))
+            computed[m, route] = compute_moment(m, P, route, N=cfg.n, tol=cfg.tol)
+    rows = [computed[m, route] for m in m_values for route in routes]
 
     disagreements: List[str] = []
     with _working(P):

@@ -1,0 +1,56 @@
+"""Reference central-binomial route for the tests: one fixed-point sweep per
+m, as ``c_cfn_route`` summed before its sweeps were shared across depths.
+
+``c_cfn_route`` must reproduce its value and bound exactly.
+"""
+
+from __future__ import annotations
+
+from mpmath import mpf
+
+from cotmoments.hpreal import _working
+from cotmoments.series import fixed_point_bits
+
+
+def _reference_cfn(m, P, N):
+    """(value, bound) of C(m) from a sweep that builds rows up to k only."""
+    fbits = fixed_point_bits(P)
+    one = 1 << fbits
+    total = 0
+    last = 0
+    if m % 2:  # odd: m = 2k+1
+        k = (m - 1) // 2
+        h = [one] + [0] * k          # h[i] = H1(i, j), strict prefix DP
+        ratio = one                   # C(2j,j)/4^j
+        for j in range(N + 1):
+            if j:
+                w = one // (2 * j - 1) ** 2
+                for i in range(k, 0, -1):
+                    h[i] += (h[i - 1] * w) >> fbits
+                ratio = ratio * (2 * j - 1) // (2 * j)
+            last = ((ratio // (2 * j + 1) ** 2) * h[k]) >> fbits
+            total += last
+        scale_num, scale_den = 2 ** (2 * k + 1), 1
+    else:      # even: m = 2k
+        k = m // 2
+        h = [0] * (k + 1)             # h[i] = H0(i, j); H0(1, j) = 1 for j >= 1
+        ratio = one                   # 4^j / C(2j,j)
+        for j in range(1, N + 1):
+            ratio = ratio * (2 * j) // (2 * j - 1)
+            if j == 1:
+                h[1] = one
+            else:
+                w = one // (j - 1) ** 2
+                for i in range(k, 1, -1):
+                    h[i] += (h[i - 1] * w) >> fbits
+            last = ((ratio // (2 * j ** 3)) * h[k]) >> fbits
+            total += last
+        scale_num, scale_den = 1, 1   # the 1/2 is folded into 2 j^3
+    with _working(P):
+        unit = mpf(2) ** (-fbits)
+        scale = mpf(scale_num) / scale_den
+        value = +(total * unit * scale)
+        tail = mpf("1.05") * (mpf(2) / 3) * N * (last * unit)
+        fp_err = (k + 3) * (N + 1) * unit
+        bound = +((tail + fp_err) * scale)
+    return value, bound

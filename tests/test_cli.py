@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import cotmoments.cli as cli
+from cotmoments import moments, series
 from cotmoments.moments import run_suite
 from cotmoments.report import VerificationReport
 
@@ -123,6 +124,27 @@ def test_moments_series_routes_agree_with_closed_form(capsys):
          "--digits", "30"], capsys)
     assert code == 0
     assert "DISAGREEMENT" not in err
+
+
+def test_moments_sweeps_once_per_parity(monkeypatch, capsys):
+    # the deepest m is computed first, so each route's cached sweep of a
+    # parity serves every shallower m of it
+    calls = {"cfn": [], "nested": []}
+    for module, name, cache, kind in ((moments, "_cfn_sweep", "_cfn_cache", "cfn"),
+                                      (series, "_sweep_family", "_family_cache", "nested")):
+        def counted(*args, _sweep=getattr(module, name), _calls=calls[kind]):
+            _calls.append(args)
+            return _sweep(*args)
+
+        monkeypatch.setattr(module, cache, {})
+        monkeypatch.setattr(module, name, counted)
+    code, out, _ = run_cli(["moments", "--m", "1..12", "--route", "cfn,nested",
+                            "--digits", "30", "--n", "2000"], capsys)
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()[::2]] == [
+        f"C({m})" for m in range(1, 13)]
+    assert len(calls["cfn"]) == 2
+    assert len(calls["nested"]) == 2
 
 
 def test_moments_usage_errors(capsys):

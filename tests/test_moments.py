@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import random
+import sys
+import threading
 from functools import partial
 
 import pytest
@@ -31,6 +34,7 @@ from cotmoments.moments import (
 )
 from cotmoments.quadrature import default_tolerance, integrate_1d
 
+from reference_cfn import _reference_cfn
 from reference_quadrature import _reference_2d
 
 # 40-digit references, frozen from mpmath closed forms
@@ -122,6 +126,90 @@ def test_series_partial_sums_converge_monotonically(route):
 def test_cfn_route_rejects_tiny_truncation():
     with pytest.raises(ValueError):
         c_cfn_route(6, 30, N=3)
+
+
+def _count_cfn_sweeps(monkeypatch):
+    """Empty the cfn sweep cache and record the arguments of every sweep."""
+    calls = []
+    sweep = moments._cfn_sweep
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(moments, "_cfn_cache", {})
+    monkeypatch.setattr(moments, "_cfn_sweep", counted)
+    return calls
+
+
+def test_cfn_route_matches_the_per_m_reference(monkeypatch):
+    # P = 10 and P = 30 share fbits = 140, so they share cache entries
+    _count_cfn_sweeps(monkeypatch)
+    grid = [(m, P, N) for m in range(1, 13) for P in (10, 30, 45) for N in (12, 1000)]
+    random.Random(9).shuffle(grid)
+    for m, P, N in grid:
+        v = c_cfn_route(m, P, N)
+        assert (v.value, v.error_bound) == _reference_cfn(m, P, N), (m, P, N)
+
+
+@pytest.mark.parametrize("shallow,deep", [(1, 11), (2, 12)])
+def test_cfn_deeper_m_resweeps_a_shallow_entry(monkeypatch, shallow, deep):
+    calls = _count_cfn_sweeps(monkeypatch)
+    for m in (shallow, deep, shallow):
+        v = c_cfn_route(m, 30, 1000)
+        assert (v.value, v.error_bound) == _reference_cfn(m, 30, 1000), m
+    # the first entry covers depth 3 only; the deeper one then serves both
+    assert [(parity, kmax) for parity, kmax, _, _ in calls] == [
+        (shallow % 2, 3), (deep % 2, deep // 2)]
+
+
+def test_routes_suite_runs_one_cfn_sweep_per_parity(monkeypatch):
+    calls = _count_cfn_sweeps(monkeypatch)
+    assert run_suite("routes", 30).all_passed
+    assert [(parity, kmax) for parity, kmax, _, _ in calls] == [(1, 3), (0, 3)]
+
+
+def test_cfn_mixed_precision_threads_return_serial_values(monkeypatch):
+    serial = {P: [c_cfn_route(m, P, 2000) for m in range(1, 7)] for P in (15, 60)}
+    _count_cfn_sweeps(monkeypatch)
+    precisions = (15, 60, 15, 60)
+    results = {}
+
+    def work(i, P):
+        results[i] = [c_cfn_route(m, P, 2000) for m in range(1, 7)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i, P))
+                   for i, P in enumerate(precisions)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {i: serial[P] for i, P in enumerate(precisions)}
+
+
+_SERIES_SWEEP_NAMES = {"_nested_family", "_sweep_family", "_family_cache", "s_odd", "s_even"}
+
+
+def test_cfn_sweep_shares_nothing_with_the_series_route():
+    # fixed_point_bits is the only series-layer name the cfn route may use
+    tree = ast.parse(pathlib.Path(moments.__file__).read_text(encoding="utf-8"))
+    scanned = {"_cfn_sweep", "c_cfn_route"}
+    found, seen = [], set()
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in scanned:
+            seen.add(fn.name)
+            for node in ast.walk(fn):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if name in _SERIES_SWEEP_NAMES:
+                    found.append(f"{fn.name}:{node.lineno} {name}")
+    assert seen == scanned
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
