@@ -10,6 +10,11 @@ Conventions (k indexes rows, n columns, both from 0):
 * H1(0,n) = 1 for n >= 0;
   H1(k,n) = sum_{i=k-1}^{n-1} H1(k-1,i) / (2i+1)^2        (k >= 1)
 
+Each odd/even pair is one recurrence with different integers, built by one
+loop: t0/t1 by the square (n - 1 + shift/2)^2, shift 0 resp. 1, above their
+row 0; H0/H1 by the root a i + c, (a, c) = (1, 0) resp. (2, 1), below their
+seed rows.  H0 seeds rows 0 and 1, as its root is 0 at i = 0.
+
 All entries below the diagonal (n < k) vanish; the diagonal is 1.  The two
 families are tied together by the factorial relations
 
@@ -75,17 +80,24 @@ def _check_bounds(kmax: int, nmax: int) -> None:
         raise ValueError(f"need kmax <= nmax, got kmax={kmax} nmax={nmax}")
 
 
-def build_t0(kmax: int, nmax: int) -> _RationalTable:
-    """Even central-factorial triangle t0, built densely by its recurrence."""
-    _check_bounds(kmax, nmax)
-    rows: List[List[Fraction]] = [[Fr(1)] + [Fr(0)] * nmax]
+def _build_t(kind: str, shift: int, row0: List[Fraction], kmax: int,
+             nmax: int) -> _RationalTable:
+    """t(k,n) = t(k-1,n-1) + (n - 1 + shift/2)^2 t(k,n-1) above row0."""
+    rows = [row0]
+    squares = [Fr(2 * n - 2 + shift, 2) ** 2 for n in range(nmax + 1)]
     for k in range(1, kmax + 1):
         prev = rows[k - 1]
         row = [Fr(0)] * (nmax + 1)
         for n in range(1, nmax + 1):
-            row[n] = prev[n - 1] + (n - 1) ** 2 * row[n - 1]
+            row[n] = prev[n - 1] + squares[n] * row[n - 1]
         rows.append(row)
-    return _RationalTable("t0", kmax, nmax, tuple(tuple(r) for r in rows))
+    return _RationalTable(kind, kmax, nmax, tuple(tuple(r) for r in rows))
+
+
+def build_t0(kmax: int, nmax: int) -> _RationalTable:
+    """Even central-factorial triangle t0, built densely by its recurrence."""
+    _check_bounds(kmax, nmax)
+    return _build_t("t0", 0, [Fr(1)] + [Fr(0)] * nmax, kmax, nmax)
 
 
 def build_t1(kmax: int, nmax: int) -> _RationalTable:
@@ -97,43 +109,36 @@ def build_t1(kmax: int, nmax: int) -> _RationalTable:
     """
     _check_bounds(kmax, nmax)
     row0 = [Fr(double_factorial_odd(n) ** 2, 4**n) for n in range(nmax + 1)]
-    rows: List[List[Fraction]] = [row0]
-    for k in range(1, kmax + 1):
+    return _build_t("t1", 1, row0, kmax, nmax)
+
+
+def _build_h(kind: str, a: int, c: int, seeds: List[List[Fraction]], kmax: int,
+             nmax: int) -> _RationalTable:
+    """H(k,n) = H(k,n-1) + H(k-1,n-1) / (a(n-1) + c)^2, accumulated left to
+    right from n = k, for the rows below the seed rows."""
+    rows = seeds[: kmax + 1]
+    squares = [Fr((a * (n - 1) + c) ** 2) for n in range(nmax + 1)]
+    for k in range(len(rows), kmax + 1):
         prev = rows[k - 1]
         row = [Fr(0)] * (nmax + 1)
-        for n in range(1, nmax + 1):
-            row[n] = prev[n - 1] + Fr(2 * n - 1, 2) ** 2 * row[n - 1]
+        for n in range(k, nmax + 1):
+            row[n] = row[n - 1] + prev[n - 1] / squares[n]
         rows.append(row)
-    return _RationalTable("t1", kmax, nmax, tuple(tuple(r) for r in rows))
+    return _RationalTable(kind, kmax, nmax, tuple(tuple(r) for r in rows))
 
 
 def build_h0(kmax: int, nmax: int) -> _RationalTable:
     """Even recursive harmonic triangle H0 (nested sums of 1/i^2)."""
     _check_bounds(kmax, nmax)
-    rows: List[List[Fraction]] = [[Fr(1)] + [Fr(0)] * nmax]
-    if kmax >= 1:
-        rows.append([Fr(0)] + [Fr(1)] * nmax)  # H0(1,n) = 1 for n >= 1
-    for k in range(2, kmax + 1):
-        prev = rows[k - 1]
-        row = [Fr(0)] * (nmax + 1)
-        # H0(k,n) = H0(k,n-1) + H0(k-1,n-1)/(n-1)^2, accumulated left to right
-        for n in range(k, nmax + 1):
-            row[n] = row[n - 1] + prev[n - 1] / Fr((n - 1) ** 2)
-        rows.append(row)
-    return _RationalTable("h0", kmax, nmax, tuple(tuple(r) for r in rows))
+    # H0(1,n) = 1 is seeded: the recurrence would divide by 0^2 at i = 0
+    seeds = [[Fr(1)] + [Fr(0)] * nmax, [Fr(0)] + [Fr(1)] * nmax]
+    return _build_h("h0", 1, 0, seeds, kmax, nmax)
 
 
 def build_h1(kmax: int, nmax: int) -> _RationalTable:
     """Odd recursive harmonic triangle H1 (nested sums of 1/(2i+1)^2)."""
     _check_bounds(kmax, nmax)
-    rows: List[List[Fraction]] = [[Fr(1)] * (nmax + 1)]  # H1(0,n) = 1
-    for k in range(1, kmax + 1):
-        prev = rows[k - 1]
-        row = [Fr(0)] * (nmax + 1)
-        for n in range(k, nmax + 1):
-            row[n] = row[n - 1] + prev[n - 1] / Fr((2 * n - 1) ** 2)
-        rows.append(row)
-    return _RationalTable("h1", kmax, nmax, tuple(tuple(r) for r in rows))
+    return _build_h("h1", 2, 1, [[Fr(1)] * (nmax + 1)], kmax, nmax)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from mpmath import mp, mpf
 
 from . import cfn
-from .hpreal import _working, eta, log2, pi, to_digits, zeta
+from .hpreal import _DEFAULT_DIGITS, _working, eta, log2, pi, to_digits, zeta
 from .moments import (
     ROUTES,
     SUITES,
@@ -35,8 +35,9 @@ from .moments import (
     compute_moment,
     run_suite,
 )
-from .quadrature import QuadratureError, default_tolerance
+from .quadrature import QuadratureError, _tolerance
 from .report import VerificationReport
+from .series import _DEFAULT_N
 
 __all__ = ["RunConfig", "main"]
 
@@ -59,8 +60,8 @@ class UsageError(Exception):
 class RunConfig:
     """Effective run configuration after merging all sources."""
 
-    digits: int = 50
-    n: int = 100000
+    digits: int = _DEFAULT_DIGITS
+    n: int = _DEFAULT_N
     tol: Optional[str] = None      # None -> 10^-(digits-10)
     format: Optional[str] = None   # per-command default
     out: Optional[str] = None
@@ -195,7 +196,7 @@ def cmd_moments(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     disagreements: List[str] = []
     with _working(P):
-        tol_text = mp.nstr(default_tolerance(P) if cfg.tol is None else mpf(cfg.tol), 5)
+        tol_text = mp.nstr(_tolerance(P, cfg.tol), 5)
         by_m: Dict[int, List[MomentValue]] = {}
         for mv in rows:
             by_m.setdefault(mv.m, []).append(mv)
@@ -353,10 +354,10 @@ def cmd_constants(args: argparse.Namespace, cfg: RunConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--digits", "-d", type=int, default=None,
-                        help="working precision in decimal digits (default 50;"
+                        help=f"working precision in decimal digits (default {_DEFAULT_DIGITS};"
                              f" env {ENV_DIGITS})")
     common.add_argument("--n", type=int, default=None,
-                        help="series truncation cutoff (default 100000)")
+                        help=f"series truncation cutoff (default {_DEFAULT_N})")
     common.add_argument("--tol", type=str, default=None,
                         help="quadrature tolerance (default 10^-(digits-10))")
     common.add_argument("--format", choices=("json", "csv", "text"), default=None,

@@ -47,6 +47,7 @@ __all__ = [
 
 GUARD_DIGITS = 10
 MIN_DIGITS = 10
+_DEFAULT_DIGITS = 50  # the library's and the CLI's default precision
 
 _ACCEL_RATE = math.log(3 + math.sqrt(8))  # ~1.7627
 

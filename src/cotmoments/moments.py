@@ -36,10 +36,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 from mpmath import mp, mpf
 
 from . import cfn
-from .hpreal import GUARD_DIGITS, _require_digits, _working, eta, zeta, zeta_even_closed
-from .quadrature import _WORK_GUARD, default_tolerance, integrate_1d, moment_quadrature
+from .hpreal import (_DEFAULT_DIGITS, GUARD_DIGITS, _require_digits, _working, eta, zeta,
+                     zeta_even_closed)
+from .quadrature import _WORK_GUARD, _tolerance, default_tolerance, integrate_1d, moment_quadrature
 from .report import VerificationReport
 from .series import (
+    _DEFAULT_N,
     a0,
     a0_via_recurrence,
     a1,
@@ -72,8 +74,6 @@ __all__ = [
 ]
 
 ROUTES = ("eta-closed-form", "cfn-series", "nested-series", "quadrature")
-
-_DEFAULT_N = 100000
 
 
 @dataclass(frozen=True)
@@ -135,6 +135,18 @@ def c_eta_route(m: int, P: int) -> MomentValue:
 
 _cfn_cache: Dict[Tuple[int, int, int], Tuple[List[int], List[int]]] = {}
 
+# The integers that tell the parities apart, per parity (j0, a, c, e, f, s,
+# seed): the sum runs from j = j0; the H-row root a i + c steps the strict
+# prefix H(k,j) = sum_{i<j} H(k-1,i) / (a i + c)^2; term j is
+# ratio(j) H(k,j) / ((a j + c)^2 (e j + f)), with ratio(j) = C(2j,j)/4^j if
+# s = 1, else 4^j/C(2j,j); seed holds the rows H(i, .) that are constant for
+# j >= j0, at their values.  The route keeps its own table, apart from the
+# series layer's families.
+_CFN_ROWS = {
+    1: (0, 2, 1, 0, 1, 1, (1,)),    # odd:  sum_{j>=0} ratio H1(k,j) / (2j+1)^2
+    0: (1, 1, 0, 2, 0, 0, (0, 1)),  # even: sum_{j>=1} ratio H0(k,j) / (2 j^3)
+}
+
 
 def _cfn_sweep(parity: int, kmax: int, N: int, fbits: int) -> Tuple[List[int], List[int]]:
     """One fixed-point pass over j <= N for every depth k <= kmax of one parity.
@@ -145,34 +157,28 @@ def _cfn_sweep(parity: int, kmax: int, N: int, fbits: int) -> Tuple[List[int], L
     each term floors on its own, so depth k reads the same integers as a
     pass that stops at depth k.
     """
+    j0, a, c, e, f, s, seed = _CFN_ROWS[parity]
     one = 1 << fbits
     sums = [0] * (kmax + 1)
-    if parity:  # odd: m = 2k+1
-        h = [one] + [0] * kmax        # h[i] = H1(i, j), strict prefix DP
-        ratio = one                   # C(2j,j)/4^j
-        for j in range(N + 1):
-            if j:
-                w = one // (2 * j - 1) ** 2
-                for i in range(kmax, 0, -1):
-                    h[i] += (h[i - 1] * w) >> fbits
-                ratio = ratio * (2 * j - 1) // (2 * j)
-            b = ratio // (2 * j + 1) ** 2
-            for k in range(kmax + 1):
-                sums[k] += (b * h[k]) >> fbits
-    else:       # even: m = 2k
-        h = [0] * (kmax + 1)          # h[i] = H0(i, j); H0(1, j) = 1 for j >= 1
-        ratio = one                   # 4^j / C(2j,j)
-        for j in range(1, N + 1):
-            ratio = ratio * (2 * j) // (2 * j - 1)
-            if j == 1:
-                h[1] = one
-            else:
-                w = one // (j - 1) ** 2
-                for i in range(kmax, 1, -1):
-                    h[i] += (h[i - 1] * w) >> fbits
-            b = ratio // (2 * j ** 3)  # the 1/2 is folded into 2 j^3
-            for k in range(kmax + 1):
-                sums[k] += (b * h[k]) >> fbits
+    h = ([one * x for x in seed] + [0] * kmax)[: kmax + 1]  # h[i] = H(i, j)
+    fixed = len(seed) - 1             # rows up to here stay at their seed
+    ratio = one
+    for j in range(1, j0 + 1):        # ratio(j0)
+        ratio = ratio * (2 * j - s) // (2 * j - 1 + s)
+    u = a * j0 + c                    # root a j + c
+    v = e * j0 + f                    # outer factor e j + f
+    for j in range(j0, N + 1):
+        if j > j0:
+            w = one // q              # q = (a (j-1) + c)^2, from step j-1
+            for i in range(kmax, fixed, -1):
+                h[i] += (h[i - 1] * w) >> fbits
+            ratio = ratio * (2 * j - s) // (2 * j - 1 + s)
+            u += a
+            v += e
+        q = u * u
+        b = ratio // (q * v)
+        for k in range(kmax + 1):
+            sums[k] += (b * h[k]) >> fbits
     return sums, [(b * hk) >> fbits for hk in h]
 
 
@@ -277,7 +283,7 @@ def compute_moment(m: int, P: int, route: str = "eta",
         return c_nested_route(m, P, N if N is not None else _DEFAULT_N)
     value = moment_quadrature(m, P, tol)
     with _working(P):
-        bound = +(default_tolerance(P) if tol is None else mpf(tol))
+        bound = +_tolerance(P, tol)
     return MomentValue(m=m, route="quadrature", value=value, error_bound=bound)
 
 
@@ -405,7 +411,7 @@ def verify_consequences(P: int, N: int = _DEFAULT_N, tol=None) -> VerificationRe
     report = VerificationReport("consequences", config={"digits": P, "N": N})
     fmt = _fmt(P)
     with _working(P):
-        tol_q = default_tolerance(P) if tol is None else mpf(tol)
+        tol_q = _tolerance(P, tol)
         report.config["tol"] = mp.nstr(tol_q, 5)
         lg2 = eta(1, P + 5)
         e3 = eta(3, P + 5)
@@ -451,7 +457,7 @@ def verify_consequences(P: int, N: int = _DEFAULT_N, tol=None) -> VerificationRe
                            "-2 int_0^1 log(x)/sqrt(1-x^2) dx = C(1) = pi log2",
                            2 * quad[1], c1, tol=2 * tol_q, fmt=fmt)
 
-        tol10 = mpf(10) ** (-(P - 10))
+        tol10 = default_tolerance(P)
         for z in ("0.25", "0.5", "0.75"):
             x = mpf(z)
             report.add_numeric(
@@ -525,7 +531,7 @@ def binomial_gf_identities(P: int) -> VerificationReport:
     report = VerificationReport("gf-identities", config={"digits": P})
     fmt = _fmt(P)
     with _working(P):
-        tol = mpf(10) ** (-(P - 10))
+        tol = default_tolerance(P)
         report.config["tol"] = mp.nstr(tol, 5)
         target = mpf(10) ** (-(P + 5))
         for sample in ("0", "0.25", "0.5", "0.75", "0.9"):
@@ -634,7 +640,7 @@ def _suite_routes(P: int, N: int, tol) -> VerificationReport:
     report = VerificationReport("routes", config={"digits": P, "N": N})
     fmt = _fmt(P)
     with _working(P):
-        tol_q = default_tolerance(P) if tol is None else mpf(tol)
+        tol_q = _tolerance(P, tol)
         report.config["tol"] = mp.nstr(tol_q, 5)
         for m in range(1, 9):
             ref = c_eta_route(m, P).value
@@ -654,7 +660,7 @@ def _suite_routes(P: int, N: int, tol) -> VerificationReport:
                 f"route-nested/m={m}",
                 "nested S-series combination within its propagated tail bound",
                 mv.value, ref, tol=mv.error_bound, fmt=fmt)
-        tol10 = mpf(10) ** (-(P - 10))
+        tol10 = default_tolerance(P)
         for z in ("0.25", "0.5", "0.75"):
             report.add_numeric(
                 f"kernel-k1/z={z}",
@@ -695,7 +701,7 @@ _SUITES = {
 SUITES = ("all",) + tuple(_SUITES)
 
 
-def run_suite(name: str, P: int = 50, N: int = _DEFAULT_N,
+def run_suite(name: str, P: int = _DEFAULT_DIGITS, N: int = _DEFAULT_N,
               tol=None) -> VerificationReport:
     """Build and run one named verification suite; 'all' folds every suite
     into a single report (check ids are globally unique by construction)."""

@@ -80,6 +80,12 @@ def default_tolerance(P: int) -> mpf:
         return mpf(10) ** (-(P - 10))
 
 
+def _tolerance(P: int, tol) -> mpf:
+    """A caller's tol as an mpf at the caller's precision, or the default for
+    P when tol is None."""
+    return default_tolerance(P) if tol is None else mpf(tol)
+
+
 # ---------------------------------------------------------------------------
 # node tables
 #
@@ -162,7 +168,7 @@ def integrate_1d(f: IntegrandFn, a, b, P: int, tol=None) -> QuadratureResult:
         b = mpf(b)
         if not a <= b:
             raise ValueError(f"integrate_1d: need a <= b, got [{a}, {b}]")
-        tol = default_tolerance(P) if tol is None else mpf(tol)
+        tol = _tolerance(P, tol)
         width = b - a
         r = width / 2
         tmax_q4 = _truncation_range(P, tol)

@@ -9,7 +9,10 @@ Three layers live here:
   weakly-nested sums behind R (``r_truncated_nested``), which are the same
   sweep's suffix tails at the first index j0;
 * the kernels K1(z) and K0(z), each computable by power series and by
-  integral, which must agree wherever both converge.
+  integral, which must agree wherever both converge.  The power series are
+  the S families' outer terms against powers of z, one loop for both:
+  K1(z) = sum_j b_odd(j) z^(2j) and K0(z) = sum_j b_even(j) z^j, so
+  K1(1) = S_odd(0) and K0(1) = S_even(0).
 
 The S family is evaluated in fixed-point integer arithmetic: a value v is
 carried as round(v * 2^fbits).  The inner suffix tails
@@ -278,6 +281,7 @@ def r_truncated_nested(k: int, kind: str, P: int, N: int = 10000) -> SeriesValue
 # ---------------------------------------------------------------------------
 
 _TAIL_RECORD_MAX = 24  # suffix tails T_d(j) are kept for j up to here
+_DEFAULT_N = 100000    # the library's and the CLI's default truncation N
 
 
 def fixed_point_bits(P: int) -> int:
@@ -287,10 +291,7 @@ def fixed_point_bits(P: int) -> int:
 
 @dataclass
 class _FamilyData:
-    kind: str
     lmax: int
-    N: int
-    fbits: int
     weighted_sums: List[int]            # S_l * 2^fbits for l = 0..lmax
     tails: Dict[int, List[int]]         # j -> [T_0(j)..T_lmax(j)] * 2^fbits
     b_last: int                         # b(N) * 2^fbits
@@ -326,8 +327,7 @@ def _sweep_family(kind: str, lmax: int, N: int, fbits: int) -> _FamilyData:
         ratio = ratio * (2 * j - 1 + s) // (2 * j - s)  # 0 after j = 0, unused
         u -= a
         v -= e
-    return _FamilyData(kind=kind, lmax=lmax, N=N, fbits=fbits,
-                       weighted_sums=sums, tails=tails, b_last=b_last)
+    return _FamilyData(lmax=lmax, weighted_sums=sums, tails=tails, b_last=b_last)
 
 
 def _nested_family(kind: str, lmax: int, N: int, fbits: int) -> _FamilyData:
@@ -381,13 +381,13 @@ def _s_value(kind: str, l: int, P: int, N: int) -> SeriesValue:
     return SeriesValue(f"S_{kind}", l, value, "truncated-sum", error_bound=bound)
 
 
-def s_odd(l: int, P: int, N: int = 100000) -> SeriesValue:
+def s_odd(l: int, P: int, N: int = _DEFAULT_N) -> SeriesValue:
     """S_odd(l): central-binomial outer weights against the l-fold suffix
     tails of 1/(2i+1)^2.  S_odd(0) is the K1(1) series (= pi/2 log 2)."""
     return _s_value("odd", l, P, N)
 
 
-def s_even(l: int, P: int, N: int = 100000) -> SeriesValue:
+def s_even(l: int, P: int, N: int = _DEFAULT_N) -> SeriesValue:
     """S_even(l): inverse-central-binomial outer weights against the l-fold
     suffix tails of 1/i^2.  S_even(0) equals the second cotangent moment."""
     return _s_value("even", l, P, N)
@@ -431,33 +431,26 @@ def nested_tail_sums(kind: str, dmax: int, jmax: int, N: int, P: int):
 _SERIES_Z_MAX = 0.9  # beyond this the power series converge too slowly
 
 
-def _kernel_series_k1(z: mpf, P: int) -> mpf:
-    target = mpf(10) ** (-(P + 5))
-    zz = z * z
-    term = mpf(1)         # j = 0: C(0,0) (z/2)^0 / 1
-    acc = mpf(1)
+def _kernel_series(kind: str, z: mpf, P: int) -> mpf:
+    """K(z) = sum_{j >= j0} b(j) z^(a j), with b(j) the S family's outer term:
+    the power of z steps with the inner root a j + c, so K1 runs over z^(2j)
+    and K0 over z^j."""
+    fam = _FAMILIES[kind]
+    j0, a, c, e, f, s = fam.j0, fam.a, fam.c, fam.e, fam.f, fam.s
+    x = z ** a
+    stop = mpf(10) ** (-(P + 5)) * (1 - x)
+    term = mpf(1)         # ratio(j) x^j
+    acc = mpf(0)
     j = 0
     while True:
+        if j >= j0:
+            contrib = term / ((a * j + c) ** 2 * (e * j + f))
+            acc += contrib
+            # the first term never ends the sum: a tiny z keeps K0's j = 2 term
+            if j > j0 and contrib < stop:
+                return acc
         j += 1
-        term *= zz * (2 * j - 1) / (2 * j)
-        contrib = term / (2 * j + 1) ** 2
-        acc += contrib
-        if contrib < target * (1 - zz):
-            return acc
-
-
-def _kernel_series_k0(z: mpf, P: int) -> mpf:
-    target = mpf(10) ** (-(P + 5))
-    term = +z             # j = 1: (1/2) * 4z / C(2,1), before the 1/j^3
-    acc = +z              # j = 1 contribution
-    j = 1
-    while True:
-        j += 1
-        term *= z * (2 * j) / (2 * j - 1)
-        contrib = term / j ** 3
-        acc += contrib
-        if contrib < target * (1 - z):
-            return acc
+        term *= x * (2 * j - s) / (2 * j - 1 + s)
 
 
 def _kernel_integral_k1(z: mpf, P: int) -> mpf:
@@ -492,7 +485,7 @@ def _kernel_integral_k0(z: mpf, P: int) -> mpf:
     return integrate_1d(f, 0, z, P).value
 
 
-def _kernel(z, P: int, method: str, series_fn, integral_fn, at_zero: mpf) -> mpf:
+def _kernel(kind: str, z, P: int, method: str, integral_fn, at_zero: mpf) -> mpf:
     _require_digits(P)
     if method not in ("auto", "series", "integral"):
         raise ValueError(f"kernel: unknown method {method!r}")
@@ -509,7 +502,7 @@ def _kernel(z, P: int, method: str, series_fn, integral_fn, at_zero: mpf) -> mpf
                 raise ValueError(
                     f"kernel series: need z <= {_SERIES_Z_MAX} (got {mp.nstr(z, 8)});"
                     " use the integral method near 1")
-            return +series_fn(z, P)
+            return +_kernel_series(kind, z, P)
         return +integral_fn(z, P)
 
 
@@ -518,7 +511,7 @@ def kernel_k1(z, P: int, method: str = "auto") -> mpf:
 
     K1(0) = 1, K1(1) = (pi/2) log 2.  Series for z <= 0.75, integral near 1.
     """
-    return _kernel(z, P, method, _kernel_series_k1, _kernel_integral_k1, mpf(1))
+    return _kernel("odd", z, P, method, _kernel_integral_k1, mpf(1))
 
 
 def kernel_k0(z, P: int, method: str = "auto") -> mpf:
@@ -526,4 +519,4 @@ def kernel_k0(z, P: int, method: str = "auto") -> mpf:
 
     K0(0) = 0; K0(1) equals the second cotangent moment.
     """
-    return _kernel(z, P, method, _kernel_series_k0, _kernel_integral_k0, mpf(0))
+    return _kernel("even", z, P, method, _kernel_integral_k0, mpf(0))

@@ -1,13 +1,19 @@
-"""Reference central-binomial route for the tests: one fixed-point sweep per
-m, as ``c_cfn_route`` summed before its sweeps were shared across depths.
+"""Reference cfn-layer loops for the tests, each written once per parity.
 
-``c_cfn_route`` must reproduce its value and bound exactly.
+* ``_reference_cfn``: one fixed-point sweep per m, as ``c_cfn_route`` summed
+  before its sweeps were shared across depths, with a branch per parity;
+  ``c_cfn_route`` must reproduce its value and bound exactly.
+* ``_reference_t0`` .. ``_reference_h1``: the four triangle recurrences as
+  twin loops; ``cfn.build_*`` must reproduce their rows exactly.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction as Fr
+
 from mpmath import mpf
 
+from cotmoments.exact import double_factorial_odd
 from cotmoments.hpreal import _working
 from cotmoments.series import fixed_point_bits
 
@@ -54,3 +60,49 @@ def _reference_cfn(m, P, N):
         fp_err = (k + 3) * (N + 1) * unit
         bound = +((tail + fp_err) * scale)
     return value, bound
+
+
+def _reference_t0(kmax, nmax):
+    rows = [[Fr(1)] + [Fr(0)] * nmax]
+    for k in range(1, kmax + 1):
+        prev = rows[k - 1]
+        row = [Fr(0)] * (nmax + 1)
+        for n in range(1, nmax + 1):
+            row[n] = prev[n - 1] + (n - 1) ** 2 * row[n - 1]
+        rows.append(row)
+    return rows
+
+
+def _reference_t1(kmax, nmax):
+    rows = [[Fr(double_factorial_odd(n) ** 2, 4**n) for n in range(nmax + 1)]]
+    for k in range(1, kmax + 1):
+        prev = rows[k - 1]
+        row = [Fr(0)] * (nmax + 1)
+        for n in range(1, nmax + 1):
+            row[n] = prev[n - 1] + Fr(2 * n - 1, 2) ** 2 * row[n - 1]
+        rows.append(row)
+    return rows
+
+
+def _reference_h0(kmax, nmax):
+    rows = [[Fr(1)] + [Fr(0)] * nmax]
+    if kmax >= 1:
+        rows.append([Fr(0)] + [Fr(1)] * nmax)  # H0(1,n) = 1 for n >= 1
+    for k in range(2, kmax + 1):
+        prev = rows[k - 1]
+        row = [Fr(0)] * (nmax + 1)
+        for n in range(k, nmax + 1):
+            row[n] = row[n - 1] + prev[n - 1] / Fr((n - 1) ** 2)
+        rows.append(row)
+    return rows
+
+
+def _reference_h1(kmax, nmax):
+    rows = [[Fr(1)] * (nmax + 1)]  # H1(0,n) = 1
+    for k in range(1, kmax + 1):
+        prev = rows[k - 1]
+        row = [Fr(0)] * (nmax + 1)
+        for n in range(k, nmax + 1):
+            row[n] = row[n - 1] + prev[n - 1] / Fr((2 * n - 1) ** 2)
+        rows.append(row)
+    return rows

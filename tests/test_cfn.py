@@ -25,6 +25,8 @@ from cotmoments.cfn import (
 )
 from cotmoments.exact import double_factorial_odd
 
+from reference_cfn import _reference_h0, _reference_h1, _reference_t0, _reference_t1
+
 
 # ---------------------------------------------------------------------------
 # frozen values
@@ -135,6 +137,18 @@ def test_h0_matches_brute_force():
     for k in range(4):
         for j in range(9):
             assert h0[k, j] == _h0_brute(k, j), (k, j)
+
+
+@pytest.mark.parametrize("build,reference", [
+    (build_t0, _reference_t0), (build_t1, _reference_t1),
+    (build_h0, _reference_h0), (build_h1, _reference_h1)])
+def test_builders_match_the_twin_loop_references(build, reference):
+    # kmax = 0 and 1 stop inside H0's seed rows; nmax = kmax is the corner
+    for kmax in range(13):
+        for nmax in sorted({kmax, kmax + 1, 60}):
+            table = build(kmax, nmax)
+            rows = [list(table.row(k)) for k in range(kmax + 1)]
+            assert rows == reference(kmax, nmax), (kmax, nmax)
 
 
 # ---------------------------------------------------------------------------

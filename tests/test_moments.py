@@ -8,6 +8,7 @@ package's own eta acceleration.
 from __future__ import annotations
 
 import ast
+import json
 import pathlib
 import random
 import sys
@@ -193,7 +194,8 @@ def test_cfn_mixed_precision_threads_return_serial_values(monkeypatch):
     assert results == {i: serial[P] for i, P in enumerate(precisions)}
 
 
-_SERIES_SWEEP_NAMES = {"_nested_family", "_sweep_family", "_family_cache", "s_odd", "s_even"}
+_SERIES_SWEEP_NAMES = {"_nested_family", "_sweep_family", "_family_cache", "_FAMILIES",
+                       "s_odd", "s_even"}
 
 
 def test_cfn_sweep_shares_nothing_with_the_series_route():
@@ -420,6 +422,20 @@ def test_run_suite_all_merges_everything():
     assert len(ids) == len(set(ids))  # globally unique check ids
     prefixes = {i.split("/")[0].split("-")[0] for i in ids}
     assert {"table", "gf", "consequence", "route", "h1", "h0"} <= prefixes
+
+
+_FROZEN_BODY = pathlib.Path(__file__).with_name("frozen_report_all_p30.json")
+
+
+def test_run_suite_all_body_matches_the_frozen_copy():
+    # A change that keeps every number keeps every byte of this body.  Refreeze
+    # it only with a change that alters checks on purpose, and name them.
+    body = run_suite("all", 30).to_json()
+    frozen = _FROZEN_BODY.read_text(encoding="utf-8")
+    new = {c["id"]: c for c in json.loads(body)["checks"]}
+    old = {c["id"]: c for c in json.loads(frozen)["checks"]}
+    changed = sorted(i for i in new.keys() | old.keys() if new.get(i) != old.get(i))
+    assert body == frozen, f"check ids that differ: {changed}"
 
 
 def test_run_suite_rejects_unknown_name():

@@ -15,7 +15,7 @@ import pytest
 from mpmath import mp, mpf
 
 from cotmoments import series
-from cotmoments.hpreal import eta, log2, pi
+from cotmoments.hpreal import _working, eta, log2, pi
 from cotmoments.moments import _suite_closed_forms
 from cotmoments.series import (
     SeriesValue,
@@ -35,6 +35,8 @@ from cotmoments.series import (
     s_even,
     s_odd,
 )
+
+from reference_kernels import _reference_k0, _reference_k1
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +387,17 @@ def test_kernel_series_integral_agreement(z):
                    - kernel_k1(zz, P, method="integral")) < mpf(10) ** -25
         assert abs(kernel_k0(zz, P, method="series")
                    - kernel_k0(zz, P, method="integral")) < mpf(10) ** -25
+
+
+@pytest.mark.parametrize("P", [10, 40, 300])
+def test_kernel_series_match_the_twin_loop_references(P):
+    # at P = 10, z = 1e-16 ends K0's sum after its second term, the earliest
+    for z in ("1e-16", "0.01", "0.25", "0.5", "0.75", "0.9"):
+        with _working(P):
+            k1 = +_reference_k1(mpf(z), P)
+            k0 = +_reference_k0(mpf(z), P)
+        assert kernel_k1(z, P, method="series")._mpf_ == k1._mpf_, z
+        assert kernel_k0(z, P, method="series")._mpf_ == k0._mpf_, z
 
 
 def test_kernel_auto_matches_explicit_methods():
