@@ -35,7 +35,7 @@ from .moments import (
     compute_moment,
     run_suite,
 )
-from .quadrature import QuadratureError, _tolerance
+from .quadrature import QuadratureError, _closed_form_tolerance, _tolerance
 from .report import VerificationReport
 from .series import _DEFAULT_N
 
@@ -172,7 +172,7 @@ def _parse_routes(spec: str) -> List[str]:
 def _route_bound(mv: MomentValue, P: int) -> mpf:
     if mv.error_bound is not None:
         return mv.error_bound
-    return mpf(10) ** (-(P - 8))  # closed form: a few ulps, generously
+    return _closed_form_tolerance(P)
 
 
 def cmd_moments(args: argparse.Namespace, cfg: RunConfig) -> int:

@@ -7,7 +7,8 @@ independent routes compute it:
   integers (exact modulo the constants' own precision);
 * cfn-series — the central-binomial series whose coefficients are the exact
   H-triangles, summed in fixed-point integers with a calibrated tail bound;
-  one cached sweep per parity, to depth k >= 3, serves every m of it;
+  one cached sweep per parity, to depth k >= 3, serves every m of it, and
+  runs as blocked column passes with the same integers as a per-j loop;
 * nested-series — pi-power combinations of the S_odd/S_even suffix-nested
   sums, each carrying a propagated tail bound;
 * quadrature — direct tanh-sinh integration of the defining integral.
@@ -31,6 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate, count, repeat
+from operator import floordiv, mul, rshift
 from typing import Callable, Dict, List, Optional, Tuple
 
 from mpmath import mp, mpf
@@ -38,7 +41,8 @@ from mpmath import mp, mpf
 from . import cfn
 from .hpreal import (_DEFAULT_DIGITS, GUARD_DIGITS, _require_digits, _working, eta, zeta,
                      zeta_even_closed)
-from .quadrature import _WORK_GUARD, _tolerance, default_tolerance, integrate_1d, moment_quadrature
+from .quadrature import (_WORK_GUARD, _closed_form_tolerance, _tolerance, _zeta_even_tolerance,
+                         default_tolerance, integrate_1d, moment_quadrature)
 from .report import VerificationReport
 from .series import (
     _DEFAULT_N,
@@ -136,16 +140,18 @@ def c_eta_route(m: int, P: int) -> MomentValue:
 _cfn_cache: Dict[Tuple[int, int, int], Tuple[List[int], List[int]]] = {}
 
 # The integers that tell the parities apart, per parity (j0, a, c, e, f, s,
-# seed): the sum runs from j = j0; the H-row root a i + c steps the strict
+# r): the sum runs from j = j0; the H-row root a i + c steps the strict
 # prefix H(k,j) = sum_{i<j} H(k-1,i) / (a i + c)^2; term j is
 # ratio(j) H(k,j) / ((a j + c)^2 (e j + f)), with ratio(j) = C(2j,j)/4^j if
-# s = 1, else 4^j/C(2j,j); seed holds the rows H(i, .) that are constant for
-# j >= j0, at their values.  The route keeps its own table, apart from the
-# series layer's families.
+# s = 1, else 4^j/C(2j,j); for j >= j0, row r is H(r, j) = 1 and the rows
+# below it are 0.  The route keeps its own table, apart from the series
+# layer's families.
 _CFN_ROWS = {
-    1: (0, 2, 1, 0, 1, 1, (1,)),    # odd:  sum_{j>=0} ratio H1(k,j) / (2j+1)^2
-    0: (1, 1, 0, 2, 0, 0, (0, 1)),  # even: sum_{j>=1} ratio H0(k,j) / (2 j^3)
+    1: (0, 2, 1, 0, 1, 1, 0),  # odd:  sum_{j>=0} ratio H1(k,j) / (2j+1)^2
+    0: (1, 1, 0, 2, 0, 0, 1),  # even: sum_{j>=1} ratio H0(k,j) / (2 j^3)
 }
+
+_CFN_BLOCK_BITS = 1 << 17  # a sweep block holds _CFN_BLOCK_BITS // fbits values of j
 
 
 def _cfn_sweep(parity: int, kmax: int, N: int, fbits: int) -> Tuple[List[int], List[int]]:
@@ -156,30 +162,48 @@ def _cfn_sweep(parity: int, kmax: int, N: int, fbits: int) -> Tuple[List[int], L
     strict-prefix DP that builds row kmax builds every row below it, and
     each term floors on its own, so depth k reads the same integers as a
     pass that stops at depth k.
+
+    The pass runs over blocks of about 2^17 / fbits values of j.  Within a
+    block each column (roots, weights w = 2^fbits // root^2, outer terms b,
+    H-rows and their floored products) is one C-level map or accumulate; a
+    row's carry is its value at the next block's first j.  Only ratio(j)
+    runs as a per-j loop, because each of its floors feeds the next.  The
+    constant rows are folded in exactly: (b 2^fbits) >> fbits == b,
+    (2^fbits w) >> fbits == w, and a row of zeros adds 0.  So every integer
+    equals that of a per-j loop, and a block holds no more than a few
+    columns of its own length.
     """
-    j0, a, c, e, f, s, seed = _CFN_ROWS[parity]
+    j0, a, c, e, f, s, r = _CFN_ROWS[parity]
     one = 1 << fbits
     sums = [0] * (kmax + 1)
-    h = ([one * x for x in seed] + [0] * kmax)[: kmax + 1]  # h[i] = H(i, j)
-    fixed = len(seed) - 1             # rows up to here stay at their seed
+    lasts = [0] * (kmax + 1)
+    carry = [0] * (kmax + 1)          # carry[i] = H(i, j) at the block's first j, i > r
     ratio = one
     for j in range(1, j0 + 1):        # ratio(j0)
         ratio = ratio * (2 * j - s) // (2 * j - 1 + s)
-    u = a * j0 + c                    # root a j + c
-    v = e * j0 + f                    # outer factor e j + f
-    for j in range(j0, N + 1):
-        if j > j0:
-            w = one // q              # q = (a (j-1) + c)^2, from step j-1
-            for i in range(kmax, fixed, -1):
-                h[i] += (h[i - 1] * w) >> fbits
-            ratio = ratio * (2 * j - s) // (2 * j - 1 + s)
-            u += a
-            v += e
-        q = u * u
-        b = ratio // (q * v)
-        for k in range(kmax + 1):
-            sums[k] += (b * h[k]) >> fbits
-    return sums, [(b * hk) >> fbits for hk in h]
+    block = max(1, _CFN_BLOCK_BITS // fbits)
+    for lo in range(j0, N + 1, block):
+        hi = min(lo + block, N + 1)   # this block is lo <= j < hi
+        ratios = []
+        for num, den in zip(range(2 * lo + 2 - s, 2 * hi + 2 - s, 2),
+                            range(2 * lo + 1 + s, 2 * hi + 1 + s, 2)):
+            ratios.append(ratio)
+            ratio = ratio * num // den  # ratio(j + 1)
+        roots = range(a * lo + c, a * hi + c, a)
+        q = list(map(mul, roots, roots))
+        w = list(map(floordiv, repeat(one), q))
+        b = list(map(floordiv, ratios, map(mul, q, count(e * lo + f, e))))
+        if r <= kmax:
+            sums[r] += sum(b)
+            lasts[r] = b[-1]
+        inc = w                       # row r + 1 steps by (2^fbits w) >> fbits == w
+        for i in range(r + 1, kmax + 1):
+            col = list(accumulate(inc, initial=carry[i]))
+            carry[i] = col.pop()
+            sums[i] += sum(map(rshift, map(mul, b, col), repeat(fbits)))
+            lasts[i] = (b[-1] * col[-1]) >> fbits
+            inc = map(rshift, map(mul, col, w), repeat(fbits))
+    return sums, lasts
 
 
 def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> MomentValue:
@@ -192,6 +216,8 @@ def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> MomentValue:
     their strict-prefix recurrences in the same sweep, never as rationals).
     One sweep serves every m of a parity: it is cached per (parity, N,
     fbits) and covers depth k >= 3, so m = 1..7 cost one sweep per parity.
+    The sweep is blocked (see ``_cfn_sweep``) and bit-identical to a per-j
+    loop, so value and bound do not depend on the block length.
     Terms decay like j^(-5/2); the returned bound is the integral-comparison
     tail (2/3) N t_N with a 1.05 calibration factor, plus the fixed-point
     rounding allowance.
@@ -580,7 +606,7 @@ def _suite_closed_forms(P: int, N: int, tol) -> VerificationReport:
     report = VerificationReport("closed-forms", config={"digits": P})
     fmt = _fmt(P)
     with _working(P):
-        tol8 = mpf(10) ** (-(P - 8))
+        tol8 = _closed_form_tolerance(P)
         report.config["tol"] = mp.nstr(tol8, 5)
         for k in range(1, 7):
             report.add_numeric(
@@ -625,7 +651,7 @@ def _suite_closed_forms(P: int, N: int, tol) -> VerificationReport:
                 f"zeta-even-closed/l={l}",
                 "eta-based zeta(2l) matches (2 pi)^(2l)|B_2l|/(2 (2l)!)",
                 zeta(2 * l, P), zeta_even_closed(2 * l, P),
-                tol=mpf(10) ** (5 - P), fmt=fmt)
+                tol=_zeta_even_tolerance(P), fmt=fmt)
     return report
 
 

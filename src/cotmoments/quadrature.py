@@ -80,6 +80,23 @@ def default_tolerance(P: int) -> mpf:
         return mpf(10) ** (-(P - 10))
 
 
+def _closed_form_tolerance(P: int) -> mpf:
+    """The allowance 10^-(P-8) for a value that a closed form gives to a few
+    ulps: the eta closed-form route's bound in ``cotmoments moments`` and the
+    R/A rebuilds of the closed-forms suite.  At the caller's precision,
+    under the package lock, like ``default_tolerance``."""
+    with _PRECISION_LOCK:
+        return mpf(10) ** (-(P - 8))
+
+
+def _zeta_even_tolerance(P: int) -> mpf:
+    """The allowance 10^(5-P) between the eta-based zeta(2l) and its
+    Bernoulli closed form in the closed-forms suite.  At the caller's
+    precision, under the package lock, like ``default_tolerance``."""
+    with _PRECISION_LOCK:
+        return mpf(10) ** (5 - P)
+
+
 def _tolerance(P: int, tol) -> mpf:
     """A caller's tol as an mpf at the caller's precision, or the default for
     P when tol is None."""

@@ -23,6 +23,8 @@ carried as round(v * 2^fbits).  The inner suffix tails
 satisfy T_d(j) = T_d(j+1) + w(j) * T_{d-1}(j), so one backward sweep over
 j = N..0 updates all depths at once; the outer weights b(j) (central-binomial
 ratios over (2j+1)^2 resp. 2j^3) are streamed backwards by their term ratio.
+The sweep runs over blocks of j, each depth a C-level column pass, and
+returns the same integers as a per-j loop.
 Each right-shift floors, losing < 2^-fbits, so the fixed-point error grows
 like (N + 1) * 2^-fbits — negligible against the series tails for
 fbits >= 140.  ``r_truncated_nested`` proves the allowance 2^(d+2) (N + 1)
@@ -36,6 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, count, repeat
+from operator import floordiv, mul, rshift
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from mpmath import mp, mpf
@@ -282,6 +286,7 @@ def r_truncated_nested(k: int, kind: str, P: int, N: int = 10000) -> SeriesValue
 
 _TAIL_RECORD_MAX = 24  # suffix tails T_d(j) are kept for j up to here
 _DEFAULT_N = 100000    # the library's and the CLI's default truncation N
+_SWEEP_BLOCK_BITS = 1 << 17  # a sweep block holds _SWEEP_BLOCK_BITS // fbits values of j
 
 
 def fixed_point_bits(P: int) -> int:
@@ -301,32 +306,55 @@ _family_cache: Dict[Tuple[str, int, int], _FamilyData] = {}
 
 
 def _sweep_family(kind: str, lmax: int, N: int, fbits: int) -> _FamilyData:
+    """One backward fixed-point pass over j = N..j0 for every depth l <= lmax.
+
+    The pass runs over blocks of about 2^17 / fbits values of j, from N
+    down.  Within a block each column (roots, weights w = 2^fbits // root^2,
+    outer terms b, tails T_d and their floored products) is one C-level map
+    or accumulate, and a tail's carry is its value at the block's last j.
+    Only the ratio stream runs as a per-j loop, because each of its floors
+    feeds the next.  The constant T_0 = 1 is folded in exactly:
+    (b 2^fbits) >> fbits == b and (2^fbits w) >> fbits == w.  So every
+    integer equals that of a per-j loop, and a block holds no more than a
+    few columns of its own length.
+    """
     fam = _FAMILIES[kind]
-    a, e, s = fam.a, fam.e, fam.s
+    a, c, e, f, s = fam.a, fam.c, fam.e, fam.f, fam.s
     one = 1 << fbits
-    t = [one] + [0] * lmax
     sums = [0] * (lmax + 1)
+    carry = [0] * (lmax + 1)  # carry[d] = T_d(j + 1) at the block's first j
     tails: Dict[int, List[int]] = {}
     ratio = one
     for i in range(1, N + 1):
         ratio = ratio * (2 * i - s) // (2 * i - 1 + s)
-    u = a * N + fam.c  # inner root a j + c
-    v = e * N + fam.f  # outer factor e j + f
+    u = a * N + c  # inner root a j + c
+    v = e * N + f  # outer factor e j + f
     b_last = ratio // (u * u * v)
     # the outer weights b(j) are streamed backwards by their term ratio
-    for j in range(N, fam.j0 - 1, -1):
-        q = u * u
-        w = one // q
+    block = max(1, _SWEEP_BLOCK_BITS // fbits)
+    for hi in range(N, fam.j0 - 1, -block):
+        lo = max(hi - block + 1, fam.j0)  # this block is hi >= j >= lo
+        ratios = []
+        for num, den in zip(range(2 * hi - 1 + s, 2 * lo - 3 + s, -2),
+                            range(2 * hi - s, 2 * lo - 2 - s, -2)):
+            ratios.append(ratio)
+            ratio = ratio * num // den  # ratio(j - 1); 0 after j = 0, unused
+        roots = range(a * hi + c, a * lo + c - a, -a)
+        q = list(map(mul, roots, roots))
+        w = list(map(floordiv, repeat(one), q))
+        b = list(map(floordiv, ratios, map(mul, q, count(e * hi + f, -e))))
+        sums[0] += sum(b)
+        cols = []
+        inc = w  # T_1 steps by (2^fbits w) >> fbits == w
         for d in range(1, lmax + 1):
-            t[d] += (t[d - 1] * w) >> fbits
-        bj = ratio // (q * v)
-        for d in range(lmax + 1):
-            sums[d] += (bj * t[d]) >> fbits
-        if j <= _TAIL_RECORD_MAX:
-            tails[j] = list(t)
-        ratio = ratio * (2 * j - 1 + s) // (2 * j - s)  # 0 after j = 0, unused
-        u -= a
-        v -= e
+            col = list(accumulate(inc, initial=carry[d]))
+            del col[0]
+            carry[d] = col[-1]
+            sums[d] += sum(map(rshift, map(mul, b, col), repeat(fbits)))
+            cols.append(col)
+            inc = map(rshift, map(mul, col, w), repeat(fbits))
+        for j in range(min(hi, _TAIL_RECORD_MAX), lo - 1, -1):
+            tails[j] = [one] + [col[hi - j] for col in cols]
     return _FamilyData(lmax=lmax, weighted_sums=sums, tails=tails, b_last=b_last)
 
 

@@ -144,9 +144,11 @@ def _count_cfn_sweeps(monkeypatch):
 
 
 def test_cfn_route_matches_the_per_m_reference(monkeypatch):
-    # P = 10 and P = 30 share fbits = 140, so they share cache entries
+    # P = 10 and P = 30 share fbits = 140, so they share cache entries;
+    # N = 5000 at fbits = 140 spans several sweep blocks
     _count_cfn_sweeps(monkeypatch)
     grid = [(m, P, N) for m in range(1, 13) for P in (10, 30, 45) for N in (12, 1000)]
+    grid += [(m, 30, 5000) for m in range(1, 13)]
     random.Random(9).shuffle(grid)
     for m, P, N in grid:
         v = c_cfn_route(m, P, N)

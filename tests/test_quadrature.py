@@ -19,8 +19,10 @@ from cotmoments.quadrature import (
     _WORK_GUARD,
     QuadratureError,
     QuadratureResult,
+    _closed_form_tolerance,
     _node_levels,
     _truncation_range,
+    _zeta_even_tolerance,
     default_tolerance,
     integrate_1d,
     moment_quadrature,
@@ -33,6 +35,15 @@ def test_default_tolerance():
     with mp.workdps(60):
         assert default_tolerance(50) == mpf(10) ** -40
         assert default_tolerance(30) == mpf(10) ** -20
+
+
+def test_closed_form_tolerances():
+    with mp.workdps(60):
+        assert _closed_form_tolerance(50) == mpf(10) ** -42
+        assert _zeta_even_tolerance(50) == mpf(10) ** -45
+    with mp.workdps(20):  # rounded at the caller's precision
+        assert _closed_form_tolerance(30)._mpf_ == (mpf(10) ** -22)._mpf_
+        assert _zeta_even_tolerance(30)._mpf_ == (mpf(10) ** -25)._mpf_
 
 
 def test_default_tolerance_ignores_another_threads_scope():

@@ -41,7 +41,12 @@ def test_sweeps_match_the_per_j_references(route, family, fbits):
             assert got == want, (route, family, depth, N, fbits)
 
 
-@pytest.mark.parametrize("route,family,depth", [("cfn", 1, 3), ("S", "odd", 2)])
+def test_sweeps_share_the_block_rule_of_the_grid():
+    # the grid above crosses block edges only while the rule is the same
+    assert moments._CFN_BLOCK_BITS == series._SWEEP_BLOCK_BITS == _BLOCK_BITS
+
+
+@pytest.mark.parametrize("route,family,depth",[("cfn", 1, 3), ("S", "odd", 2)])
 def test_sweep_peak_memory_stays_below_one_column(route, family, depth):
     N, fbits = 50000, 206
     column = N * (sys.getsizeof(1 << fbits) + 8)  # one N-long list of fbits-bit ints
