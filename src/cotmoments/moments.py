@@ -177,7 +177,7 @@ def _cfn_sweep(parity: int, kmax: int, N: int, fbits: int) -> Tuple[List[int], L
     one = 1 << fbits
     sums = [0] * (kmax + 1)
     lasts = [0] * (kmax + 1)
-    carry = [0] * (kmax + 1)          # carry[i] = H(i, j) at the block's first j, i > r
+    carry = [0] * (kmax + 1)          # carry[i] = H(i, lo), i > r: the row at the block start
     ratio = one
     for j in range(1, j0 + 1):        # ratio(j0)
         ratio = ratio * (2 * j - s) // (2 * j - 1 + s)

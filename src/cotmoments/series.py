@@ -322,7 +322,7 @@ def _sweep_family(kind: str, lmax: int, N: int, fbits: int) -> _FamilyData:
     a, c, e, f, s = fam.a, fam.c, fam.e, fam.f, fam.s
     one = 1 << fbits
     sums = [0] * (lmax + 1)
-    carry = [0] * (lmax + 1)  # carry[d] = T_d(j + 1) at the block's first j
+    carry = [0] * (lmax + 1)  # carry[d] = T_d(hi + 1), the tail just above the block
     tails: Dict[int, List[int]] = {}
     ratio = one
     for i in range(1, N + 1):
