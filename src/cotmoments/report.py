@@ -2,8 +2,8 @@
 suites, and the CLI.
 
 A report is a flat list of check records.  Exact (rational-equality) checks
-record a 0/1 difference flag; numeric checks record the absolute difference
-and the tolerance it was compared against.  Serialization is deterministic:
+record a 0/1 difference flag; numeric checks record the absolute difference,
+to 3 significant digits, and the tolerance it was compared against.  Serialization is deterministic:
 identical inputs produce byte-identical JSON, with any timestamp isolated in
 an optional metadata block.
 """
@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+from mpmath import mp, mpf
 
 __all__ = ["CheckRecord", "VerificationReport"]
 
@@ -68,7 +70,10 @@ class VerificationReport:
     def add_numeric(self, id: str, anchor: str, lhs, rhs, tol, fmt=None) -> bool:
         """Record a |lhs - rhs| <= tol check on high-precision values.
 
-        `fmt` maps a value to its serialized form; defaults to str().
+        `fmt` maps a value to its serialized form; defaults to str().  It
+        serializes lhs, rhs and tol; diff is printed to 3 significant digits,
+        since its lower digits are rounding noise that would change the body
+        when no value, tolerance or verdict moves.
         """
         fmt = fmt or str
         diff = abs(lhs - rhs)
@@ -79,7 +84,7 @@ class VerificationReport:
                 anchor=anchor,
                 lhs=fmt(lhs),
                 rhs=fmt(rhs),
-                diff=fmt(diff),
+                diff=mp.nstr(mpf(diff), 3),
                 tol=fmt(tol),
                 passed=ok,
             )

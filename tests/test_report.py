@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from cotmoments.report import CheckRecord, VerificationReport
 
@@ -31,6 +31,22 @@ def test_add_numeric_boundary_inclusive():
     # diff exactly equal to tol counts as a pass
     assert rep.add_numeric("i", "a", mpf(2), mpf(1), mpf(1)) is True
     assert rep.add_numeric("j", "a", mpf(2), mpf(1), mpf("0.5")) is False
+
+
+def test_numeric_diff_has_three_significant_digits():
+    # lhs, rhs and tol keep the caller's format; the diff keeps 3 digits, so
+    # noise in its lower digits leaves the body unchanged
+    fmt = lambda v: mp.nstr(v, 30)
+    rep = VerificationReport("t")
+    with mp.workdps(40):
+        third = mpf(1) / 3
+        rep.add_numeric("i", "a", third, third + mpf("4.3547901629e-33"),
+                        mpf("1e-20") / 3, fmt=fmt)
+        rep.add_numeric("j", "a", third, third, mpf(1), fmt=fmt)
+        rep.add_numeric("k", "a", 1 + mpf("0.0009996"), 1, mpf(1), fmt=fmt)
+        assert [(c.lhs, c.rhs, c.tol) for c in rep.checks[:1]] == [
+            (fmt(third), fmt(third + mpf("4.3547901629e-33")), fmt(mpf("1e-20") / 3))]
+    assert [c.diff for c in rep.checks] == ["4.35e-33", "0.0", "0.001"]
 
 
 def test_counts_and_failing():
