@@ -12,6 +12,12 @@ never by subtracting x from the endpoint), so an integrand with a singular
 factor at an endpoint can evaluate it stably, e.g. ``tan(db/2)`` for
 cot(x/2) on [0, pi], or ``mp.log(da)`` for log(x) at 0.
 
+Each node costs one exponential.  With E = exp(t), u = (pi/2) sinh t is
+(pi/4)(E - 1/E), and the weight (pi/2) cosh t / cosh^2 u is
+(pi/4)(E + 1/E) * 4e/(1+e)^2, since cosh^2 u = (1+e)^2/(4e).  Within a
+level t advances by a fixed step, so E is stepped by one multiplication,
+30 bits above the working precision; ``_build_level`` bounds the error.
+
 Levels halve the mesh in t; level L contributes the odd multiples of
 2^-L.  The trapezoidal sums S_L then satisfy S_L = S_{L-1}/2 + h*(new),
 and successive gaps |S_L - S_{L-1}| shrink roughly quadratically in the
@@ -108,36 +114,59 @@ def _tolerance(P: int, tol) -> mpf:
 #
 # Cached per (working dps, truncation range) and built at that dps: callers
 # hold the precision scope.  Entry [L] is the list of (offset, weight) pairs
-# new at level L, offset = 1 - tanh((pi/2) sinh t).
+# new at level L, offset = 1 - tanh((pi/2) sinh t), one exponential each.
 # ---------------------------------------------------------------------------
 
 _NODE_CACHE: Dict[Tuple[int, int], List[List[Tuple[mpf, mpf]]]] = {}
 
 
-def _node_pair(t: mpf) -> Tuple[mpf, mpf]:
-    u = mp.pi / 2 * mp.sinh(t)
-    e = mp.exp(-2 * u)
-    offset = 2 * e / (1 + e)
-    weight = (mp.pi / 2) * mp.cosh(t) / mp.cosh(u) ** 2
-    return offset, weight
-
-
 def _build_level(level: int, tmax: mpf) -> List[Tuple[mpf, mpf]]:
+    """The (offset, weight) pairs new at ``level``, for t up to tmax, at one
+    exponential per node.
+
+    With E = exp(t), sinh t = (E - 1/E)/2 and cosh t = (E + 1/E)/2.  With
+    e = exp(-2u), u = (pi/2) sinh t, and cosh^2 u = (1+e)^2/(4e):
+
+        offset = 1 - tanh u = 2e/(1+e),
+        weight = (pi/2) cosh t / cosh^2 u = (pi/2) cosh t * 4e/(1+e)^2.
+
+    t advances by a fixed step d (1 at level 0, 2^(1-L) at level L >= 1), so
+    E is stepped by multiplying with exp(d).  The level is computed 30 bits
+    above the working precision, and each value is rounded once.  A level
+    has at most tmax*2^(L-1) < 2^15 nodes (L <= 12, and tmax <= 7.5 at the
+    default tolerance up to P = 1000), so the stepped E is within 2^-15
+    working ulps, relative.  At small t, E - 1/E cancels and scales that by
+    coth t < 1/t, but E has taken only about t/d steps there, and t >= d/2;
+    so sinh t stays within 2^-15 ulps too.  e = exp(-2u) turns that into
+    (1 + 2u)*2^-15 ulps, and offsets and weights are within
+    1/2 + (1 + 2u)*2^-14 ulps of the exact values.
+    """
     pairs: List[Tuple[mpf, mpf]] = []
     if level == 0:
         # integer abscissas, starting at the center node t = 0 where the
         # offset is exactly 1 (x is the midpoint)
         pairs.append((mpf(1), mp.pi / 2))
-        t = mpf(1)
-        while t <= tmax:
-            pairs.append(_node_pair(t))
-            t += 1
+        t = step = mpf(1)
     else:
-        h = mpf(2) ** (-level)
-        t = h
+        step = mpf(2) ** (1 - level)
+        t = step / 2
+    prec = mp.prec
+    with mp.extraprec(30):
+        # mpf constants: an int operand is converted at every use
+        one, two = mpf(1), mpf(2)
+        half_pi = mp.pi / 2
+        quarter_pi = half_pi / 2
+        grow = mp.exp(step)
+        et = mp.exp(t)
         while t <= tmax:
-            pairs.append(_node_pair(t))
-            t += 2 * h
+            inv = one / et
+            e = mp.exp(half_pi * (inv - et))
+            d = two / (one + e)
+            offset = e * d
+            weight = quarter_pi * (et + inv) * offset * d
+            pairs.append((mpf(offset, prec=prec), mpf(weight, prec=prec)))
+            et *= grow
+            t += step
     return pairs
 
 

@@ -1,9 +1,11 @@
-"""Reference tanh-sinh loops for the tests: the 1-D level loop with its
-geometry derived per node, and an iterated 2-D rule over it.
+"""Reference tanh-sinh loops for the tests: the node table's levels built
+from sinh and cosh, the 1-D level loop with its geometry derived per node,
+and an iterated 2-D rule over it.
 
-The 1-D loop is what ``integrate_1d`` must reproduce exactly; the 2-D rule
-evaluates the consequence identities' double integrals, against which the
-package's kernel-reduced 1-D integrals are checked.
+The node levels are what ``_build_level`` must reproduce to within a few
+ulps; the 1-D loop is what ``integrate_1d`` must reproduce exactly; the 2-D
+rule evaluates the consequence identities' double integrals, against which
+the package's kernel-reduced 1-D integrals are checked.
 """
 
 from __future__ import annotations
@@ -19,6 +21,41 @@ from cotmoments.quadrature import (
     _truncation_range,
     default_tolerance,
 )
+
+
+def _reference_abscissas(level, tmax):
+    """The t of each node new at ``level``: the centre t = 0 and the
+    integers up to tmax at level 0, the odd multiples of 2^-level up to tmax
+    after that."""
+    if level == 0:
+        yield mpf(0)
+        t = mpf(1)
+        while t <= tmax:
+            yield t
+            t += 1
+    else:
+        h = mpf(2) ** (-level)
+        t = h
+        while t <= tmax:
+            yield t
+            t += 2 * h
+
+
+def _reference_build_level(level, tmax):
+    """A level's (offset, weight) pairs at the working precision, from four
+    exponentials per node: sinh t, exp(-2u), cosh t and cosh u."""
+    pairs = []
+    for t in _reference_abscissas(level, tmax):
+        if t == 0:
+            # the centre node: offset exactly 1 (x is the midpoint)
+            pairs.append((mpf(1), mp.pi / 2))
+            continue
+        u = mp.pi / 2 * mp.sinh(t)
+        e = mp.exp(-2 * u)
+        offset = 2 * e / (1 + e)
+        weight = (mp.pi / 2) * mp.cosh(t) / mp.cosh(u) ** 2
+        pairs.append((offset, weight))
+    return pairs
 
 
 def _reference_tanh_sinh(f, a, b, P, tol=None, level_cap=12):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import ast
 import math
 import pathlib
+import sys
 import threading
 
 import pytest
@@ -19,6 +20,7 @@ from cotmoments.quadrature import (
     _WORK_GUARD,
     QuadratureError,
     QuadratureResult,
+    _build_level,
     _closed_form_tolerance,
     _node_levels,
     _truncation_range,
@@ -28,7 +30,12 @@ from cotmoments.quadrature import (
     moment_quadrature,
 )
 
-from reference_quadrature import _reference_2d, _reference_tanh_sinh
+from reference_quadrature import (
+    _reference_2d,
+    _reference_abscissas,
+    _reference_build_level,
+    _reference_tanh_sinh,
+)
 
 
 def test_default_tolerance():
@@ -291,6 +298,85 @@ def test_repeated_runs_are_deterministic():
     b = integrate_1d(lambda x, da, db: mp.sqrt(da), 0, 1, 30)
     assert a.value == b.value
     assert a.evaluations == b.evaluations
+
+
+# ---------------------------------------------------------------------------
+# the node tables: one exponential per node against the sinh/cosh reference
+# ---------------------------------------------------------------------------
+
+def _tmax(P):
+    with _working(P, _WORK_GUARD):
+        return mpf(_truncation_range(P, default_tolerance(P))) / 4
+
+
+def test_node_counts_match_the_reference():
+    # a level's node count depends only on tmax and the level, so a low
+    # precision shows it for every level up to the cap
+    for P in (10, 30, 100, 300, 1000):
+        tmax = _tmax(P)
+        with mp.workdps(15):
+            for level in range(13):
+                expected = sum(1 for _ in _reference_abscissas(level, tmax))
+                assert len(_build_level(level, tmax)) == expected, (P, level)
+
+
+@pytest.mark.parametrize("P", [30, 100, 300])
+def test_nodes_match_the_reference_within_a_few_ulps(P):
+    # e = exp(-2u) turns a relative error in u into 2u times that in e, so
+    # even a correctly rounded sinh t leaves (1 + 2u) ulps in the old
+    # formulas; the reference runs 30 digits higher
+    tmax = _tmax(P)
+    with _working(P, _WORK_GUARD):
+        prec = mp.prec
+        for level in range(7):
+            nodes = _build_level(level, tmax)
+            with mp.extradps(30):
+                ts = list(_reference_abscissas(level, tmax))
+                ref = _reference_build_level(level, tmax)
+                assert len(nodes) == len(ref) == len(ts)
+                for t, got, want in zip(ts, nodes, ref):
+                    allowed = 4 * (1 + mp.pi * mp.sinh(t))
+                    for g, w in zip(got, want):
+                        ulp = mp.ldexp(1, mp.frexp(w)[1] - prec)
+                        assert abs(g - w) <= allowed * ulp, (level, t)
+            # each value carries the working precision, not the guard bits
+            assert all((+g)._mpf_ == g._mpf_ for pair in nodes for g in pair)
+
+
+def test_build_level_restores_the_precision():
+    with mp.workdps(45):
+        prec = mp.prec
+        for level in (0, 1, 5):
+            _build_level(level, mpf(4))
+            assert mp.prec == prec
+
+
+def test_mixed_precision_threads_build_the_nodes_they_would_alone(monkeypatch):
+    def f(x, da, db):
+        return mp.sqrt(da) * mp.log(1 + x)
+
+    serial = {P: integrate_1d(f, 0, 1, P) for P in (30, 120)}
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    precisions = (30, 120, 30, 120)
+    results = {}
+
+    def work(i, P):
+        results[i] = integrate_1d(f, 0, 1, P)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i, P))
+                   for i, P in enumerate(precisions)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {i: serial[P] for i, P in enumerate(precisions)}
+    assert len(quadrature._NODE_CACHE) == 2  # one table per precision
 
 
 # ---------------------------------------------------------------------------
