@@ -3,9 +3,9 @@ suites, and the CLI.
 
 A report is a flat list of check records.  Exact (rational-equality) checks
 record a 0/1 difference flag; numeric checks record the absolute difference,
-to 3 significant digits, and the tolerance it was compared against.  Serialization is deterministic:
-identical inputs produce byte-identical JSON, with any timestamp isolated in
-an optional metadata block.
+to 3 significant digits, and the tolerance it was compared against.
+Serialization is deterministic: identical inputs produce byte-identical JSON,
+with any timestamp isolated in an optional metadata block.
 """
 
 from __future__ import annotations
