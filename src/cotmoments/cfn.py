@@ -184,7 +184,7 @@ def check_generating_functions(kmax: int, order: int) -> VerificationReport:
     """
     if order < 2 * kmax + 1:
         raise ValueError(f"need order >= 2*kmax+1, got kmax={kmax} order={order}")
-    nmax = (order - 1) // 2
+    nmax = (order - 1) // 2  # so both powers 2n and 2n + 1 are <= order
     t0 = build_t0(kmax, nmax)
     t1 = build_t1(kmax, nmax)
     base = fps_arcsin(order)
@@ -195,18 +195,16 @@ def check_generating_functions(kmax: int, order: int) -> VerificationReport:
         even_pow = fps_power(base, 2 * k) if k else None  # k=0: power is 1
         odd_pow = fps_power(base, 2 * k + 1)
         for n in range(nmax + 1):
-            if 2 * n <= order:
-                if even_pow is None:
-                    coeff = Fr(1) if n == 0 else Fr(0)
-                else:
-                    coeff = even_pow.coefficient(2 * n)
-                lhs = coeff / even_fact
-                rhs = t0[k, n] / Fr(math.factorial(2 * n))
-                rep.add_exact(f"gf-even/k={k},n={n}", _ANCHOR_GF_EVEN, lhs, rhs)
-            if 2 * n + 1 <= order:
-                lhs = odd_pow.coefficient(2 * n + 1) / odd_fact
-                rhs = t1[k, n] / Fr(math.factorial(2 * n + 1))
-                rep.add_exact(f"gf-odd/k={k},n={n}", _ANCHOR_GF_ODD, lhs, rhs)
+            if even_pow is None:
+                coeff = Fr(1) if n == 0 else Fr(0)
+            else:
+                coeff = even_pow.coefficient(2 * n)
+            lhs = coeff / even_fact
+            rhs = t0[k, n] / Fr(math.factorial(2 * n))
+            rep.add_exact(f"gf-even/k={k},n={n}", _ANCHOR_GF_EVEN, lhs, rhs)
+            lhs = odd_pow.coefficient(2 * n + 1) / odd_fact
+            rhs = t1[k, n] / Fr(math.factorial(2 * n + 1))
+            rep.add_exact(f"gf-odd/k={k},n={n}", _ANCHOR_GF_ODD, lhs, rhs)
     return rep
 
 

@@ -26,7 +26,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from mpmath import mp, mpf
 
 from . import cfn
-from .hpreal import _DEFAULT_DIGITS, _working, eta, log2, pi, to_digits, zeta
+from .hpreal import (_DEFAULT_DIGITS, _DEFAULT_N, MIN_DIGITS, _working, eta, log2, pi,
+                     to_digits, zeta)
 from .moments import (
     ROUTES,
     SUITES,
@@ -37,7 +38,6 @@ from .moments import (
 )
 from .quadrature import QuadratureError, _closed_form_tolerance, _tolerance
 from .report import VerificationReport
-from .series import _DEFAULT_N
 
 __all__ = ["RunConfig", "main"]
 
@@ -67,8 +67,8 @@ class RunConfig:
     out: Optional[str] = None
 
     def validate(self) -> None:
-        if self.digits < 10:
-            raise UsageError(f"--digits must be >= 10, got {self.digits}")
+        if self.digits < MIN_DIGITS:
+            raise UsageError(f"--digits must be >= {MIN_DIGITS}, got {self.digits}")
         if self.n < 10:
             raise UsageError(f"--n must be >= 10, got {self.n}")
         if self.tol is not None:

@@ -43,11 +43,13 @@ __all__ = [
     "zeta",
     "zeta_even_closed",
     "to_digits",
+    "fixed_point_bits",
 ]
 
 GUARD_DIGITS = 10
 MIN_DIGITS = 10
 _DEFAULT_DIGITS = 50  # the library's and the CLI's default precision
+_DEFAULT_N = 100000    # the library's and the CLI's default truncation N
 
 _ACCEL_RATE = math.log(3 + math.sqrt(8))  # ~1.7627
 
@@ -138,3 +140,8 @@ def zeta_even_closed(s: int, P: int) -> mpf:
 def to_digits(x, P: int) -> str:
     """Decimal string with P significant digits (deterministic formatting)."""
     return mpmath.nstr(x, P, strip_zeros=False)
+
+
+def fixed_point_bits(P: int) -> int:
+    """Fractional bits for the integer fixed-point sweeps at P digits."""
+    return max(140, int(P * 3.322) + 40)

@@ -7,8 +7,9 @@ independent routes compute it:
   integers (exact modulo the constants' own precision);
 * cfn-series — the central-binomial series whose coefficients are the exact
   H-triangles, summed in fixed-point integers with a calibrated tail bound;
-  one cached sweep per parity, to depth k >= 3, serves every m of it, and
-  runs as blocked column passes with the same integers as a per-j loop;
+  one cached sweep per parity serves every m of it (its first sweep covers
+  m <= 6), and runs as blocked column passes with the same integers as a
+  per-j loop;
 * nested-series — pi-power combinations of the S_odd/S_even suffix-nested
   sums, each carrying a propagated tail bound;
 * quadrature — direct tanh-sinh integration of the defining integral.
@@ -39,19 +40,17 @@ from typing import Callable, Dict, List, Optional, Tuple
 from mpmath import mp, mpf
 
 from . import cfn
-from .hpreal import (_DEFAULT_DIGITS, GUARD_DIGITS, _require_digits, _working, eta, zeta,
-                     zeta_even_closed)
+from .hpreal import (_DEFAULT_DIGITS, _DEFAULT_N, GUARD_DIGITS, _require_digits, _working, eta,
+                     fixed_point_bits, zeta, zeta_even_closed)
 from .quadrature import (_WORK_GUARD, _closed_form_tolerance, _tolerance, _zeta_even_tolerance,
                          default_tolerance, integrate_1d, moment_quadrature)
 from .report import VerificationReport
 from .series import (
-    _DEFAULT_N,
     a0,
     a0_via_recurrence,
     a1,
     a1_via_recurrence,
     euler_binomial_vanishing,
-    fixed_point_bits,
     kernel_k0,
     kernel_k1,
     nested_tail_sums,
@@ -215,7 +214,9 @@ def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> MomentValue:
     summed to N terms in fixed-point integers (the H-values are built by
     their strict-prefix recurrences in the same sweep, never as rationals).
     One sweep serves every m of a parity: it is cached per (parity, N,
-    fbits) and covers depth k >= 3, so m = 1..7 cost one sweep per parity.
+    fbits), and the first sweep of a key covers every m <= 6 of its parity,
+    depth 2 for odd m and 3 for even m, so m = 1..6 cost one sweep per
+    parity.  Depth k reads the same integers whatever the sweep's depth.
     The sweep is blocked (see ``_cfn_sweep``) and bit-identical to a per-j
     loop, so value and bound do not depend on the block length.
     Terms decay like j^(-5/2); the returned bound is the integral-comparison
@@ -228,16 +229,16 @@ def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> MomentValue:
         raise ValueError(f"c_cfn_route: need N >= m, got N={N}, m={m}")
     _require_digits(P)
     fbits = fixed_point_bits(P)
-    k = m // 2                        # m = 2k+1 or m = 2k
+    k, parity = divmod(m, 2)          # m = 2k+1 or m = 2k
     with _working(P):
-        key = (m % 2, N, fbits)
+        key = (parity, N, fbits)
         swept = _cfn_cache.get(key)
         if swept is None or len(swept[0]) <= k:
-            # the suites ask for m = 1, 2, ... in turn: cover depth 3 at once
-            swept = _cfn_cache[key] = _cfn_sweep(m % 2, max(k, 3), N, fbits)
+            # the suites ask for m = 1..6 in turn: cover those of this parity at once
+            swept = _cfn_cache[key] = _cfn_sweep(parity, max(k, (6 - parity) // 2), N, fbits)
         total, last = swept[0][k], swept[1][k]
         unit = mpf(2) ** (-fbits)
-        scale = mpf(2 ** (2 * k + 1) if m % 2 else 1)
+        scale = mpf(2 ** (2 * k + 1) if parity else 1)
         value = +(total * unit * scale)
         tail = mpf("1.05") * (mpf(2) / 3) * N * (last * unit)
         fp_err = (k + 3) * (N + 1) * unit
@@ -442,46 +443,29 @@ def verify_consequences(P: int, N: int = _DEFAULT_N, tol=None) -> VerificationRe
         lg2 = eta(1, P + 5)
         e3 = eta(3, P + 5)
         e5 = eta(5, P + 5)
-        closed = {
-            1: mp.pi / 2 * lg2,
-            2: mp.pi ** 3 / 24 * lg2 + mp.pi / 8 * e3,
-            3: mp.pi ** 2 / 2 * lg2 - mpf(7) / 3 * e3,
-            4: -mp.pi ** 4 / 24 * lg2 - mp.pi ** 2 / 9 * e3 + mpf(31) / 15 * e5,
-        }
-
-        sv1 = s_odd(0, P, N)
-        sv2 = s_odd(1, P, N)
-        sv3 = s_even(0, P, N)
-        sv4 = s_even(1, P, N)
-        nested = {
-            1: (sv1.value, sv1.error_bound),
-            2: (sv2.value, sv2.error_bound),
-            3: (sv3.value, sv3.error_bound),
-            4: (-sv4.value, sv4.error_bound),
-        }
-        for i in range(1, 5):
-            val, bound = nested[i]
-            report.add_numeric(f"consequence-{i}/nested-vs-closed",
-                               _CONSEQUENCE_ANCHORS[i], val, closed[i],
-                               tol=bound, fmt=fmt)
-
         k1, k0 = _theta_kernels(P)
-        quad = {
-            1: integrate_1d(_ci1, 0, 1, P, tol_q).value,
-            2: integrate_1d(partial(_ci2, k1), 0, 1, P, tol_q).value,
-            3: integrate_1d(_ci3, 0, 1, P, tol_q).value,
-            4: integrate_1d(partial(_ci4, k0), 0, 1, P, tol_q).value,
-        }
-        for i in range(1, 5):
-            report.add_numeric(f"consequence-{i}/quadrature-vs-closed",
-                               _CONSEQUENCE_ANCHORS[i], quad[i], closed[i],
-                               tol=tol_q, fmt=fmt)
-
-        # the same first integral, doubled, is the first moment
-        c1 = c_eta_route(1, P).value
-        report.add_numeric("consequence-1/dimension-one",
-                           "-2 int_0^1 log(x)/sqrt(1-x^2) dx = C(1) = pi log2",
-                           2 * quad[1], c1, tol=2 * tol_q, fmt=fmt)
+        # one row per identity: the closed form, the S function, its depth
+        # and its sign, and the kernel-reduced 1-D integrand
+        rows = (
+            (mp.pi / 2 * lg2, s_odd, 0, 1, _ci1),
+            (mp.pi ** 3 / 24 * lg2 + mp.pi / 8 * e3, s_odd, 1, 1, partial(_ci2, k1)),
+            (mp.pi ** 2 / 2 * lg2 - mpf(7) / 3 * e3, s_even, 0, 1, _ci3),
+            (-mp.pi ** 4 / 24 * lg2 - mp.pi ** 2 / 9 * e3 + mpf(31) / 15 * e5,
+             s_even, 1, -1, partial(_ci4, k0)),
+        )
+        for i, (closed, s_fn, l, sign, integrand) in enumerate(rows, start=1):
+            anchor = _CONSEQUENCE_ANCHORS[i]
+            sv = s_fn(l, P, N)
+            report.add_numeric(f"consequence-{i}/nested-vs-closed", anchor,
+                               sign * sv.value, closed, tol=sv.error_bound, fmt=fmt)
+            quad = integrate_1d(integrand, 0, 1, P, tol_q).value
+            report.add_numeric(f"consequence-{i}/quadrature-vs-closed", anchor,
+                               quad, closed, tol=tol_q, fmt=fmt)
+            if i == 1:
+                # the same first integral, doubled, is the first moment
+                report.add_numeric("consequence-1/dimension-one",
+                                   "-2 int_0^1 log(x)/sqrt(1-x^2) dx = C(1) = pi log2",
+                                   2 * quad, c_eta_route(1, P).value, tol=2 * tol_q, fmt=fmt)
 
         tol10 = default_tolerance(P)
         for z in ("0.25", "0.5", "0.75"):

@@ -45,7 +45,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from mpmath import mp, mpf
 
 from .exact import bernoulli, cycle_count, euler_zigzag, partitions
-from .hpreal import _require_digits, _working, zeta
+from .hpreal import _DEFAULT_N, _require_digits, _working, fixed_point_bits, zeta
 from .quadrature import _WORK_GUARD, integrate_1d
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "nested_tail_sums",
     "kernel_k1",
     "kernel_k0",
-    "fixed_point_bits",
 ]
 
 
@@ -265,18 +264,15 @@ def r_truncated_nested(k: int, kind: str, P: int, N: int = 10000) -> SeriesValue
     if N < 1:
         raise ValueError(f"r_truncated_nested: need N >= 1, got {N}")
     _require_digits(P)
-    fbits = fixed_point_bits(P)
     with _working(P):
-        data = _nested_family(kind, k, N, fbits)
-        scale = mpf(2) ** fbits
-        V = [mpf(v) / scale for v in data.tails[_FAMILIES[kind].j0]]
-        _, w_tail = _tail_constants(kind, N)
+        data, unit, _, w_tail = _nested_family(kind, k, N, P)
+        V = [v * unit for v in data.tails[_FAMILIES[kind].j0]]
         U = mpf(1)
         for d in range(1, k):
             U = V[d] + U * w_tail
-        fp_err = 2 ** (k + 2) * (N + 1) * mpf(2) ** (-fbits)
+        fp_err = 2 ** (k + 2) * (N + 1) * unit
         bound = +(U * w_tail + fp_err)
-        value = +V[k]
+        value = V[k]
     return SeriesValue(f"R_{kind}", k, value, "truncated-sum", error_bound=bound)
 
 
@@ -285,13 +281,7 @@ def r_truncated_nested(k: int, kind: str, P: int, N: int = 10000) -> SeriesValue
 # ---------------------------------------------------------------------------
 
 _TAIL_RECORD_MAX = 24  # suffix tails T_d(j) are kept for j up to here
-_DEFAULT_N = 100000    # the library's and the CLI's default truncation N
 _SWEEP_BLOCK_BITS = 1 << 17  # a sweep block holds _SWEEP_BLOCK_BITS // fbits values of j
-
-
-def fixed_point_bits(P: int) -> int:
-    """Fractional bits for the integer fixed-point sweeps at P digits."""
-    return max(140, int(P * 3.322) + 40)
 
 
 @dataclass
@@ -327,9 +317,6 @@ def _sweep_family(kind: str, lmax: int, N: int, fbits: int) -> _FamilyData:
     ratio = one
     for i in range(1, N + 1):
         ratio = ratio * (2 * i - s) // (2 * i - 1 + s)
-    u = a * N + c  # inner root a j + c
-    v = e * N + f  # outer factor e j + f
-    b_last = ratio // (u * u * v)
     # the outer weights b(j) are streamed backwards by their term ratio
     block = max(1, _SWEEP_BLOCK_BITS // fbits)
     for hi in range(N, fam.j0 - 1, -block):
@@ -343,6 +330,8 @@ def _sweep_family(kind: str, lmax: int, N: int, fbits: int) -> _FamilyData:
         q = list(map(mul, roots, roots))
         w = list(map(floordiv, repeat(one), q))
         b = list(map(floordiv, ratios, map(mul, q, count(e * hi + f, -e))))
+        if hi == N:
+            b_last = b[0]  # b(N)
         sums[0] += sum(b)
         cols = []
         inc = w  # T_1 steps by (2^fbits w) >> fbits == w
@@ -358,26 +347,25 @@ def _sweep_family(kind: str, lmax: int, N: int, fbits: int) -> _FamilyData:
     return _FamilyData(lmax=lmax, weighted_sums=sums, tails=tails, b_last=b_last)
 
 
-def _nested_family(kind: str, lmax: int, N: int, fbits: int) -> _FamilyData:
-    """The cached sweep for (kind, N, fbits); callers hold the precision scope.
+def _nested_family(kind: str, depth: int, N: int,
+                   P: int) -> Tuple[_FamilyData, mpf, mpf, mpf]:
+    """The one read path of the S sweep: (data, unit, inner_full, w_tail).
 
-    The S values are asked for at rising depths 0, 1 and 2, so a sweep
-    always covers depth 2: one sweep per key instead of one per depth.
-    Deeper callers (R up to depth 3) ask for their deepest value first.
+    data is the sweep cached per (kind, N, fbits), its integers in units of
+    unit = 2^-fbits; inner_full is the full inner sum T_1(j0), the largest
+    inner tail; and w_tail bounds sum_{i>N} w(i).  The three are mpfs at the
+    working precision, so callers hold the precision scope.  The S values
+    are asked for at rising depths 0, 1 and 2, so a sweep always covers
+    depth 2: one sweep per key instead of one per depth.  Deeper callers (R
+    up to depth 3) ask for their deepest value first.
     """
+    fbits = fixed_point_bits(P)
     key = (kind, N, fbits)
     data = _family_cache.get(key)
-    if data is None or data.lmax < lmax:
-        data = _sweep_family(kind, max(lmax, 2), N, fbits)
-        _family_cache[key] = data
-    return data
-
-
-def _tail_constants(kind: str, N: int) -> Tuple[mpf, mpf]:
-    """(inner_full, w_tail) at the working precision: the full inner sum
-    T_1(j0), the largest inner tail, and the bound on sum_{i>N} w(i)."""
+    if data is None or data.lmax < depth:
+        data = _family_cache[key] = _sweep_family(kind, max(depth, 2), N, fbits)
     fam = _FAMILIES[kind]
-    return mp.pi ** 2 / fam.pi2_div, mpf(1) / (fam.tail_den * N)
+    return data, mpf(2) ** -fbits, mp.pi ** 2 / fam.pi2_div, mpf(1) / (fam.tail_den * N)
 
 
 def _s_value(kind: str, l: int, P: int, N: int) -> SeriesValue:
@@ -387,14 +375,11 @@ def _s_value(kind: str, l: int, P: int, N: int) -> SeriesValue:
     if N < 1:
         raise ValueError(f"s_{kind}: need N >= 1, got {N}")
     _require_digits(P)
-    fbits = fixed_point_bits(P)
     with _working(P):
-        data = _nested_family(kind, l, N, fbits)
-        scale = mpf(2) ** fbits
-        value = +(mpf(data.weighted_sums[l]) / scale)
-        b_sum = mpf(data.weighted_sums[0]) / scale        # sum of b(j), j <= N
-        b_last = mpf(data.b_last) / scale
-        inner_full, w_tail = _tail_constants(kind, N)
+        data, unit, inner_full, w_tail = _nested_family(kind, l, N, P)
+        value = data.weighted_sums[l] * unit
+        b_sum = data.weighted_sums[0] * unit              # sum of b(j), j <= N
+        b_last = data.b_last * unit
         # truncation of each inner tail: l slots, each missing <= w_tail of
         # an inner sum bounded by inner_full, weighted by sum of b
         inner_err = b_sum * l * inner_full ** (l - 1) * w_tail if l else mpf(0)
@@ -404,7 +389,7 @@ def _s_value(kind: str, l: int, P: int, N: int) -> SeriesValue:
         outer_err = mpf("1.05") * (mpf(2) / 3) * N * b_last * inner_full ** l
         # fixed-point rounding, (l + 3) (N + 1) 2^-fbits: an estimate like
         # outer_err, as r_truncated_nested's proof covers it to depth 1 only
-        fp_err = (l + 3) * (N + 1) * mpf(2) ** (-fbits)
+        fp_err = (l + 3) * (N + 1) * unit
         bound = +(inner_err + outer_err + fp_err)
     return SeriesValue(f"S_{kind}", l, value, "truncated-sum", error_bound=bound)
 
@@ -439,15 +424,11 @@ def nested_tail_sums(kind: str, dmax: int, jmax: int, N: int, P: int):
     if N <= jmax:
         raise ValueError(f"nested_tail_sums: need N > jmax, got N={N}")
     _require_digits(P)
-    fbits = fixed_point_bits(P)
     with _working(P):
-        data = _nested_family(kind, dmax, N, fbits)
-        scale = mpf(2) ** fbits
-        table = {j: [+(mpf(v) / scale) for v in data.tails[j][: dmax + 1]]
+        data, unit, inner_full, w_tail = _nested_family(kind, dmax, N, P)
+        table = {j: [v * unit for v in data.tails[j][: dmax + 1]]
                  for j in range(_FAMILIES[kind].j0, jmax + 1)}
-        inner_full, w_tail = _tail_constants(kind, N)
-        unit = (N + 1) * mpf(2) ** (-fbits)
-        bounds = [+(d * inner_full ** max(d - 1, 0) * w_tail + 2 ** (d + 2) * unit)
+        bounds = [+(d * inner_full ** max(d - 1, 0) * w_tail + 2 ** (d + 2) * (N + 1) * unit)
                   for d in range(dmax + 1)]
     return table, bounds
 

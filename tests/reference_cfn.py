@@ -14,8 +14,7 @@ from fractions import Fraction as Fr
 from mpmath import mpf
 
 from cotmoments.exact import double_factorial_odd
-from cotmoments.hpreal import _working
-from cotmoments.series import fixed_point_bits
+from cotmoments.hpreal import _working, fixed_point_bits
 
 
 def _reference_cfn(m, P, N):

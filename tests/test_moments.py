@@ -19,7 +19,7 @@ import pytest
 from mpmath import mp, mpf
 
 import cotmoments
-from cotmoments import moments, quadrature
+from cotmoments import moments, quadrature, series
 from cotmoments.hpreal import to_digits
 from cotmoments.moments import (
     ROUTES,
@@ -161,15 +161,35 @@ def test_cfn_deeper_m_resweeps_a_shallow_entry(monkeypatch, shallow, deep):
     for m in (shallow, deep, shallow):
         v = c_cfn_route(m, 30, 1000)
         assert (v.value, v.error_bound) == _reference_cfn(m, 30, 1000), m
-    # the first entry covers depth 3 only; the deeper one then serves both
+    # the first entry covers m <= 6 of its parity only (depth 2 odd, 3 even);
+    # the deeper one then serves both
     assert [(parity, kmax) for parity, kmax, _, _ in calls] == [
-        (shallow % 2, 3), (deep % 2, deep // 2)]
+        (shallow % 2, (6 - shallow % 2) // 2), (deep % 2, deep // 2)]
 
 
 def test_routes_suite_runs_one_cfn_sweep_per_parity(monkeypatch):
     calls = _count_cfn_sweeps(monkeypatch)
     assert run_suite("routes", 30).all_passed
-    assert [(parity, kmax) for parity, kmax, _, _ in calls] == [(1, 3), (0, 3)]
+    assert [(parity, kmax) for parity, kmax, _, _ in calls] == [(1, 2), (0, 3)]
+
+
+def test_ascending_series_routes_sweep_once_per_parity_and_kind(monkeypatch):
+    # the series routes for m = 1..6 in ascending order, one m at a time
+    cfn_calls = _count_cfn_sweeps(monkeypatch)
+    s_calls = []
+    sweep = series._sweep_family
+
+    def counted(*args):
+        s_calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(series, "_family_cache", {})
+    monkeypatch.setattr(series, "_sweep_family", counted)
+    for m in range(1, 7):
+        c_cfn_route(m, 30, 2000)
+        c_nested_route(m, 30, 2000)
+    assert [(parity, kmax) for parity, kmax, _, _ in cfn_calls] == [(1, 2), (0, 3)]
+    assert [(kind, lmax) for kind, lmax, _, _ in s_calls] == [("odd", 2), ("even", 2)]
 
 
 def test_cfn_mixed_precision_threads_return_serial_values(monkeypatch):
@@ -196,13 +216,14 @@ def test_cfn_mixed_precision_threads_return_serial_values(monkeypatch):
     assert results == {i: serial[P] for i, P in enumerate(precisions)}
 
 
-_SERIES_SWEEP_NAMES = {"_nested_family", "_sweep_family", "_family_cache", "_FAMILIES",
-                       "s_odd", "s_even"}
-
-
 def test_cfn_sweep_shares_nothing_with_the_series_route():
-    # fixed_point_bits is the only series-layer name the cfn route may use
+    # no name that moments imports from the series layer, nor that module
     tree = ast.parse(pathlib.Path(moments.__file__).read_text(encoding="utf-8"))
+    banned = {"series"}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "series":
+            banned.update(alias.asname or alias.name for alias in node.names)
+    assert len(banned) > 1
     scanned = {"_cfn_sweep", "c_cfn_route"}
     found, seen = [], set()
     for fn in tree.body:
@@ -210,7 +231,7 @@ def test_cfn_sweep_shares_nothing_with_the_series_route():
             seen.add(fn.name)
             for node in ast.walk(fn):
                 name = getattr(node, "id", getattr(node, "attr", None))
-                if name in _SERIES_SWEEP_NAMES:
+                if name in banned:
                     found.append(f"{fn.name}:{node.lineno} {name}")
     assert seen == scanned
     assert found == []

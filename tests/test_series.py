@@ -15,7 +15,7 @@ import pytest
 from mpmath import mp, mpf
 
 from cotmoments import series
-from cotmoments.hpreal import _working, eta, log2, pi
+from cotmoments.hpreal import _working, eta, fixed_point_bits, log2, pi
 from cotmoments.moments import _suite_closed_forms
 from cotmoments.series import (
     SeriesValue,
@@ -24,7 +24,6 @@ from cotmoments.series import (
     a1,
     a1_via_recurrence,
     euler_binomial_vanishing,
-    fixed_point_bits,
     kernel_k0,
     kernel_k1,
     nested_tail_sums,
