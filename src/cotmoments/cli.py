@@ -175,6 +175,16 @@ def _route_bound(mv: MomentValue, P: int) -> mpf:
     return _closed_form_tolerance(P)
 
 
+def _certified_digits(mv: MomentValue, P: int) -> int:
+    """Significant digits that the route's absolute error bound B certifies:
+    max(1, floor(log10(|value| / B))), capped at P, so B stays below one
+    unit of the last digit shown.  The closed form (no bound, a few ulps
+    relative) keeps P."""
+    if mv.error_bound is None:
+        return P
+    return min(P, max(1, int(mp.floor(mp.log10(abs(mv.value) / mv.error_bound)))))
+
+
 def cmd_moments(args: argparse.Namespace, cfg: RunConfig) -> int:
     m_values = _parse_m_spec(args.m)
     routes = _parse_routes(args.route)
@@ -197,6 +207,7 @@ def cmd_moments(args: argparse.Namespace, cfg: RunConfig) -> int:
     disagreements: List[str] = []
     with _working(P):
         tol_text = mp.nstr(_tolerance(P, cfg.tol), 5)
+        shown = [to_digits(mv.value, _certified_digits(mv, P)) for mv in rows]
         by_m: Dict[int, List[MomentValue]] = {}
         for mv in rows:
             by_m.setdefault(mv.m, []).append(mv)
@@ -220,33 +231,33 @@ def cmd_moments(args: argparse.Namespace, cfg: RunConfig) -> int:
                 {
                     "m": mv.m,
                     "route": mv.route,
-                    "value": to_digits(mv.value, P),
+                    "value": value,
                     "truncation": mv.truncation,
                     "error_bound": None if mv.error_bound is None
                     else mp.nstr(mv.error_bound, 8),
                 }
-                for mv in rows
+                for mv, value in zip(rows, shown)
             ],
             "disagreements": disagreements,
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
     elif fmt == "csv":
         lines = ["m,route,value,truncation,error_bound"]
-        for mv in rows:
+        for mv, value in zip(rows, shown):
             bound = "" if mv.error_bound is None else mp.nstr(mv.error_bound, 8)
             trunc = "" if mv.truncation is None else str(mv.truncation)
-            lines.append(f"{mv.m},{mv.route},{to_digits(mv.value, P)},{trunc},{bound}")
+            lines.append(f"{mv.m},{mv.route},{value},{trunc},{bound}")
         _emit("\n".join(lines), cfg.out)
     else:
         lines = []
-        for mv in rows:
+        for mv, value in zip(rows, shown):
             extras = []
             if mv.truncation is not None:
                 extras.append(f"N={mv.truncation}")
             if mv.error_bound is not None:
                 extras.append(f"bound={mp.nstr(mv.error_bound, 8)}")
             suffix = f"  ({', '.join(extras)})" if extras else ""
-            lines.append(f"C({mv.m})  {mv.route:<16} {to_digits(mv.value, P)}{suffix}")
+            lines.append(f"C({mv.m})  {mv.route:<16} {value}{suffix}")
         _emit("\n".join(lines), cfg.out)
 
     if disagreements:

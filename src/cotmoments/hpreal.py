@@ -14,12 +14,15 @@ any mix of precisions return the values of a serial run; the work itself is
 serialised.
 
 eta(s) is summed with the Chebyshev-weighted acceleration for alternating
-series with totally monotone terms: with d_n = ((3+sqrt 8)^n + (3+sqrt 8)^-n)/2
+series with totally monotone terms (Cohen, Rodriguez Villegas, Zagier,
+Exp. Math. 9 (2000), algorithm 1): with d_n = ((3+sqrt 8)^n + (3+sqrt 8)^-n)/2
 the weighted partial sum satisfies
 
     |eta(s) - S_n| <= (2 / (3 + sqrt 8)^n) * eta(s)   (rate ~ 5.83^-n),
 
-so n = ceil((P+8) * ln 10 / ln(3 + sqrt 8)) + 3 terms give ~P+8 digits.
+so n = ceil((P+8) * ln 10 / ln(3 + sqrt 8)) + 3 terms give ~P+10 digits.
+The sum runs in integers: d_n and the weights are integers, and only the
+divisions by (k+1)^s are floored, in fixed point (see ``eta``).
 """
 
 from __future__ import annotations
@@ -89,26 +92,42 @@ def eta(s: int, P: int) -> mpf:
 
     eta(1) = log 2 falls out of the same accelerated sum.  The term count is
     chosen from P by the documented error bound (see module docstring).
+
+    The CVZ quantities are integers.  d = T_n(3) is the integer a_n of
+    (3 + sqrt 8)^n = a_n + b_n sqrt 8, since (3 + sqrt 8)^-n = a_n - b_n sqrt 8.
+    The weights b_0 = -1, b_(k+1) = b_k 2(k+n)(k-n) / ((2k+1)(k+1)) are
+    b_k = (-1)^(k+1) 4^k n/(n+k) C(n+k, 2k), the coefficients of the integer
+    polynomial -T_n(1 - 2x), so every division of that recurrence is exact.  So are
+    c_k = b_k - c_(k-1), c_(-1) = -d.  Only the terms c_k / (k+1)^s are
+    rounded: each is floored to a multiple of 2^-fb, which loses less than
+    n 2^-fb in all.  Then S_n = sum_k c_k/(k+1)^s / d is off by less than
+    n / (2^fb d) <= 2n / (2^fb (3 + sqrt 8)^n), as d >= (3 + sqrt 8)^n / 2.
+    With fb = bitlength(n) + 5, 2^fb > 32 n, so this rounding allowance is
+    below 1/(16 (3 + sqrt 8)^n): less than 1/22 of the CVZ bound
+    2 eta(s) / (3 + sqrt 8)^n, as eta(s) >= log 2.  The quotient by d is
+    rounded once to the working precision.
     """
     if s < 1:
         raise ValueError(f"eta: need s >= 1, got {s}")
     _require_digits(P)
     key = (s, P)
     n = int(math.ceil((P + 8) * math.log(10) / _ACCEL_RATE)) + 3
+    fb = n.bit_length() + 5
     with _working(P):
         hit = _eta_cache.get(key)
         if hit is not None:
             return hit
-        d = (3 + 2 * mp.sqrt(2)) ** n
-        d = (d + 1 / d) / 2
-        b = mpf(-1)
-        c = -d
-        acc = mpf(0)
+        d, e = 1, 0                    # (3 + sqrt 8)^k = d + e sqrt 8
+        for _ in range(n):
+            d, e = 3 * d + 8 * e, d + 3 * e
+        b = -1
+        c = -d << fb                   # c_(k-1) 2^fb
+        acc = 0
         for k in range(n):
-            c = b - c
-            acc += c / mpf(k + 1) ** s
-            b *= mpf(2 * (k + n)) * (k - n) / ((2 * k + 1) * (k + 1))
-        value = _eta_cache[key] = +(acc / d)
+            c = (b << fb) - c
+            acc += c // (k + 1) ** s
+            b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
+        value = _eta_cache[key] = mp.fdiv(acc, d << fb)
     return value
 
 

@@ -23,9 +23,10 @@ K1, K0.  Those kernels are incomplete moments of cot (with y = sin t,
 z K1(z) = int_0^asin z t cot t dt), so a Bernoulli power series in
 theta = asin z gives them, with terms falling by 4x each.  The quadrature
 evidence for both identities is therefore a 1-D tanh-sinh integral of the
-kernel-reduced integrand, the kernel summed by Horner's rule; the package
-has no 2-D rule.  The theta-series shares nothing with the series
-layer's K1/K0, and the suite checks the two against each other.
+kernel-reduced integrand, the kernel summed by Horner's rule in fixed-point
+integers in x = (theta/pi)^2; the package has no 2-D rule.  The
+theta-series shares nothing with the series layer's K1/K0, and the suite
+checks the two against each other.
 """
 
 from __future__ import annotations
@@ -341,46 +342,69 @@ def _log(x, db):
 
 
 def _theta_kernels(P: int):
-    """K1 and K0 by Horner's rule on their theta-series, built once per P.
+    """K1 and K0 by Horner's rule on their theta-series in fixed-point
+    integers, built once per P.
 
-    Returns (k1, k0), each called as k(z, 1 - z) for 0 < z <= 1.  With
-    y = sin t the kernels are incomplete moments of cot:
+    Returns (k1, k0), each called as k(z, 1 - z) for 0 < z <= 1 inside the
+    caller's precision scope.  With y = sin t the kernels are incomplete
+    moments of cot:
 
         z K1(z) = int_0^theta t cot t dt,      theta = asin z,
         K0(z)   = int_0^theta 2 t^2 cot t dt,  theta = asin sqrt z.
 
     Since t cot t = sum_k a_k t^(2k), with a_k = (-1)^k B_2k 4^k/(2k)!, and
-    a_k = -2 zeta(2k)/pi^(2k) for k >= 1,
+    a_k = -2 zeta(2k)/pi^(2k) for k >= 1, in x = (theta/pi)^2 <= 1/4
 
-        z K1(z) = theta   sum_k a_k theta^(2k)/(2k+1),
-        K0(z)   = theta^2 sum_k a_k theta^(2k)/(k+1).
+        z K1(z) = theta   sum_k c_k x^k,  c_k = a_k pi^(2k)/(2k+1),
+        K0(z)   = theta^2 sum_k c_k x^k,  c_k = a_k pi^(2k)/(k+1),
 
-    Truncation after k = K.  Both coefficients c_k have |c_k| <= |a_k|, and
-    theta <= pi/2, so |c_k theta^(2k)| <= 2 zeta(2k) (theta/pi)^(2k)
-    <= 2 zeta(2) 4^(-k): the dropped terms sum to at most
-    2 zeta(2) 4^(-K)/3 = (pi^2/9) 4^(-K).  The prefactors theta/z (as
-    sin theta >= 2 theta/pi) and theta^2 are at most pi/2 and pi^2/4, so
-    each truncated kernel is within (pi^4/36) 4^(-K) < 3 * 4^(-K) of the
-    true one.  K is the least with 3 * 4^(-K) <= 10^-(P + _WORK_GUARD), the
-    working precision of the integrals.
+    and |c_k| <= 2 zeta(2) for every k (c_0 = 1).
+
+    Truncation after k = K.  |c_k x^k| <= 2 zeta(2) 4^(-k), so the dropped
+    terms sum to at most 2 zeta(2) 4^(-K)/3 = (pi^2/9) 4^(-K).  The
+    prefactors theta/z (as sin theta >= 2 theta/pi) and theta^2 are at most
+    pi/2 and pi^2/4, so each truncated kernel is within
+    (pi^4/36) 4^(-K) < 3 * 4^(-K) of the true one.  K is the least with
+    3 * 4^(-K) <= 10^-(P + _WORK_GUARD), the working precision of the
+    integrals.
+
+    Fixed point.  With fb = 10 + the working bits and u = 2^-fb, each c_k
+    is held as the integer C_k = round(c_k / u).  c_k is a product of about
+    3k + 5 rounded factors (pi^(2k) inherits 2k times the error of pi),
+    computed 20 + bitlength(K) bits above the working precision, so its
+    relative error is below 4 * 2^-(fb + 10) and |C_k u - c_k| <= 0.52 u.
+    x is held as X = floor(x / u), and the sum is evaluated at x' = X u,
+    where 0 <= x' <= 1/4 up to the rounding of theta; moving x to x' is an
+    input error of the same kind as theta's own.  Horner's rule runs
+    acc_j = floor(acc_(j-1) X u) + C_j.  Against the exact Horner values
+    p_j = p_(j-1) x' + c_j, the error e_j = acc_j u - p_j obeys
+    |e_j| <= x' |e_(j-1)| + u + 0.52 u, the floor losing less than u.  So
+    |e_j| <= 1.52 u / (1 - 1/4) < 2.1 u at every step, whatever K is.  Both
+    sums fall with x (c_k < 0 for k >= 1), from 1 to log 2 (K1) and to
+    4 C(2) / pi^2 > 0.53 (K0) at x = 1/4, so the fixed-point error is below
+    4 u = 2^-(working bits + 8) relative.
 
     The Bernoulli numbers are mpmath's: the kernels share nothing with
     the series layer's K1/K0, which the consequence checks compare against.
     """
     K = math.ceil((P + _WORK_GUARD + math.log10(3)) / math.log10(4))
     with _working(P, _WORK_GUARD):
-        a = [mp.bernoulli(2 * k) * (-4) ** k / mp.factorial(2 * k)
-             for k in range(K + 1)]
-        # highest degree first, for Horner's rule
-        c1 = [a[k] / (2 * k + 1) for k in range(K, -1, -1)]
-        c0 = [a[k] / (k + 1) for k in range(K, -1, -1)]
+        fb = mp.prec + 10
         half_pi = mp.pi / 2
+        inv_pi2 = 1 / mp.pi ** 2
+        with mp.extraprec(20 + K.bit_length()):
+            a = [mp.bernoulli(2 * k) * (-4 * mp.pi ** 2) ** k / mp.factorial(2 * k)
+                 for k in range(K + 1)]
+            # highest degree first, for Horner's rule
+            c1 = [int(mp.nint(mp.ldexp(a[k] / (2 * k + 1), fb))) for k in range(K, -1, -1)]
+            c0 = [int(mp.nint(mp.ldexp(a[k] / (k + 1), fb))) for k in range(K, -1, -1)]
 
     def horner(coeffs, s):
-        acc = mpf(0)
+        x = int(mp.ldexp(s * inv_pi2, fb))
+        acc = 0
         for c in coeffs:
-            acc = acc * s + c
-        return acc
+            acc = ((acc * x) >> fb) + c
+        return mpf((acc, -fb))
 
     def k1(z, dz):
         # near 1, asin z = pi/2 - acos z = pi/2 - 2 asin(sqrt(dz/2))

@@ -1,13 +1,24 @@
-"""Reference K1/K0 power series for the tests, one loop per kernel, as
-``series`` summed them before the two shared one loop over the S families.
+"""Reference kernels for the tests.
 
-Called inside the precision scope with z an mpf; ``kernel_k1`` and
-``kernel_k0`` with method="series" must reproduce them bit for bit.
+``_reference_k1`` and ``_reference_k0`` are the K1/K0 power series, one loop
+per kernel, as ``series`` summed them before the two shared one loop over
+the S families.  Called inside the precision scope with z an mpf;
+``kernel_k1`` and ``kernel_k0`` with method="series" must reproduce them bit
+for bit.
+
+``_reference_theta_kernels`` is the theta-series of
+``moments._theta_kernels`` summed by Horner's rule in mpf arithmetic, in
+theta^2, as the package summed it before its fixed-point loop.
 """
 
 from __future__ import annotations
 
-from mpmath import mpf
+import math
+
+from mpmath import mp, mpf
+
+from cotmoments.hpreal import _working
+from cotmoments.quadrature import _WORK_GUARD
 
 
 def _reference_k1(z, P):
@@ -39,3 +50,38 @@ def _reference_k0(z, P):
         acc += contrib
         if contrib < target * (1 - z):
             return acc
+
+
+def _reference_theta_kernels(P):
+    # same degree K as _theta_kernels; call k(z, 1 - z) inside the scope
+    K = math.ceil((P + _WORK_GUARD + math.log10(3)) / math.log10(4))
+    with _working(P, _WORK_GUARD):
+        a = [mp.bernoulli(2 * k) * (-4) ** k / mp.factorial(2 * k)
+             for k in range(K + 1)]
+        c1 = [a[k] / (2 * k + 1) for k in range(K, -1, -1)]
+        c0 = [a[k] / (k + 1) for k in range(K, -1, -1)]
+        half_pi = mp.pi / 2
+    half = mpf(0.5)
+
+    def horner(coeffs, s):
+        acc = mpf(0)
+        for c in coeffs:
+            acc = acc * s + c
+        return acc
+
+    def k1(z, dz):
+        if z > half:
+            theta = half_pi - 2 * mp.asin(mp.sqrt(dz / 2))
+        else:
+            theta = mp.asin(z)
+        return theta * horner(c1, theta * theta) / z
+
+    def k0(z, dz):
+        if z > half:
+            theta = half_pi - mp.asin(mp.sqrt(dz))
+        else:
+            theta = mp.asin(mp.sqrt(z))
+        s = theta * theta
+        return s * horner(c0, s)
+
+    return k1, k0

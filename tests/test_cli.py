@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from mpmath import mp, mpf
 
 import cotmoments.cli as cli
 from cotmoments import moments, series
@@ -145,6 +146,47 @@ def test_moments_sweeps_once_per_parity(monkeypatch, capsys):
         f"C({m})" for m in range(1, 13)]
     assert len(calls["cfn"]) == 2
     assert len(calls["nested"]) == 2
+
+
+def _significant_digits(text):
+    return len(text.split("e")[0].replace(".", "").replace("-", "").lstrip("0"))
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_moments_print_only_the_digits_their_bound_certifies(fmt, capsys):
+    # the 30-digit quadrature C(40) is right to about 3 digits and claims an
+    # absolute bound of 1e-20 against a value of 1.35e-31: it shows one digit
+    code, out, _ = run_cli(["moments", "--m", "40", "--route", "eta,quad",
+                            "--digits", "30", "--format", fmt], capsys)
+    assert code == 0
+    if fmt == "json":
+        values = {r["route"]: r["value"] for r in json.loads(out)["rows"]}
+    elif fmt == "csv":
+        values = {row[1]: row[2] for row in
+                  (line.split(",") for line in out.strip().splitlines()[1:])}
+    else:
+        values = {line.split()[1]: line.split()[2] for line in out.strip().splitlines()}
+    assert values["quadrature"] == "1.e-31"
+    assert values["eta-closed-form"].startswith("1.35424954648091908317167055731")
+    assert _significant_digits(values["eta-closed-form"]) == 30
+
+
+def test_moments_certified_digits_stay_within_a_unit_of_the_last(capsys):
+    code, out, _ = run_cli(["moments", "--m", "1..6", "--route", "eta,cfn,nested",
+                            "--digits", "30", "--n", "2000", "--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    exact = {r["m"]: mpf(r["value"]) for r in rows if r["route"] == "eta-closed-form"}
+    with mp.workdps(40):
+        for r in rows:
+            if r["error_bound"] is None:
+                continue
+            value, bound = mpf(r["value"]), mpf(r["error_bound"])
+            digits = _significant_digits(r["value"])
+            assert digits == min(30, max(1, int(mp.floor(mp.log10(value / bound))))), r
+            unit = mpf(10) ** (int(mp.floor(mp.log10(value))) - digits + 1)
+            assert bound < unit
+            assert abs(value - exact[r["m"]]) <= unit / 2 + bound, r
 
 
 def test_moments_usage_errors(capsys):

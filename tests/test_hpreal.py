@@ -18,6 +18,8 @@ from mpmath import mp, mpf
 
 import cotmoments
 from cotmoments.hpreal import (
+    _ACCEL_RATE,
+    MIN_DIGITS,
     eta,
     log2,
     pi,
@@ -108,6 +110,29 @@ def test_eta_known_digits():
     with mp.workdps(45):
         for s in (2, 3, 5, 7, 11):
             assert abs(eta(s, 40) - mp.altzeta(s)) < mpf(10) ** -39
+
+
+@pytest.mark.parametrize("P", [10, 30, 100, 300])
+@pytest.mark.parametrize("s", [1, 2, 3, 17, 41])
+def test_eta_matches_altzeta_at_twice_the_digits(s, P):
+    v = eta(s, P)
+    with mp.workdps(2 * P):
+        ref = mp.altzeta(s)
+        assert abs(v - ref) <= ref * mpf(10) ** -(P + 8)
+
+
+def test_eta_weight_recurrence_divides_exactly():
+    # eta's integer weights b_(k+1) = b_k 2(k+n)(k-n) / ((2k+1)(k+1)), for
+    # the term count n of every precision up to 1000 digits
+    terms = {math.ceil((P + 8) * math.log(10) / _ACCEL_RATE) + 3
+             for P in range(MIN_DIGITS, 1001)}
+    for n in sorted(terms):
+        b = -1
+        for k in range(n):
+            b, rest = divmod(b * 2 * (k + n) * (k - n), (2 * k + 1) * (k + 1))
+            assert rest == 0, (n, k)
+        # b_n = (-1)^(n+1) 2^(2n-1), the leading coefficient of -T_n(1 - 2x)
+        assert b == (-1) ** (n + 1) * 2 ** (2 * n - 1), n
 
 
 def test_eta_approaches_one():

@@ -19,8 +19,8 @@ import pytest
 from mpmath import mp, mpf
 
 import cotmoments
-from cotmoments import moments, quadrature, series
-from cotmoments.hpreal import to_digits
+from cotmoments import hpreal, moments, quadrature, series
+from cotmoments.hpreal import _working, eta, to_digits
 from cotmoments.moments import (
     ROUTES,
     SUITES,
@@ -36,6 +36,7 @@ from cotmoments.moments import (
 from cotmoments.quadrature import default_tolerance, integrate_1d
 
 from reference_cfn import _reference_cfn
+from reference_kernels import _reference_theta_kernels
 from reference_quadrature import _reference_2d
 
 # 40-digit references, frozen from mpmath closed forms
@@ -366,6 +367,59 @@ def test_consequences_use_no_2d_rule(monkeypatch):
     # 131 each at P = 30; the 2-D rule took about 18,000 each
     assert 0 < evaluations["_ci2"] <= 300
     assert 0 < evaluations["_ci4"] <= 300
+
+
+_THETA_SAMPLES = ("1e-9", "0.1", "0.5", "0.51", "0.9", "0.999999", "1")
+
+
+@pytest.mark.parametrize("P", [30, 100, 300])
+def test_theta_kernels_match_the_mpf_horner_reference(P):
+    # both arcsine branches: z <= 1/2 takes asin z, z > 1/2 folds through 1 - z
+    k1, k0 = moments._theta_kernels(P)
+    r1, r0 = _reference_theta_kernels(P)
+    with _working(P, quadrature._WORK_GUARD):
+        tol = mpf(10) ** -(P + 10)
+        for text in _THETA_SAMPLES:
+            z = mpf(text)
+            assert abs(k1(z, 1 - z) - r1(z, 1 - z)) <= tol, (text, "k1")
+            assert abs(k0(z, 1 - z) - r0(z, 1 - z)) <= tol, (text, "k0")
+
+
+def _constants_at(P):
+    # eta from an empty cache, and the theta kernels at three samples
+    values = [eta(s, P) for s in (1, 3, 5)]
+    k1, k0 = moments._theta_kernels(P)
+    with _working(P, quadrature._WORK_GUARD):
+        for text in ("0.25", "0.75", "1"):
+            z = mpf(text)
+            values += [k1(z, 1 - z), k0(z, 1 - z)]
+    return values
+
+
+def test_fixed_point_constants_in_mixed_precision_threads_return_serial_values(monkeypatch):
+    # both loops read their fixed-point bits from the precision of their scope
+    monkeypatch.setattr(hpreal, "_eta_cache", {})
+    serial = {P: _constants_at(P) for P in (15, 300)}
+    monkeypatch.setattr(hpreal, "_eta_cache", {})
+    precisions = (15, 300, 15, 300)
+    results = {}
+
+    def work(i, P):
+        results[i] = _constants_at(P)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i, P))
+                   for i, P in enumerate(precisions)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {i: serial[P] for i, P in enumerate(precisions)}
 
 
 _SERIES_NAMES = {"kernel_k0", "kernel_k1", "s_odd", "s_even", "nested_tail_sums"}
