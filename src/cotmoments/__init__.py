@@ -30,7 +30,7 @@ from .exact import (
     euler_zigzag,
     partitions,
 )
-from .hpreal import eta, log2, pi, to_digits, zeta
+from .hpreal import default_tolerance, eta, log2, pi, to_digits, zeta
 from .moments import (
     MomentValue,
     ROUTES,
@@ -47,7 +47,6 @@ from .moments import (
 from .quadrature import (
     QuadratureError,
     QuadratureResult,
-    default_tolerance,
     integrate_1d,
     moment_quadrature,
 )

@@ -9,7 +9,8 @@ Configuration precedence: flags > COTMOMENTS_DIGITS environment variable >
 10^-(digits-10)).  Reports go to --out or stdout; progress and failures go
 to stderr so stdout stays machine-clean.
 
-Exit codes: 0 all good, 1 identity/route disagreement, 2 usage error.
+Exit codes: 0 all good, 1 identity/route disagreement, 2 usage error
+(an --out path that cannot be written is one).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from mpmath import mp, mpf
 
 from . import cfn
-from .hpreal import (_DEFAULT_DIGITS, _DEFAULT_N, MIN_DIGITS, _working, eta, log2, pi,
-                     to_digits, zeta)
+from .hpreal import (_DEFAULT_DIGITS, _DEFAULT_N, MIN_DIGITS, _closed_form_tolerance,
+                     _tolerance, _working, eta, log2, pi, to_digits, zeta)
 from .moments import (
     ROUTES,
     SUITES,
@@ -36,7 +37,7 @@ from .moments import (
     compute_moment,
     run_suite,
 )
-from .quadrature import QuadratureError, _closed_form_tolerance, _tolerance
+from .quadrature import QuadratureError
 from .report import VerificationReport
 
 __all__ = ["RunConfig", "main"]
@@ -73,11 +74,12 @@ class RunConfig:
             raise UsageError(f"--n must be >= 10, got {self.n}")
         if self.tol is not None:
             try:
-                positive = mpf(self.tol) > 0
+                tol = mpf(self.tol)
+                usable = mp.isfinite(tol) and tol > 0
             except Exception:
-                positive = False
-            if not positive:
-                raise UsageError(f"--tol must be a positive number, got {self.tol!r}")
+                usable = False
+            if not usable:
+                raise UsageError(f"--tol must be a positive finite number, got {self.tol!r}")
 
 
 def _load_config_file(path: str) -> Dict[str, object]:
@@ -99,8 +101,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         data = _load_config_file(args.config)
         for key in ("digits", "n"):
             if key in data:
+                value = data[key]
                 try:
-                    setattr(cfg, key, int(data[key]))
+                    # int() would read true as 1 and cut 30.7 to 30; 1e5 loads
+                    fractional = isinstance(value, float) and not value.is_integer()
+                    if isinstance(value, bool) or fractional:
+                        raise TypeError
+                    setattr(cfg, key, int(value))
                 except (TypeError, ValueError):
                     raise UsageError(f"config key {key!r} must be an integer,"
                                      f" got {data[key]!r}") from None
@@ -121,11 +128,15 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
+    text = text if text.endswith("\n") else text + "\n"
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

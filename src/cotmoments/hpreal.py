@@ -6,12 +6,13 @@ in decimal digits, computes with >= 10 guard digits, and returns a value
 accurate to a few ulps at P digits.
 
 mpmath's working precision is process-global, so the package has one rule:
-every computation at a precision runs inside ``_working(P)``, which holds a
-single re-entrant module lock while it sets the precision.  Scopes nest (a
-moment route calls eta), and the package's caches are read and filled only
-inside a scope, so the lock guards them too.  Calls from several threads at
-any mix of precisions return the values of a serial run; the work itself is
-serialised.
+every computation at a precision runs inside ``_working(P)``, which refuses
+P < MIN_DIGITS, then holds a single re-entrant module lock while it sets the
+precision.  Scopes nest (a moment route calls eta), and the package's caches
+are read and filled only inside a scope, so the lock guards them too.  Calls
+from several threads at any mix of precisions return the values of a serial
+run; the work itself is serialised.  The tolerance rules live here too, and
+read the caller's precision under the same lock.
 
 eta(s) is summed with the Chebyshev-weighted acceleration for alternating
 series with totally monotone terms (Cohen, Rodriguez Villegas, Zagier,
@@ -47,6 +48,7 @@ __all__ = [
     "zeta_even_closed",
     "to_digits",
     "fixed_point_bits",
+    "default_tolerance",
 ]
 
 GUARD_DIGITS = 10
@@ -61,28 +63,62 @@ _eta_cache: Dict[Tuple[int, int], mpf] = {}
 _PRECISION_LOCK = threading.RLock()
 
 
-@contextmanager
-def _working(P: int, guard: int = GUARD_DIGITS) -> Iterator[None]:
-    """The one precision scope: P + guard digits, under the package lock."""
-    with _PRECISION_LOCK, mp.workdps(P + guard):
-        yield
-
-
 def _require_digits(P: int) -> None:
     if P < MIN_DIGITS:
         raise ValueError(f"precision must be >= {MIN_DIGITS} digits, got {P}")
 
 
+@contextmanager
+def _working(P: int, guard: int = GUARD_DIGITS) -> Iterator[None]:
+    """The one precision scope: P + guard digits, under the package lock.
+    It refuses P < MIN_DIGITS before it takes the lock."""
+    _require_digits(P)
+    with _PRECISION_LOCK, mp.workdps(P + guard):
+        yield
+
+
+def default_tolerance(P: int) -> mpf:
+    """The package-wide default target accuracy for P digits: 10^-(P-10).
+    It is the quadrature's tol when the caller gives none, and the allowance
+    of the suites' checks that carry no bound of their own.  It is computed
+    at the caller's precision, under the package lock, so another thread's
+    precision scope cannot change that precision midway; it enters no scope
+    of its own."""
+    with _PRECISION_LOCK:
+        return mpf(10) ** (-(P - 10))
+
+
+def _closed_form_tolerance(P: int) -> mpf:
+    """The allowance 10^-(P-8) for a value that a closed form gives to a few
+    ulps: the eta closed-form route's bound in ``cotmoments moments`` and the
+    R/A rebuilds of the closed-forms suite.  At the caller's precision,
+    under the package lock, like ``default_tolerance``."""
+    with _PRECISION_LOCK:
+        return mpf(10) ** (-(P - 8))
+
+
+def _zeta_even_tolerance(P: int) -> mpf:
+    """The allowance 10^(5-P) between the eta-based zeta(2l) and its
+    Bernoulli closed form in the closed-forms suite.  At the caller's
+    precision, under the package lock, like ``default_tolerance``."""
+    with _PRECISION_LOCK:
+        return mpf(10) ** (5 - P)
+
+
+def _tolerance(P: int, tol) -> mpf:
+    """A caller's tol as an mpf at the caller's precision, or the default for
+    P when tol is None."""
+    return default_tolerance(P) if tol is None else mpf(tol)
+
+
 def pi(P: int) -> mpf:
     """pi to P digits."""
-    _require_digits(P)
     with _working(P):
         return +mp.pi
 
 
 def log2(P: int) -> mpf:
     """log 2 to P digits."""
-    _require_digits(P)
     with _working(P):
         return +mp.ln2
 
@@ -107,9 +143,11 @@ def eta(s: int, P: int) -> mpf:
     2 eta(s) / (3 + sqrt 8)^n, as eta(s) >= log 2.  The quotient by d is
     rounded once to the working precision.
     """
+    if not isinstance(s, int):
+        # (k+1)^s would be a float, good to ~15 digits whatever P is
+        raise ValueError(f"eta: need an integer s, got s={s!r}")
     if s < 1:
         raise ValueError(f"eta: need s >= 1, got {s}")
-    _require_digits(P)
     key = (s, P)
     n = int(math.ceil((P + 8) * math.log(10) / _ACCEL_RATE)) + 3
     fb = n.bit_length() + 5
@@ -133,9 +171,10 @@ def eta(s: int, P: int) -> mpf:
 
 def zeta(s: int, P: int) -> mpf:
     """zeta(s) for integer s >= 2, via zeta(s) = eta(s) / (1 - 2^(1-s))."""
+    if not isinstance(s, int):
+        raise ValueError(f"zeta: need an integer s, got s={s!r}")
     if s < 2:
         raise ValueError(f"zeta: need s >= 2, got {s}")
-    _require_digits(P)
     with _working(P):
         return +(eta(s, P + 5) / (1 - mpf(2) ** (1 - s)))
 
@@ -148,7 +187,6 @@ def zeta_even_closed(s: int, P: int) -> mpf:
     """
     if s < 2 or s % 2:
         raise ValueError(f"zeta_even_closed: need even s >= 2, got {s}")
-    _require_digits(P)
     l = s // 2
     b = abs(bernoulli(2 * l))
     with _working(P):

@@ -41,10 +41,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 from mpmath import mp, mpf
 
 from . import cfn
-from .hpreal import (_DEFAULT_DIGITS, _DEFAULT_N, GUARD_DIGITS, _require_digits, _working, eta,
-                     fixed_point_bits, zeta, zeta_even_closed)
-from .quadrature import (_WORK_GUARD, _closed_form_tolerance, _tolerance, _zeta_even_tolerance,
-                         default_tolerance, integrate_1d, moment_quadrature)
+from .hpreal import (_DEFAULT_DIGITS, _DEFAULT_N, GUARD_DIGITS, _closed_form_tolerance,
+                     _require_digits, _tolerance, _working, _zeta_even_tolerance,
+                     default_tolerance, eta, fixed_point_bits, zeta, zeta_even_closed)
+from .quadrature import _WORK_GUARD, integrate_1d, moment_quadrature
 from .report import VerificationReport
 from .series import (
     a0,
@@ -116,7 +116,6 @@ def c_eta_route(m: int, P: int) -> MomentValue:
     """
     if m < 1:
         raise ValueError(f"c_eta_route: need m >= 1, got {m}")
-    _require_digits(P)
     log10_floor = ((m + 2) * math.log10(math.pi) - math.log10(4)
                    - math.lgamma(m + 3) / math.log(10))
     cancelled = math.ceil(math.log10(math.exp(math.pi) + math.pi ** 2 / 6) - log10_floor)
@@ -228,7 +227,6 @@ def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> MomentValue:
         raise ValueError(f"c_cfn_route: need m >= 1, got {m}")
     if N < m:
         raise ValueError(f"c_cfn_route: need N >= m, got N={N}, m={m}")
-    _require_digits(P)
     fbits = fixed_point_bits(P)
     k, parity = divmod(m, 2)          # m = 2k+1 or m = 2k
     with _working(P):
@@ -262,7 +260,6 @@ def c_nested_route(m: int, P: int, N: int = _DEFAULT_N) -> MomentValue:
     """
     if m < 1:
         raise ValueError(f"c_nested_route: need m >= 1, got {m}")
-    _require_digits(P)
     k = (m - 1) // 2
     # 2^(2l+1) pi^(2k-2l)/(2k-2l)! = 2^(2k+1) A1(k-l); the even weight is A0(k-l)
     s_fn, a_fn, scale = (s_odd, a1, 2 ** (2 * k + 1)) if m % 2 else (s_even, a0, 1)
@@ -456,7 +453,6 @@ def verify_consequences(P: int, N: int = _DEFAULT_N, tol=None) -> VerificationRe
     with the kernels summed by their theta-series (_theta_kernels); the
     consequence-{2,4}/kernel checks hold that series against the series
     layer's K1/K0 power series."""
-    _require_digits(P)
     if N < 1:
         raise ValueError(f"verify_consequences: need N >= 1, got {N}")
     report = VerificationReport("consequences", config={"digits": P, "N": N})
@@ -523,7 +519,6 @@ def verify_h_integral_reduction(k: int, jmax: int, N: int, P: int) -> Verificati
         raise ValueError(f"verify_h_integral_reduction: need 0 <= k <= 3, got {k}")
     if not 1 <= jmax <= 20:
         raise ValueError(f"verify_h_integral_reduction: need 1 <= jmax <= 20, got {jmax}")
-    _require_digits(P)
     report = VerificationReport("h-reduction",
                                 config={"digits": P, "N": N, "k": k, "jmax": jmax})
     fmt = _fmt(P)
@@ -561,7 +556,6 @@ def binomial_gf_identities(P: int) -> VerificationReport:
         (1/2) sum_j (2x)^(2j)/(j^2 C(2j,j)) = asin^2(x)
 
     Each of x = 0, 0.25, 0.5, 0.75, 0.9 must match to 10^-(P-10)."""
-    _require_digits(P)
     report = VerificationReport("gf-identities", config={"digits": P})
     fmt = _fmt(P)
     with _working(P):

@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from mpmath import mp, mpf
 
-from .hpreal import _PRECISION_LOCK, _require_digits, _working
+from .hpreal import _tolerance, _working, default_tolerance
 
 __all__ = [
     "QuadratureResult",
@@ -76,37 +76,6 @@ class QuadratureError(Exception):
         self.best = best
         self.gap = gap
         self.levels = levels
-
-
-def default_tolerance(P: int) -> mpf:
-    """The package-wide default target accuracy for P digits: 10^-(P-10),
-    at the caller's precision.  It is computed under the package lock, so
-    another thread's precision scope cannot change that precision midway."""
-    with _PRECISION_LOCK:
-        return mpf(10) ** (-(P - 10))
-
-
-def _closed_form_tolerance(P: int) -> mpf:
-    """The allowance 10^-(P-8) for a value that a closed form gives to a few
-    ulps: the eta closed-form route's bound in ``cotmoments moments`` and the
-    R/A rebuilds of the closed-forms suite.  At the caller's precision,
-    under the package lock, like ``default_tolerance``."""
-    with _PRECISION_LOCK:
-        return mpf(10) ** (-(P - 8))
-
-
-def _zeta_even_tolerance(P: int) -> mpf:
-    """The allowance 10^(5-P) between the eta-based zeta(2l) and its
-    Bernoulli closed form in the closed-forms suite.  At the caller's
-    precision, under the package lock, like ``default_tolerance``."""
-    with _PRECISION_LOCK:
-        return mpf(10) ** (5 - P)
-
-
-def _tolerance(P: int, tol) -> mpf:
-    """A caller's tol as an mpf at the caller's precision, or the default for
-    P when tol is None."""
-    return default_tolerance(P) if tol is None else mpf(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +176,6 @@ def integrate_1d(f: IntegrandFn, a, b, P: int, tol=None) -> QuadratureResult:
     not reach tol, and ValueError for reversed (or NaN) limits, whose
     endpoint distances would be negative.
     """
-    _require_digits(P)
     dps = P + _WORK_GUARD
     with _working(P, _WORK_GUARD):
         a = mpf(a)
@@ -295,7 +263,6 @@ def moment_quadrature(m: int, P: int, tol=None) -> mpf:
     """
     if m < 1:
         raise ValueError(f"moment_quadrature: need m >= 1, got {m}")
-    _require_digits(P)
     with _working(P, _WORK_GUARD):
         two_fact = 2 * mp.factorial(m)
 

@@ -45,7 +45,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from mpmath import mp, mpf
 
 from .exact import bernoulli, cycle_count, euler_zigzag, partitions
-from .hpreal import _DEFAULT_N, _require_digits, _working, fixed_point_bits, zeta
+from .hpreal import _DEFAULT_N, _working, fixed_point_bits, zeta
 from .quadrature import _WORK_GUARD, integrate_1d
 
 __all__ = [
@@ -117,7 +117,6 @@ def r_odd(k: int, P: int) -> SeriesValue:
     (secant) numbers: pi^2/8, 5 pi^4/384, 61 pi^6/46080, ..."""
     if k < 1:
         raise ValueError(f"r_odd: need k >= 1, got {k}")
-    _require_digits(P)
     z = euler_zigzag(2 * k)
     with _working(P):
         value = +((mp.pi / 2) ** (2 * k) * int(z) / mp.factorial(2 * k))
@@ -129,7 +128,6 @@ def r_even(k: int, P: int) -> SeriesValue:
     pi^2/6, 7 pi^4/360, 31 pi^6/15120, ..."""
     if k < 1:
         raise ValueError(f"r_even: need k >= 1, got {k}")
-    _require_digits(P)
     b = abs(bernoulli(2 * k))
     with _working(P):
         scale = 2 * (2 ** (2 * k - 1) - 1)
@@ -149,7 +147,6 @@ def r_via_partitions(k: int, kind: str, P: int) -> SeriesValue:
     if k < 1:
         raise ValueError(f"r_via_partitions: need k >= 1, got {k}")
     _require_kind(kind)
-    _require_digits(P)
     kfact = math.factorial(k)
     with _working(P):
         power_sums = {}
@@ -174,7 +171,6 @@ def a1(k: int, P: int) -> SeriesValue:
     """A1(k) = (pi/2)^(2k) / (2k)!, with A1(0) = 1."""
     if k < 0:
         raise ValueError(f"a1: need k >= 0, got {k}")
-    _require_digits(P)
     with _working(P):
         value = +((mp.pi / 2) ** (2 * k) / mp.factorial(2 * k))
     return SeriesValue("A1", k, value, "closed-form")
@@ -184,7 +180,6 @@ def a0(k: int, P: int) -> SeriesValue:
     """A0(k) = pi^(2k) / (2k+1)!, with A0(0) = 1."""
     if k < 0:
         raise ValueError(f"a0: need k >= 0, got {k}")
-    _require_digits(P)
     with _working(P):
         value = +(mp.pi ** (2 * k) / mp.factorial(2 * k + 1))
     return SeriesValue("A0", k, value, "closed-form")
@@ -193,7 +188,6 @@ def a0(k: int, P: int) -> SeriesValue:
 def _a_recurrence(k: int, P: int, r_closed, family: str) -> SeriesValue:
     if k < 0:
         raise ValueError(f"a-recurrence: need k >= 0, got {k}")
-    _require_digits(P)
     with _working(P):
         rs = [None] + [r_closed(l, P + 5).value for l in range(1, k + 1)]
         a_vals = [mpf(1)]
@@ -263,7 +257,6 @@ def r_truncated_nested(k: int, kind: str, P: int, N: int = 10000) -> SeriesValue
     _require_kind(kind)
     if N < 1:
         raise ValueError(f"r_truncated_nested: need N >= 1, got {N}")
-    _require_digits(P)
     with _working(P):
         data, unit, _, w_tail = _nested_family(kind, k, N, P)
         V = [v * unit for v in data.tails[_FAMILIES[kind].j0]]
@@ -374,7 +367,6 @@ def _s_value(kind: str, l: int, P: int, N: int) -> SeriesValue:
         raise ValueError(f"s_{kind}: need l >= 0, got {l}")
     if N < 1:
         raise ValueError(f"s_{kind}: need N >= 1, got {N}")
-    _require_digits(P)
     with _working(P):
         data, unit, inner_full, w_tail = _nested_family(kind, l, N, P)
         value = data.weighted_sums[l] * unit
@@ -423,7 +415,6 @@ def nested_tail_sums(kind: str, dmax: int, jmax: int, N: int, P: int):
         raise ValueError(f"nested_tail_sums: jmax <= {_TAIL_RECORD_MAX}, got {jmax}")
     if N <= jmax:
         raise ValueError(f"nested_tail_sums: need N > jmax, got N={N}")
-    _require_digits(P)
     with _working(P):
         data, unit, inner_full, w_tail = _nested_family(kind, dmax, N, P)
         table = {j: [v * unit for v in data.tails[j][: dmax + 1]]
@@ -495,7 +486,6 @@ def _kernel_integral_k0(z: mpf, P: int) -> mpf:
 
 
 def _kernel(kind: str, z, P: int, method: str, integral_fn, at_zero: mpf) -> mpf:
-    _require_digits(P)
     if method not in ("auto", "series", "integral"):
         raise ValueError(f"kernel: unknown method {method!r}")
     with _working(P):

@@ -295,6 +295,18 @@ def test_verify_out_file(tmp_path, capsys):
     assert payload["summary"]["fail"] == 0
 
 
+@pytest.mark.parametrize("command", [["constants", "pi"], ["verify", "--suite", "tables"]])
+def test_out_path_that_cannot_be_written_is_usage_error(tmp_path, capsys, command):
+    # exit code 1 means a disagreement; a path that cannot be written is not one
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(command + ["--out", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: cannot write {target}: " in err
+    assert "Traceback" not in err
+    assert not target.exists()
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     rep = VerificationReport("stub", config={})
     rep.add_exact("broken/one", "x = y", 1, 2)
@@ -367,6 +379,17 @@ def test_config_validation(capsys):
     assert run_cli(["constants", "pi", "--tol", "soon"], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "consequences", "--digits", "20", "--tol", "inf"],
+    ["moments", "--m", "3", "--route", "quad", "--tol", "inf"],
+])
+def test_tol_must_be_finite(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "--tol must be a positive finite number, got 'inf'" in err
+
+
 def test_bad_config_file(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
@@ -375,13 +398,23 @@ def test_bad_config_file(tmp_path, capsys):
                     str(tmp_path / "missing.json")], capsys)[0] == 2
 
 
-@pytest.mark.parametrize("value", [None, [30]])
+@pytest.mark.parametrize("value", [None, [30], True, 30.7])
 def test_config_file_non_integer_digits(tmp_path, capsys, value):
+    # true is not read as 1, nor 30.7 cut to 30
     cfgfile = tmp_path / "cot.json"
     cfgfile.write_text(json.dumps({"digits": value}))
     code, _, err = run_cli(["constants", "pi", "--config", str(cfgfile)], capsys)
     assert code == 2
     assert "'digits'" in err
+
+
+@pytest.mark.parametrize("value", [20.0, "20"])
+def test_config_file_integral_float_and_decimal_string_digits(tmp_path, capsys, value):
+    cfgfile = tmp_path / "cot.json"
+    cfgfile.write_text(json.dumps({"digits": value, "n": 1e5}))
+    code, out, _ = run_cli(["constants", "pi", "--config", str(cfgfile)], capsys)
+    assert code == 0
+    assert out.strip() == "pi 3.1415926535897932385"
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ cross-checks.
 
 from __future__ import annotations
 
+import inspect
 import math
 import pathlib
 from fractions import Fraction as Fr
@@ -17,6 +18,7 @@ import pytest
 from mpmath import mp, mpf
 
 import cotmoments
+from cotmoments import moments, quadrature, series
 from cotmoments.hpreal import (
     _ACCEL_RATE,
     MIN_DIGITS,
@@ -153,6 +155,14 @@ def test_eta_rejects_bad_arguments():
         eta(3, 5)  # precision floor is 10 digits
 
 
+@pytest.mark.parametrize("fn, s", [(eta, 1.5), (eta, 3.0), (zeta, 2.5), (zeta, 3.0)])
+def test_eta_and_zeta_reject_a_non_integer_s(fn, s):
+    # (k+1)^s would be a float, good to about 15 digits whatever P is, and
+    # eta(3.0, P) would share the cache key of eta(3, P)
+    with pytest.raises(ValueError, match=rf"need an integer s, got s={s!r}"):
+        fn(s, 30)
+
+
 # ---------------------------------------------------------------------------
 # zeta
 # ---------------------------------------------------------------------------
@@ -209,4 +219,60 @@ def test_one_precision_scope_in_the_package():
         if path.name != "hpreal.py":
             assert "mp.workdps(" not in text, path.name
             assert "threading" not in text, path.name
+            # the tolerance rules that take the lock live in hpreal too
+            assert "_PRECISION_LOCK" not in text, path.name
     assert rlocks == 1
+
+
+def _at(fn, *args):
+    """fn(*args, P) as a function of P."""
+    return lambda P: fn(*args, P)
+
+
+# Every public function that takes P, with otherwise valid arguments: the
+# constants, the quadrature, the series layer, the routes and the suites,
+# with compute_moment once per route and run_suite once per suite.
+_ENTRY_POINTS = {
+    "pi": pi, "log2": log2, "eta": _at(eta, 3), "zeta": _at(zeta, 3),
+    "zeta_even_closed": _at(zeta_even_closed, 4),
+    "integrate_1d": lambda P: quadrature.integrate_1d(lambda x, da, db: x, 0, 1, P),
+    "moment_quadrature": _at(quadrature.moment_quadrature, 2),
+    "r_odd": _at(series.r_odd, 1), "r_even": _at(series.r_even, 1),
+    "r_via_partitions": _at(series.r_via_partitions, 2, "odd"),
+    "a1": _at(series.a1, 1), "a0": _at(series.a0, 1),
+    "a1_via_recurrence": _at(series.a1_via_recurrence, 2),
+    "a0_via_recurrence": _at(series.a0_via_recurrence, 2),
+    "r_truncated_nested": lambda P: series.r_truncated_nested(1, "odd", P, 100),
+    "s_odd": lambda P: series.s_odd(0, P, 100),
+    "s_even": lambda P: series.s_even(0, P, 100),
+    "nested_tail_sums": lambda P: series.nested_tail_sums("odd", 1, 2, 100, P),
+    "kernel_k1": _at(series.kernel_k1, "0.5"),
+    "kernel_k0": _at(series.kernel_k0, "0.5"),
+    "c_eta_route": _at(moments.c_eta_route, 3),
+    "c_cfn_route": lambda P: moments.c_cfn_route(3, P, 100),
+    "c_nested_route": lambda P: moments.c_nested_route(3, P, 100),
+    "verify_consequences": lambda P: moments.verify_consequences(P, 100),
+    "verify_h_integral_reduction": lambda P: moments.verify_h_integral_reduction(1, 2, 100, P),
+    "binomial_gf_identities": moments.binomial_gf_identities,
+    **{f"compute_moment/{route}": lambda P, route=route: moments.compute_moment(3, P, route, 100)
+       for route in moments.ROUTES},
+    **{f"run_suite/{suite}": lambda P, suite=suite: moments.run_suite(suite, P, 100)
+       for suite in moments.SUITES},
+}
+
+
+def test_entry_point_list_is_complete():
+    # every public function that takes P, bar the two that enter no
+    # precision scope: the tolerance rule and the formatter
+    public = {name: getattr(cotmoments, name) for name in cotmoments.__all__}
+    takes_p = {name for name, obj in public.items()
+               if inspect.isfunction(obj) and "P" in inspect.signature(obj).parameters}
+    covered = {name.split("/")[0] for name in _ENTRY_POINTS}
+    assert takes_p - {"default_tolerance", "to_digits"} <= covered
+    assert len(_ENTRY_POINTS) == 37
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_every_entry_point_refuses_too_few_digits(name):
+    with pytest.raises(ValueError, match=r"^precision must be >= 10 digits, got 9$"):
+        _ENTRY_POINTS[name](MIN_DIGITS - 1)

@@ -15,16 +15,14 @@ from mpmath import mp, mpf
 
 import cotmoments
 from cotmoments import quadrature
-from cotmoments.hpreal import _working, eta, log2, pi
+from cotmoments.hpreal import _closed_form_tolerance, _working, _zeta_even_tolerance, eta, log2, pi
 from cotmoments.quadrature import (
     _WORK_GUARD,
     QuadratureError,
     QuadratureResult,
     _build_level,
-    _closed_form_tolerance,
     _node_levels,
     _truncation_range,
-    _zeta_even_tolerance,
     default_tolerance,
     integrate_1d,
     moment_quadrature,
