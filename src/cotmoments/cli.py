@@ -10,7 +10,8 @@ Configuration precedence: flags > COTMOMENTS_DIGITS environment variable >
 to stderr so stdout stays machine-clean.
 
 Exit codes: 0 all good, 1 identity/route disagreement, 2 usage error
-(an --out path that cannot be written is one).
+(an --out path that cannot be written is one; it is opened before the
+command runs, so that error comes before any work).
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from mpmath import mp, mpf
 
@@ -74,12 +76,10 @@ class RunConfig:
             raise UsageError(f"--n must be >= 10, got {self.n}")
         if self.tol is not None:
             try:
-                tol = mpf(self.tol)
-                usable = mp.isfinite(tol) and tol > 0
-            except Exception:
-                usable = False
-            if not usable:
-                raise UsageError(f"--tol must be a positive finite number, got {self.tol!r}")
+                _tolerance(self.digits, self.tol)  # the library's own rule
+            except (TypeError, ValueError) as exc:
+                raise UsageError(
+                    f"--tol must be a positive finite number, got {self.tol!r}") from exc
 
 
 def _load_config_file(path: str) -> Dict[str, object]:
@@ -127,16 +127,23 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    text = text if text.endswith("\n") else text + "\n"
+@contextmanager
+def _output(out: Optional[str]) -> Iterator[TextIO]:
+    """The stream for a command's output: stdout, or the file out.  Like a
+    shell redirection, the file is opened before the command runs, so a path
+    that cannot be written fails before any work is done."""
     if not out:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc}") from exc
+
+
+def _emit(text: str, stream: TextIO) -> None:
+    stream.write(text if text.endswith("\n") else text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +203,7 @@ def _certified_digits(mv: MomentValue, P: int) -> int:
     return min(P, max(1, int(mp.floor(mp.log10(abs(mv.value) / mv.error_bound)))))
 
 
-def cmd_moments(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_moments(args: argparse.Namespace, cfg: RunConfig, stream: TextIO) -> int:
     m_values = _parse_m_spec(args.m)
     routes = _parse_routes(args.route)
     P = cfg.digits
@@ -251,14 +258,14 @@ def cmd_moments(args: argparse.Namespace, cfg: RunConfig) -> int:
             ],
             "disagreements": disagreements,
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), cfg.out)
+        _emit(json.dumps(payload, indent=2, sort_keys=True), stream)
     elif fmt == "csv":
         lines = ["m,route,value,truncation,error_bound"]
         for mv, value in zip(rows, shown):
             bound = "" if mv.error_bound is None else mp.nstr(mv.error_bound, 8)
             trunc = "" if mv.truncation is None else str(mv.truncation)
             lines.append(f"{mv.m},{mv.route},{value},{trunc},{bound}")
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), stream)
     else:
         lines = []
         for mv, value in zip(rows, shown):
@@ -269,7 +276,7 @@ def cmd_moments(args: argparse.Namespace, cfg: RunConfig) -> int:
                 extras.append(f"bound={mp.nstr(mv.error_bound, 8)}")
             suffix = f"  ({', '.join(extras)})" if extras else ""
             lines.append(f"C({mv.m})  {mv.route:<16} {value}{suffix}")
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), stream)
 
     if disagreements:
         for line in disagreements:
@@ -282,7 +289,7 @@ def cmd_moments(args: argparse.Namespace, cfg: RunConfig) -> int:
 # tables
 # ---------------------------------------------------------------------------
 
-def cmd_tables(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_tables(args: argparse.Namespace, cfg: RunConfig, stream: TextIO) -> int:
     which = args.which
     kmax, nmax = args.kmax, args.nmax
     if not 0 <= kmax <= nmax <= _TABLE_MAX:
@@ -291,15 +298,15 @@ def cmd_tables(args: argparse.Namespace, cfg: RunConfig) -> int:
     table = cfn._BUILDERS[which](kmax, nmax)
     fmt = cfg.format or "csv"
     if fmt == "json":
-        _emit(cfn.table_to_json(table), cfg.out)
+        _emit(cfn.table_to_json(table), stream)
     elif fmt == "csv":
-        _emit(cfn.table_to_csv(table), cfg.out)
+        _emit(cfn.table_to_csv(table), stream)
     else:
         lines = [f"{which}(k, n) for 0 <= k <= {kmax}, 0 <= n <= {nmax}"]
         for k in range(kmax + 1):
             entries = ", ".join(str(v) for v in table.row(k))
             lines.append(f"k={k}: {entries}")
-        _emit("\n".join(lines), cfg.out)
+        _emit("\n".join(lines), stream)
     return _EXIT_OK
 
 
@@ -307,7 +314,7 @@ def cmd_tables(args: argparse.Namespace, cfg: RunConfig) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace, cfg: RunConfig, stream: TextIO) -> int:
     suite = args.suite
     P, N = cfg.digits, cfg.n
     tol = cfg.tol  # None or a string: the suites take it at their own precision
@@ -323,7 +330,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         print(f"[verify] running {suite} ...", file=sys.stderr)
         report = run_suite(suite, P, N, tol)
     meta = {"generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat()}
-    _emit(report.to_json(meta=meta), cfg.out)
+    _emit(report.to_json(meta=meta), stream)
     print(f"[verify] {report.suite}: {report.pass_count} passed,"
           f" {report.fail_count} failed", file=sys.stderr)
     if not report.all_passed:
@@ -360,12 +367,12 @@ def _constant_value(name: str, P: int) -> mpf:
         f"unknown constant {name!r}; use pi, log2, eta<s> or zeta<s>")
 
 
-def cmd_constants(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_constants(args: argparse.Namespace, cfg: RunConfig, stream: TextIO) -> int:
     lines = []
     for name in args.names:
         value = _constant_value(name, cfg.digits)
         lines.append(f"{name} {to_digits(value, cfg.digits)}")
-    _emit("\n".join(lines), cfg.out)
+    _emit("\n".join(lines), stream)
     return _EXIT_OK
 
 
@@ -431,7 +438,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        return args.func(args, cfg)
+        with _output(cfg.out) as stream:
+            return args.func(args, cfg, stream)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

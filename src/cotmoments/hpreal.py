@@ -107,8 +107,13 @@ def _zeta_even_tolerance(P: int) -> mpf:
 
 def _tolerance(P: int, tol) -> mpf:
     """A caller's tol as an mpf at the caller's precision, or the default for
-    P when tol is None."""
-    return default_tolerance(P) if tol is None else mpf(tol)
+    P when tol is None.  It refuses a tol that is not positive and finite."""
+    if tol is None:
+        return default_tolerance(P)
+    value = mpf(tol)
+    if not (mp.isfinite(value) and value > 0):
+        raise ValueError(f"tol must be positive and finite, got tol={tol!r}")
+    return value
 
 
 def pi(P: int) -> mpf:
@@ -185,6 +190,8 @@ def zeta_even_closed(s: int, P: int) -> mpf:
     zeta(2l) = (2 pi)^(2l) |B_2l| / (2 (2l)!) — an independent cross-check of
     the eta-based route.
     """
+    if not isinstance(s, int):
+        raise ValueError(f"zeta_even_closed: need an integer s, got s={s!r}")
     if s < 2 or s % 2:
         raise ValueError(f"zeta_even_closed: need even s >= 2, got {s}")
     l = s // 2

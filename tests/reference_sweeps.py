@@ -1,13 +1,15 @@
-"""Per-j reference loops of the two fixed-point sweeps.
+"""Per-j reference loops of the three fixed-point sweeps.
 
 * ``_reference_cfn_sweep``: the central-binomial sweep of the cfn route,
   one j at a time, with the H-rows as a list updated in place;
   ``moments._cfn_sweep`` must return the same ``(sums, lasts)``.
-* ``_reference_sweep_family``: the backward S-family sweep of the series
-  layer, one j at a time; ``series._sweep_family`` must return the same
-  ``weighted_sums``, ``tails`` and ``b_last``.
+* ``_reference_sums_sweep``: the forward sums of the S families, one j at a
+  time; ``series._sums_sweep`` must return the same ``(sums, b_last)``.
+* ``_reference_tails_sweep``: the backward suffix tails of the series layer,
+  one j at a time; ``series._tails_sweep`` must return the same recorded
+  tails.
 
-Both loops floor every product on its own, so the package's blocked sweeps
+Every loop floors every product on its own, so the package's blocked sweeps
 reproduce them integer for integer.
 """
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from cotmoments.series import _FAMILIES, _TAIL_RECORD_MAX, _FamilyData
+from cotmoments.series import _FAMILIES, _TAIL_RECORD_MAX
 
 # The cfn route's parity table (j0, a, c, e, f, s, seed), with its seed rows
 # written out as the values of the rows H(i, .) that stay fixed for j >= j0.
@@ -52,32 +54,42 @@ def _reference_cfn_sweep(parity, kmax, N, fbits):
     return sums, [(b * hk) >> fbits for hk in h]
 
 
-def _reference_sweep_family(kind, lmax, N, fbits):
-    """The S family's weighted sums, recorded suffix tails and b(N), times 2^fbits."""
+def _reference_sums_sweep(kind, lmax, N, fbits):
+    """The S family's sums for every depth l <= lmax and b(N), times 2^fbits.
+
+    Forward over j: B_0 sums b(j) and B_d adds B_{d-1}(j) w(j), so B_l(N)
+    sums b(j) w(i_1) ... w(i_l) over j <= i_1 <= ... <= i_l <= N."""
     fam = _FAMILIES[kind]
     a, e, s = fam.a, fam.e, fam.s
     one = 1 << fbits
-    t = [one] + [0] * lmax
-    sums = [0] * (lmax + 1)
-    tails: Dict[int, List[int]] = {}
+    B = [0] * (lmax + 1)
     ratio = one
-    for i in range(1, N + 1):
-        ratio = ratio * (2 * i - s) // (2 * i - 1 + s)
-    u = a * N + fam.c  # inner root a j + c
-    v = e * N + fam.f  # outer factor e j + f
-    b_last = ratio // (u * u * v)
-    # the outer weights b(j) are streamed backwards by their term ratio
-    for j in range(N, fam.j0 - 1, -1):
-        q = u * u
+    for j in range(1, fam.j0 + 1):  # ratio(j0)
+        ratio = ratio * (2 * j - s) // (2 * j - 1 + s)
+    for j in range(fam.j0, N + 1):
+        if j > fam.j0:
+            ratio = ratio * (2 * j - s) // (2 * j - 1 + s)
+        q = (a * j + fam.c) ** 2  # inner root a j + c
         w = one // q
+        bj = ratio // (q * (e * j + fam.f))  # outer factor e j + f
+        B[0] += bj
+        for d in range(1, lmax + 1):
+            B[d] += (B[d - 1] * w) >> fbits
+    return B, bj
+
+
+def _reference_tails_sweep(kind, lmax, N, fbits):
+    """The recorded suffix tails {j: [T_0(j)..T_lmax(j)]}, times 2^fbits.
+
+    Backward over j: T_d(j) = T_d(j + 1) + w(j) T_{d-1}(j)."""
+    fam = _FAMILIES[kind]
+    one = 1 << fbits
+    t = [one] + [0] * lmax
+    tails: Dict[int, List[int]] = {}
+    for j in range(N, fam.j0 - 1, -1):
+        w = one // (fam.a * j + fam.c) ** 2
         for d in range(1, lmax + 1):
             t[d] += (t[d - 1] * w) >> fbits
-        bj = ratio // (q * v)
-        for d in range(lmax + 1):
-            sums[d] += (bj * t[d]) >> fbits
         if j <= _TAIL_RECORD_MAX:
             tails[j] = list(t)
-        ratio = ratio * (2 * j - 1 + s) // (2 * j - s)  # 0 after j = 0, unused
-        u -= a
-        v -= e
-    return _FamilyData(lmax=lmax, weighted_sums=sums, tails=tails, b_last=b_last)
+    return tails

@@ -132,7 +132,7 @@ def test_moments_sweeps_once_per_parity(monkeypatch, capsys):
     # parity serves every shallower m of it
     calls = {"cfn": [], "nested": []}
     for module, name, cache, kind in ((moments, "_cfn_sweep", "_cfn_cache", "cfn"),
-                                      (series, "_sweep_family", "_family_cache", "nested")):
+                                      (series, "_sums_sweep", "_sums_cache", "nested")):
         def counted(*args, _sweep=getattr(module, name), _calls=calls[kind]):
             _calls.append(args)
             return _sweep(*args)
@@ -305,6 +305,19 @@ def test_out_path_that_cannot_be_written_is_usage_error(tmp_path, capsys, comman
     assert f"error: cannot write {target}: " in err
     assert "Traceback" not in err
     assert not target.exists()
+
+
+def test_verify_out_that_cannot_be_written_fails_before_any_suite(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        pytest.fail("a suite ran although --out cannot be written")
+
+    monkeypatch.setattr(cli, "run_suite", never)
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(["verify", "--suite", "all", "--out", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert "[verify]" not in err
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

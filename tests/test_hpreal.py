@@ -192,6 +192,12 @@ def test_zeta_rejects_s_below_two():
         zeta_even_closed(3, 30)
 
 
+def test_zeta_even_closed_rejects_a_float_s():
+    # the Bernoulli table takes an integer index; 4.0 must not reach it
+    with pytest.raises(ValueError, match=r"zeta_even_closed: need an integer s, got s=4\.0"):
+        zeta_even_closed(4.0, 30)
+
+
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------

@@ -178,14 +178,14 @@ def test_ascending_series_routes_sweep_once_per_parity_and_kind(monkeypatch):
     # the series routes for m = 1..6 in ascending order, one m at a time
     cfn_calls = _count_cfn_sweeps(monkeypatch)
     s_calls = []
-    sweep = series._sweep_family
+    sweep = series._sums_sweep
 
     def counted(*args):
         s_calls.append(args)
         return sweep(*args)
 
-    monkeypatch.setattr(series, "_family_cache", {})
-    monkeypatch.setattr(series, "_sweep_family", counted)
+    monkeypatch.setattr(series, "_sums_cache", {})
+    monkeypatch.setattr(series, "_sums_sweep", counted)
     for m in range(1, 7):
         c_cfn_route(m, 30, 2000)
         c_nested_route(m, 30, 2000)
@@ -513,6 +513,15 @@ def test_run_suite_all_body_matches_the_frozen_copy():
     old = {c["id"]: c for c in json.loads(frozen)["checks"]}
     changed = sorted(i for i in new.keys() | old.keys() if new.get(i) != old.get(i))
     assert body == frozen, f"check ids that differ: {changed}"
+
+
+@pytest.mark.parametrize("tol", [0, -1, "inf", "nan"])
+def test_compute_moment_and_run_suite_refuse_a_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        compute_moment(3, 30, "quad", tol=tol)
+    for suite in ("consequences", "routes"):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            run_suite(suite, 30, tol=tol)
 
 
 def test_run_suite_rejects_unknown_name():

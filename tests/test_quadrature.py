@@ -223,6 +223,14 @@ def test_moment_rejects_bad_arguments():
         moment_quadrature(1, 5)
 
 
+@pytest.mark.parametrize("tol", [0, -1, "-1e-20", "inf", float("inf"), "nan"])
+def test_integrals_refuse_a_tol_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        integrate_1d(lambda x, da, db: x, 0, 1, 30, tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        moment_quadrature(3, 30, tol)
+
+
 # ---------------------------------------------------------------------------
 # convergence diagnostics and failure paths
 # ---------------------------------------------------------------------------

@@ -191,18 +191,27 @@ def test_truncated_nested_small_n(kind, closed, N):
             assert abs(t.value - closed(k, P).value) <= t.error_bound, (kind, k, N)
 
 
-def test_closed_forms_suite_costs_one_sweep_per_kind(monkeypatch):
+def _count_sweeps(monkeypatch, name, cache):
+    """Route series.<name> through a counter on an empty cache; returns its calls."""
     calls = []
-    sweep = series._sweep_family
+    sweep = getattr(series, name)
 
     def counted(*args):
         calls.append(args)
         return sweep(*args)
 
-    monkeypatch.setattr(series, "_family_cache", {})
-    monkeypatch.setattr(series, "_sweep_family", counted)
+    monkeypatch.setattr(series, cache, {})
+    monkeypatch.setattr(series, name, counted)
+    return calls
+
+
+def test_closed_forms_suite_costs_one_sweep_per_kind(monkeypatch):
+    # its R values read the tails only: one tails sweep per kind, no sums
+    tail_calls = _count_sweeps(monkeypatch, "_tails_sweep", "_tails_cache")
+    sum_calls = _count_sweeps(monkeypatch, "_sums_sweep", "_sums_cache")
     _suite_closed_forms(30, 10000, None)
-    assert len(calls) == 2
+    assert len(tail_calls) == 2
+    assert sum_calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +297,7 @@ def test_mixed_precision_threads_return_serial_values():
 
 
 def test_rising_depths_cost_one_sweep(monkeypatch):
-    calls = []
-    sweep = series._sweep_family
-
-    def counted(*args):
-        calls.append(args)
-        return sweep(*args)
-
-    monkeypatch.setattr(series, "_family_cache", {})
-    monkeypatch.setattr(series, "_sweep_family", counted)
+    calls = _count_sweeps(monkeypatch, "_sums_sweep", "_sums_cache")
     for l in range(3):
         s_odd(l, 30, N=4000)
     assert len(calls) == 1

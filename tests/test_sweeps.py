@@ -1,8 +1,9 @@
-"""The two fixed-point sweeps against their per-j reference loops.
+"""The fixed-point sweeps against their per-j reference loops.
 
-``moments._cfn_sweep`` and ``series._sweep_family`` must return the same
-integers as the loops in ``reference_sweeps``, at every depth, and hold
-only a block of their columns at a time.
+``moments._cfn_sweep``, ``series._sums_sweep`` and ``series._tails_sweep``
+must return the same integers as the loops in ``reference_sweeps``, at
+every depth, and hold only a block of their columns at a time.  The S
+sums must also stay inside their fixed-point allowance.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import pytest
 
 from cotmoments import moments, series
 
-from reference_sweeps import _reference_cfn_sweep, _reference_sweep_family
+from reference_sweeps import (_reference_cfn_sweep, _reference_sums_sweep,
+                              _reference_tails_sweep)
 
 _BLOCK_BITS = 1 << 17  # a sweep block holds _BLOCK_BITS // fbits values of j
 
@@ -35,9 +37,11 @@ def test_sweeps_match_the_per_j_references(route, family, fbits):
             if route == "cfn":
                 got = moments._cfn_sweep(family, depth, N, fbits)
                 want = _reference_cfn_sweep(family, depth, N, fbits)
-            else:
-                got = series._sweep_family(family, depth, N, fbits)
-                want = _reference_sweep_family(family, depth, N, fbits)
+            else:  # the S family's forward sums and backward tails
+                got = (series._sums_sweep(family, depth, N, fbits),
+                       series._tails_sweep(family, depth, N, fbits))
+                want = (_reference_sums_sweep(family, depth, N, fbits),
+                        _reference_tails_sweep(family, depth, N, fbits))
             assert got == want, (route, family, depth, N, fbits)
 
 
@@ -50,7 +54,7 @@ def test_sweeps_share_the_block_rule_of_the_grid():
 def test_sweep_peak_memory_stays_below_one_column(route, family, depth):
     N, fbits = 50000, 206
     column = N * (sys.getsizeof(1 << fbits) + 8)  # one N-long list of fbits-bit ints
-    sweep = moments._cfn_sweep if route == "cfn" else series._sweep_family
+    sweep = moments._cfn_sweep if route == "cfn" else series._sums_sweep
     tracemalloc.start()
     try:
         sweep(family, depth, N, fbits)
@@ -58,3 +62,14 @@ def test_sweep_peak_memory_stays_below_one_column(route, family, depth):
     finally:
         tracemalloc.stop()
     assert peak < column // 4, (peak, column)
+
+
+@pytest.mark.parametrize("kind", ["odd", "even"])
+def test_s_sums_stay_inside_their_fixed_point_allowance(kind):
+    # the same sweep with 200 more bits, shifted down, stands for the exact
+    # truncated sums; each S_l may be off by its allowance (l + 3)(N + 1) ulps
+    N, fbits, extra = 20000, 140, 200
+    sums, _ = series._sums_sweep(kind, 2, N, fbits)
+    fine, _ = series._sums_sweep(kind, 2, N, fbits + extra)
+    for l in range(3):
+        assert abs((fine[l] >> extra) - sums[l]) <= (l + 3) * (N + 1), (kind, l)
