@@ -36,6 +36,7 @@ from .moments import (
     SUITES,
     MomentValue,
     _ROUTE_ALIASES,
+    _require_suite_n,
     compute_moment,
     run_suite,
 )
@@ -318,6 +319,10 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig, stream: TextIO) -> int:
     suite = args.suite
     P, N = cfg.digits, cfg.n
     tol = cfg.tol  # None or a string: the suites take it at their own precision
+    try:
+        _require_suite_n(suite, N)  # before the first suite, not after five
+    except ValueError as exc:
+        raise UsageError(f"--n is too small: {exc}") from exc
     if suite == "all":
         report = VerificationReport("all", config={"digits": P, "N": N})
         for sub in SUITES[1:]:  # SUITES[0] is "all"

@@ -14,6 +14,21 @@ from several threads at any mix of precisions return the values of a serial
 run; the work itself is serialised.  The tolerance rules live here too, and
 read the caller's precision under the same lock.
 
+The series routes' integer sweeps come in odd/even pairs that the suites
+ask for at the same (N, bits), and ``_beside(own, other)`` runs such a pair
+at once: ``own`` here, ``other`` in a child made by ``os.fork`` on another
+core, its result sent back through a pipe as ``marshal`` bytes.  The
+routes use it only for a cache miss inside the suites' range (cfn m <= 6,
+S depth <= 2), where the sibling sweep would be asked for next; deeper
+misses sweep alone.  No child outlives a call: the parent reaps it, and
+if ``own`` raises it kills the child first (only a parent killed outright
+leaves its child to finish the sweep and exit on the broken pipe).  If
+the child fails, the sibling comes back as None and stays uncached; the
+asked-for value never depends on the child.  Without ``os.fork``, or when
+it fails, both run here one after the other, so the integers are the same
+either way.  A traced run sees only the parent's spans: what the child
+records is lost with it.
+
 eta(s) is summed with the Chebyshev-weighted acceleration for alternating
 series with totally monotone terms (Cohen, Rodriguez Villegas, Zagier,
 Exp. Math. 9 (2000), algorithm 1): with d_n = ((3+sqrt 8)^n + (3+sqrt 8)^-n)/2
@@ -28,10 +43,12 @@ divisions by (k+1)^s are floored, in fixed point (see ``eta``).
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import threading
 from contextlib import contextmanager
-from typing import Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, Tuple
 
 import mpmath
 from mpmath import mp, mpf
@@ -209,3 +226,54 @@ def to_digits(x, P: int) -> str:
 def fixed_point_bits(P: int) -> int:
     """Fractional bits for the integer fixed-point sweeps at P digits."""
     return max(140, int(P * 3.322) + 40)
+
+
+def _beside(own: Callable[[], object], other: Callable[[], object]) -> Tuple[object, object]:
+    """(own(), other()), with other() run at the same time in a forked child.
+
+    The child sends other()'s result back as ``marshal`` bytes (ints, lists,
+    tuples and dicts) and ends with ``os._exit``; if it fails, other comes
+    back as None.  The parent reads the pipe only after own() returns, so a
+    result larger than the pipe buffer waits in the child.  If own() raises,
+    the parent closes its end, kills the child, reaps it and re-raises.
+    Without ``os.fork``, or when the pipe or the fork fails, both run here.
+    The child keeps only the forking thread, so other must take no lock
+    that another thread may hold: the sweeps run plain integer code.
+    """
+    fork = getattr(os, "fork", None)
+    if fork is None:
+        return own(), other()
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return own(), other()
+    try:
+        pid = fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return own(), other()
+    if pid == 0:  # the child: send other() and leave, whatever happens
+        status = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                out.write(marshal.dumps(other()))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    reader = open(r, "rb")
+    try:
+        value = own()
+        data = reader.read()
+    except BaseException:
+        reader.close()  # a child blocked on a full pipe sees EPIPE
+        os.kill(pid, 9)  # SIGKILL: the child may still be sweeping
+        raise
+    finally:
+        reader.close()
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        return value, None
+    return value, marshal.loads(data)

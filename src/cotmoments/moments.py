@@ -7,11 +7,13 @@ independent routes compute it:
   integers (exact modulo the constants' own precision);
 * cfn-series — the central-binomial series whose coefficients are the exact
   H-triangles, summed in fixed-point integers with a calibrated tail bound;
-  one cached sweep per parity serves every m of it (its first sweep covers
-  m <= 6), and runs as blocked column passes with the same integers as a
-  per-j loop;
+  one cached sweep per parity serves every m of it, and runs as blocked
+  column passes with the same integers as a per-j loop; a miss at m <= 6
+  sweeps both parities to m <= 6 at once, the other parity in a forked
+  child on a second core (``hpreal._beside``);
 * nested-series — pi-power combinations of the S_odd/S_even suffix-nested
-  sums, each carrying a propagated tail bound;
+  sums, each carrying a propagated tail bound (the series layer likewise
+  sweeps both kinds at once for a miss at depth <= 2);
 * quadrature — direct tanh-sinh integration of the defining integral.
 
 No route shares code with another past the constants layer, which is what
@@ -41,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from mpmath import mp, mpf
 
 from . import cfn
-from .hpreal import (_DEFAULT_DIGITS, _DEFAULT_N, GUARD_DIGITS, _closed_form_tolerance,
+from .hpreal import (_DEFAULT_DIGITS, _DEFAULT_N, GUARD_DIGITS, _beside, _closed_form_tolerance,
                      _require_digits, _tolerance, _working, _zeta_even_tolerance,
                      default_tolerance, eta, fixed_point_bits, zeta, zeta_even_closed)
 from .quadrature import _WORK_GUARD, integrate_1d, moment_quadrature
@@ -205,6 +207,21 @@ def _cfn_sweep(parity: int, kmax: int, N: int, fbits: int) -> Tuple[List[int], L
     return sums, lasts
 
 
+def _cfn_fill(parity: int, k: int, N: int, fbits: int) -> Tuple[List[int], List[int]]:
+    """The sweep for a miss at depth k (see ``c_cfn_route``): a miss at
+    m <= 6 sweeps this parity to m <= 6, and the other parity beside it
+    where that entry is missing or shallower; a deeper miss sweeps alone."""
+    depth, other = (6 - parity) // 2, 1 - parity  # m <= 6: depth 2 odd, 3 even
+    hit = _cfn_cache.get((other, N, fbits))
+    if k > depth or (hit is not None and len(hit[0]) > (6 - other) // 2):
+        return _cfn_sweep(parity, max(k, depth), N, fbits)
+    swept, sibling = _beside(partial(_cfn_sweep, parity, depth, N, fbits),
+                             partial(_cfn_sweep, other, (6 - other) // 2, N, fbits))
+    if sibling is not None:
+        _cfn_cache[other, N, fbits] = sibling
+    return swept
+
+
 def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> MomentValue:
     """C(m) through the central-binomial series
 
@@ -214,9 +231,11 @@ def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> MomentValue:
     summed to N terms in fixed-point integers (the H-values are built by
     their strict-prefix recurrences in the same sweep, never as rationals).
     One sweep serves every m of a parity: it is cached per (parity, N,
-    fbits), and the first sweep of a key covers every m <= 6 of its parity,
-    depth 2 for odd m and 3 for even m, so m = 1..6 cost one sweep per
-    parity.  Depth k reads the same integers whatever the sweep's depth.
+    fbits), and a miss at m <= 6 sweeps every m <= 6 of its parity, depth 2
+    for odd m and 3 for even m, with the other parity's sweep beside it in a
+    forked child (``hpreal._beside``), so m = 1..6 cost one sweep per
+    parity and one wall-clock sweep in all.  Depth k reads the same
+    integers whatever the sweep's depth, and wherever it ran.
     The sweep is blocked (see ``_cfn_sweep``) and bit-identical to a per-j
     loop, so value and bound do not depend on the block length.
     Terms decay like j^(-5/2); the returned bound is the integral-comparison
@@ -233,8 +252,7 @@ def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> MomentValue:
         key = (parity, N, fbits)
         swept = _cfn_cache.get(key)
         if swept is None or len(swept[0]) <= k:
-            # the suites ask for m = 1..6 in turn: cover those of this parity at once
-            swept = _cfn_cache[key] = _cfn_sweep(parity, max(k, (6 - parity) // 2), N, fbits)
+            swept = _cfn_cache[key] = _cfn_fill(parity, k, N, fbits)
         total, last = swept[0][k], swept[1][k]
         unit = mpf(2) ** (-fbits)
         scale = mpf(2 ** (2 * k + 1) if parity else 1)
@@ -712,8 +730,11 @@ def _suite_routes(P: int, N: int, tol) -> VerificationReport:
     return report
 
 
+_H_REDUCTION_JMAX = 10  # the h-reduction suite checks the columns j = 1..10
+
+
 def _suite_h_reduction(P: int, N: int, tol) -> VerificationReport:
-    return verify_h_integral_reduction(2, 10, N, P)
+    return verify_h_integral_reduction(2, _H_REDUCTION_JMAX, N, P)
 
 
 # every suite builder takes (P, N, tol); 'all' runs them in this order
@@ -729,6 +750,14 @@ _SUITES = {
 SUITES = ("all",) + tuple(_SUITES)
 
 
+def _require_suite_n(name: str, N: int) -> None:
+    """Refuse an N that suite name cannot take, before any of it runs: the
+    h-reduction suite reads tails up to j = _H_REDUCTION_JMAX < N."""
+    if name in ("all", "h-reduction") and N <= _H_REDUCTION_JMAX:
+        raise ValueError(f"suite {name!r} needs N > {_H_REDUCTION_JMAX}"
+                         f" (its h-reduction tails run to j = {_H_REDUCTION_JMAX}), got N={N}")
+
+
 def run_suite(name: str, P: int = _DEFAULT_DIGITS, N: int = _DEFAULT_N,
               tol=None) -> VerificationReport:
     """Build and run one named verification suite; 'all' folds every suite
@@ -736,6 +765,7 @@ def run_suite(name: str, P: int = _DEFAULT_DIGITS, N: int = _DEFAULT_N,
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick from {SUITES}")
     _require_digits(P)
+    _require_suite_n(name, N)
     if name != "all":
         return _SUITES[name](P, N, tol)
     report = VerificationReport("all", config={"digits": P, "N": N})

@@ -31,7 +31,10 @@ B_l(N) of B_0(i) = sum_{j<=i} b(j), B_d(i) = B_d(i-1) + B_{d-1}(i) w(i).  So
 one forward sweep streams b(j) by its term ratio and updates all depths at
 once, with no tails and no per-depth dot product.  Both sweeps run over
 blocks of j, each depth a C-level column pass, and return the same integers
-as per-j loops.
+as per-j loops.  Each is cached per (kind, N, fbits), and a miss at depth
+<= 2 sweeps both kinds to depth 2 at once, the other kind in a forked child
+on a second core (``hpreal._beside``); the integers are the same either
+way.
 
 Each right-shift floors, losing < 2^-fbits, so the fixed-point error grows
 like (N + 1) * 2^-fbits — negligible against the series tails for
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, count, repeat
 from operator import floordiv, mul, rshift
 from typing import Dict, List, NamedTuple, Optional, Tuple
@@ -56,7 +60,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from mpmath import mp, mpf
 
 from .exact import bernoulli, cycle_count, euler_zigzag, partitions
-from .hpreal import _DEFAULT_N, _working, fixed_point_bits, zeta
+from .hpreal import _DEFAULT_N, _beside, _working, fixed_point_bits, zeta
 from .quadrature import _WORK_GUARD, integrate_1d
 
 __all__ = [
@@ -385,15 +389,25 @@ def _nested_family(cache: dict, sweep, kind: str, depth: int, N: int,
     three are mpfs at the working precision, so callers hold the precision
     scope.  The S values are asked for at rising depths 0, 1 and 2, so a
     sweep always covers depth 2: one sweep per key instead of one per
-    depth.  Deeper callers (R up to depth 3) ask for their deepest value
-    first.
+    depth.  The suites ask for both kinds at the same (N, fbits), so a miss
+    at depth <= 2 also sweeps the other kind to depth 2, where its entry is
+    missing, at the same time in a forked child (``hpreal._beside``).  A
+    deeper miss sweeps its own kind alone; deeper callers (R up to depth 3)
+    ask for their deepest value first.
     """
     fbits = fixed_point_bits(P)
     key = (kind, N, fbits)
     hit = cache.get(key)
     if hit is None or hit[0] < depth:
-        lmax = max(depth, 2)
-        hit = cache[key] = (lmax, sweep(kind, lmax, N, fbits))
+        other = ("even" if kind == "odd" else "odd", N, fbits)
+        if depth > 2 or other in cache:
+            hit = cache[key] = (max(depth, 2), sweep(kind, max(depth, 2), N, fbits))
+        else:
+            swept, sibling = _beside(partial(sweep, kind, 2, N, fbits),
+                                     partial(sweep, other[0], 2, N, fbits))
+            hit = cache[key] = (2, swept)
+            if sibling is not None:
+                cache[other] = (2, sibling)
     fam = _FAMILIES[kind]
     return hit[1], mpf(2) ** -fbits, mp.pi ** 2 / fam.pi2_div, mpf(1) / (fam.tail_den * N)
 

@@ -320,6 +320,21 @@ def test_verify_out_that_cannot_be_written_fails_before_any_suite(tmp_path, monk
     assert "[verify]" not in err
 
 
+@pytest.mark.parametrize("suite", ["all", "h-reduction"])
+def test_verify_n_too_small_for_h_reduction_fails_before_any_suite(suite, monkeypatch, capsys):
+    # the h-reduction suite reads tails up to j = 10, so it needs N > 10
+    def never(*args, **kwargs):
+        pytest.fail("a suite ran although --n is too small for h-reduction")
+
+    monkeypatch.setattr(cli, "run_suite", never)
+    code, out, err = run_cli(["verify", "--suite", suite, "--n", "10"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --n ")
+    assert "N > 10" in err
+    assert "[verify]" not in err
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     rep = VerificationReport("stub", config={})
     rep.add_exact("broken/one", "x = y", 1, 2)

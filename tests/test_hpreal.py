@@ -11,8 +11,13 @@ from __future__ import annotations
 
 import inspect
 import math
+import os
 import pathlib
+import signal
+import time
+from contextlib import contextmanager
 from fractions import Fraction as Fr
+from functools import partial
 
 import pytest
 from mpmath import mp, mpf
@@ -22,6 +27,7 @@ from cotmoments import moments, quadrature, series
 from cotmoments.hpreal import (
     _ACCEL_RATE,
     MIN_DIGITS,
+    _beside,
     eta,
     log2,
     pi,
@@ -282,3 +288,108 @@ def test_entry_point_list_is_complete():
 def test_every_entry_point_refuses_too_few_digits(name):
     with pytest.raises(ValueError, match=r"^precision must be >= 10 digits, got 9$"):
         _ENTRY_POINTS[name](MIN_DIGITS - 1)
+
+
+# ---------------------------------------------------------------------------
+# _beside: a sibling sweep in a forked child
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+
+
+@contextmanager
+def _deadline(seconds):
+    """Fail, instead of hanging, if the block takes longer than seconds."""
+    def expired(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _raise():
+    raise RuntimeError("the sibling failed")
+
+
+def test_beside_returns_the_serial_values():
+    # a cfn pair (a tuple of lists), an S-sums pair (a list and an int) and
+    # an S-tails pair (a dict of lists)
+    for sweep, own, other in ((moments._cfn_sweep, (1, 2), (0, 3)),
+                              (series._sums_sweep, ("odd", 2), ("even", 2)),
+                              (series._tails_sweep, ("even", 2), ("odd", 2))):
+        own, other = partial(sweep, *own, 3000, 140), partial(sweep, *other, 3000, 140)
+        assert _beside(own, other) == (own(), other())
+
+
+@needs_fork
+@pytest.mark.parametrize("other", [_raise, lambda: os.kill(os.getpid(), signal.SIGKILL),
+                                   lambda: object()], ids=["raises", "killed", "unmarshallable"])
+def test_a_failed_child_gives_none_and_keeps_the_parents_value(other):
+    assert _beside(lambda: 41 + 1, other) == (42, None)
+
+
+@needs_fork
+def test_a_failed_sibling_sweep_stays_uncached(monkeypatch):
+    sweep = moments._cfn_sweep
+
+    def odd_only(parity, *args):
+        if parity == 0:  # the sibling, in the child
+            raise RuntimeError("the sibling failed")
+        return sweep(parity, *args)
+
+    monkeypatch.setattr(moments, "_cfn_cache", {})
+    expected = moments.c_cfn_route(1, 30, 2000)
+    monkeypatch.setattr(moments, "_cfn_cache", {})
+    monkeypatch.setattr(moments, "_cfn_sweep", odd_only)
+    assert moments.c_cfn_route(1, 30, 2000) == expected
+    assert sorted(moments._cfn_cache) == [(1, 2000, 140)]
+
+
+@needs_fork
+@pytest.mark.parametrize("other", [lambda: bytes(1 << 20), lambda: time.sleep(600)],
+                         ids=["larger-than-the-pipe", "never-ends"])
+def test_own_raising_reraises_and_leaves_no_child(other):
+    def own():
+        time.sleep(0.2)  # the child is now blocked on the full pipe, or asleep
+        raise KeyError("own failed")
+
+    with _deadline(60):
+        with pytest.raises(KeyError, match="own failed"):
+            _beside(own, other)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fork_fails():
+    raise OSError("fork: resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("no_fork", ["raises", "missing"])
+def test_without_fork_both_sweeps_run_here_and_are_cached(no_fork, monkeypatch):
+    if no_fork == "raises":
+        monkeypatch.setattr(os, "fork", _fork_fails)
+    else:
+        monkeypatch.delattr(os, "fork", raising=False)
+    pids = []
+    cfn_sweep, sums_sweep = moments._cfn_sweep, series._sums_sweep
+
+    def counted(sweep, *args):
+        pids.append(os.getpid())
+        return sweep(*args)
+
+    monkeypatch.setattr(moments, "_cfn_cache", {})
+    monkeypatch.setattr(series, "_sums_cache", {})
+    monkeypatch.setattr(moments, "_cfn_sweep", partial(counted, cfn_sweep))
+    monkeypatch.setattr(series, "_sums_sweep", partial(counted, sums_sweep))
+    moments.c_cfn_route(1, 30, 2000)
+    series.s_even(0, 30, 2000)
+    assert pids == [os.getpid()] * 4
+    assert moments._cfn_cache == {(p, 2000, 140): cfn_sweep(p, (6 - p) // 2, 2000, 140)
+                                  for p in (0, 1)}
+    assert series._sums_cache == {(kind, 2000, 140): (2, sums_sweep(kind, 2, 2000, 140))
+                                  for kind in ("odd", "even")}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import pathlib
 import random
 import sys
@@ -168,29 +169,64 @@ def test_cfn_deeper_m_resweeps_a_shallow_entry(monkeypatch, shallow, deep):
         (shallow % 2, (6 - shallow % 2) // 2), (deep % 2, deep // 2)]
 
 
-def test_routes_suite_runs_one_cfn_sweep_per_parity(monkeypatch):
-    calls = _count_cfn_sweeps(monkeypatch)
-    assert run_suite("routes", 30).all_passed
-    assert [(parity, kmax) for parity, kmax, _, _ in calls] == [(1, 2), (0, 3)]
-
-
-def test_ascending_series_routes_sweep_once_per_parity_and_kind(monkeypatch):
-    # the series routes for m = 1..6 in ascending order, one m at a time
-    cfn_calls = _count_cfn_sweeps(monkeypatch)
-    s_calls = []
-    sweep = series._sums_sweep
+def _log_sweeps(monkeypatch, module, name, cache, path):
+    """Route module.<name> through a counter on an empty cache that appends
+    (pid, first two arguments) to the file path, one line per call, so a
+    sweep run in a forked child is counted too.  Returns a reader of the
+    calls, this process's first, each side in call order."""
+    sweep = getattr(module, name)
 
     def counted(*args):
-        s_calls.append(args)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps([os.getpid(), *args[:2]]) + "\n")
         return sweep(*args)
 
-    monkeypatch.setattr(series, "_sums_cache", {})
-    monkeypatch.setattr(series, "_sums_sweep", counted)
+    monkeypatch.setattr(module, cache, {})
+    monkeypatch.setattr(module, name, counted)
+
+    def calls():
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        return sorted(rows, key=lambda row: row[0] != os.getpid())  # stable
+    return calls
+
+
+def test_routes_suite_runs_one_cfn_sweep_per_parity(monkeypatch, tmp_path):
+    calls = _log_sweeps(monkeypatch, moments, "_cfn_sweep", "_cfn_cache", tmp_path / "cfn")
+    assert run_suite("routes", 30).all_passed
+    assert [(parity, kmax) for _, parity, kmax in calls()] == [(1, 2), (0, 3)]
+    # the even sweep ran beside the odd one, in a child
+    assert len({pid for pid, _, _ in calls()}) == 2
+
+
+def test_ascending_series_routes_sweep_once_per_parity_and_kind(monkeypatch, tmp_path):
+    # the series routes for m = 1..6 in ascending order, one m at a time
+    cfn_calls = _log_sweeps(monkeypatch, moments, "_cfn_sweep", "_cfn_cache", tmp_path / "cfn")
+    s_calls = _log_sweeps(monkeypatch, series, "_sums_sweep", "_sums_cache", tmp_path / "sums")
     for m in range(1, 7):
         c_cfn_route(m, 30, 2000)
         c_nested_route(m, 30, 2000)
-    assert [(parity, kmax) for parity, kmax, _, _ in cfn_calls] == [(1, 2), (0, 3)]
-    assert [(kind, lmax) for kind, lmax, _, _ in s_calls] == [("odd", 2), ("even", 2)]
+    assert [(parity, kmax) for _, parity, kmax in cfn_calls()] == [(1, 2), (0, 3)]
+    assert [(kind, lmax) for _, kind, lmax in s_calls()] == [("odd", 2), ("even", 2)]
+    assert len({pid for pid, _, _ in cfn_calls()}) == 2
+    assert len({pid for pid, _, _ in s_calls()}) == 2
+
+
+def test_a_shallow_miss_fills_both_parities_and_kinds_with_the_serial_integers(monkeypatch):
+    for module, cache in ((moments, "_cfn_cache"), (series, "_sums_cache"),
+                          (series, "_tails_cache")):
+        monkeypatch.setattr(module, cache, {})
+    series.s_odd(0, 30, 2000)
+    series.nested_tail_sums("odd", 2, 10, 2000, 30)
+    c_cfn_route(1, 30, 2000)
+    for cache, sweep in ((series._sums_cache, series._sums_sweep),
+                         (series._tails_cache, series._tails_sweep)):
+        assert sorted(cache) == [("even", 2000, 140), ("odd", 2000, 140)]
+        for (kind, N, fbits), (lmax, swept) in cache.items():
+            assert lmax == 2
+            assert swept == sweep(kind, 2, N, fbits), kind
+    assert sorted(moments._cfn_cache) == [(0, 2000, 140), (1, 2000, 140)]
+    for (parity, N, fbits), swept in moments._cfn_cache.items():
+        assert swept == moments._cfn_sweep(parity, (6 - parity) // 2, N, fbits), parity
 
 
 def test_cfn_mixed_precision_threads_return_serial_values(monkeypatch):
@@ -225,7 +261,7 @@ def test_cfn_sweep_shares_nothing_with_the_series_route():
         if isinstance(node, ast.ImportFrom) and node.module == "series":
             banned.update(alias.asname or alias.name for alias in node.names)
     assert len(banned) > 1
-    scanned = {"_cfn_sweep", "c_cfn_route"}
+    scanned = {"_cfn_sweep", "_cfn_fill", "c_cfn_route"}
     found, seen = [], set()
     for fn in tree.body:
         if isinstance(fn, ast.FunctionDef) and fn.name in scanned:
@@ -522,6 +558,14 @@ def test_compute_moment_and_run_suite_refuse_a_bad_tol(tol):
     for suite in ("consequences", "routes"):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             run_suite(suite, 30, tol=tol)
+
+
+@pytest.mark.parametrize("name", ["all", "h-reduction"])
+def test_run_suite_refuses_an_n_too_small_for_h_reduction_before_any_suite(name, monkeypatch):
+    # its tails run to j = 10, so N = 10 used to fail only after five suites
+    monkeypatch.setattr(moments, "_SUITES", {})
+    with pytest.raises(ValueError, match=r"needs N > 10"):
+        run_suite(name, 30, 10)
 
 
 def test_run_suite_rejects_unknown_name():
