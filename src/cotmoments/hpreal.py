@@ -14,20 +14,28 @@ from several threads at any mix of precisions return the values of a serial
 run; the work itself is serialised.  The tolerance rules live here too, and
 read the caller's precision under the same lock.
 
-The series routes' integer sweeps come in odd/even pairs that the suites
-ask for at the same (N, bits), and ``_beside(own, other)`` runs such a pair
-at once: ``own`` here, ``other`` in a child made by ``os.fork`` on another
-core, its result sent back through a pipe as ``marshal`` bytes.  The
-routes use it only for a cache miss inside the suites' range (cfn m <= 6,
-S depth <= 2), where the sibling sweep would be asked for next; deeper
-misses sweep alone.  No child outlives a call: the parent reaps it, and
-if ``own`` raises it kills the child first (only a parent killed outright
-leaves its child to finish the sweep and exit on the broken pipe).  If
-the child fails, the sibling comes back as None and stays uncached; the
-asked-for value never depends on the child.  Without ``os.fork``, or when
-it fails, both run here one after the other, so the integers are the same
-either way.  A traced run sees only the parent's spans: what the child
-records is lost with it.
+Work that can run on a second core goes through one helper,
+``_from_child(produce)``: the generator ``produce`` runs in a child made by
+``os.fork``, and its items come back through a pipe as ``marshal``
+records, read one at a time.  No child outlives the block that made it:
+on leaving it the parent closes the pipe, kills the child if it still runs
+and reaps it (only a parent killed outright leaves its child to finish and
+exit on the broken pipe).  A child that fails sends fewer items, and the
+caller falls back on its own work; without ``os.fork``, or when it fails,
+``produce`` runs here, so every value is the same either way.  A traced run
+sees only the parent's spans: what the child records is lost with it.  It
+has two users:
+
+* ``_beside(own, other)`` runs an odd/even pair of the series routes'
+  integer sweeps, which the suites ask for at the same (N, bits), at once:
+  ``own`` here, ``other`` in the child.  The routes use it only for a cache
+  miss inside the suites' range (cfn m <= 6, S depth <= 2), where the
+  sibling sweep would be asked for next; deeper misses sweep alone.  If the
+  child fails, the sibling comes back as None and stays uncached; the
+  asked-for value never depends on the child.
+* ``quadrature.integrate_1d`` evaluates the second half of a costly
+  tanh-sinh level's node pairs in the child, and sums every contribution
+  here, in the serial order.
 
 eta(s) is summed with the Chebyshev-weighted acceleration for alternating
 series with totally monotone terms (Cohen, Rodriguez Villegas, Zagier,
@@ -228,52 +236,85 @@ def fixed_point_bits(P: int) -> int:
     return max(140, int(P * 3.322) + 40)
 
 
-def _beside(own: Callable[[], object], other: Callable[[], object]) -> Tuple[object, object]:
-    """(own(), other()), with other() run at the same time in a forked child.
+def _records(reader) -> Iterator[object]:
+    """The ``marshal`` records on reader, one at a time, up to the first one
+    that is missing or cut short."""
+    while True:
+        try:
+            item = marshal.load(reader)
+        except (EOFError, ValueError):
+            return
+        yield item
 
-    The child sends other()'s result back as ``marshal`` bytes (ints, lists,
-    tuples and dicts) and ends with ``os._exit``; if it fails, other comes
-    back as None.  The parent reads the pipe only after own() returns, so a
-    result larger than the pipe buffer waits in the child.  If own() raises,
-    the parent closes its end, kills the child, reaps it and re-raises.
-    Without ``os.fork``, or when the pipe or the fork fails, both run here.
-    The child keeps only the forking thread, so other must take no lock
-    that another thread may hold: the sweeps run plain integer code.
+
+@contextmanager
+def _from_child(produce: Callable[[], Iterator[object]]) -> Iterator[Iterator[object]]:
+    """An iterator over the items of the generator ``produce()``, which runs
+    in a child made by ``os.fork``, at the same time as the caller's block.
+
+    The child collects every item in its own memory first, so it never
+    waits on the pipe while it works, then writes each as its own
+    ``marshal`` record (ints, strings, lists, tuples, dicts) and ends with
+    ``os._exit``.  The caller reads one record per step.  A record that is
+    missing or cut short ends the iterator, so a child that raises, is
+    killed or meets an item ``marshal`` cannot write sends fewer items (a
+    raising ``produce`` sends none), and the caller does the rest itself.
+    On leaving the block the caller closes the pipe, kills the child
+    (SIGKILL) if it is still running and reaps it, however the block ends:
+    with the items used up, with some left unread, or by an exception.
+    Without ``os.fork``, or when the pipe or the fork fails, the iterator
+    is ``produce()`` itself, run here as the caller steps it.  The child
+    keeps only the forking thread, so ``produce`` must take no lock that
+    another thread may hold.
     """
+    pid = None
     fork = getattr(os, "fork", None)
-    if fork is None:
-        return own(), other()
-    try:
-        r, w = os.pipe()
-    except OSError:
-        return own(), other()
-    try:
-        pid = fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return own(), other()
-    if pid == 0:  # the child: send other() and leave, whatever happens
+    if fork is not None:
+        try:
+            r, w = os.pipe()
+        except OSError:
+            fork = None
+    if fork is not None:
+        try:
+            pid = fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+    if pid is None:
+        yield produce()
+        return
+    if pid == 0:  # the child: send the items and leave, whatever happens
         status = 1
         try:
             os.close(r)
+            items = list(produce())
             with open(w, "wb") as out:
-                out.write(marshal.dumps(other()))
+                for item in items:
+                    marshal.dump(item, out)
             status = 0
         finally:
             os._exit(status)
     os.close(w)
     reader = open(r, "rb")
     try:
-        value = own()
-        data = reader.read()
-    except BaseException:
-        reader.close()  # a child blocked on a full pipe sees EPIPE
-        os.kill(pid, 9)  # SIGKILL: the child may still be sweeping
-        raise
+        yield _records(reader)
     finally:
         reader.close()
-        _, status = os.waitpid(pid, 0)
-    if status != 0:
-        return value, None
-    return value, marshal.loads(data)
+        os.kill(pid, 9)  # SIGKILL; a child that has exited is not affected
+        os.waitpid(pid, 0)
+
+
+def _beside(own: Callable[[], object], other: Callable[[], object]) -> Tuple[object, object]:
+    """(own(), other()), with other() run at the same time in a forked child.
+
+    It is one of the two users of ``_from_child``, the package's one
+    fork/pipe/kill/reap path; the other is the tanh-sinh level split in
+    ``quadrature.integrate_1d``.  If the child fails, other comes back as
+    None.  If own() raises, the child is killed and reaped before the error
+    goes on.  Without ``os.fork`` both run here, own() first.  The sweeps it
+    runs are plain integer code, which takes no lock."""
+    def produce():
+        yield other()
+
+    with _from_child(produce) as results:
+        return own(), next(results, None)

@@ -27,6 +27,23 @@ the node table, so the loop over its nodes does only the integrand's work;
 a non-finite value is caught by testing the level's sum, which any
 non-finite contribution leaves non-finite, before the level is used.
 
+The node pairs of a level are independent, so a costly level runs on two
+cores (Bailey and Borwein, "Highly parallel, high-precision numerical
+integration", 2008).  When the level before took at least
+``_SPLIT_AFTER_S``, the second half of the level's pairs is evaluated in a
+child made by ``os.fork`` (``hpreal._from_child``), up to the child's own
+tail cut, while this process evaluates the first half.  The contributions
+are still summed here, one at a time, in node order, by the serial loop
+with its tail cut: the first half as it is evaluated, then the child's,
+read back exactly (as ``_mpf_`` tuples), then any the child did not send,
+evaluated here.  The child's cut starts from a fresh state, so it never
+comes before the serial cut when that falls in its half.  So the same
+additions of the same values happen in the same order: the value, the
+deltas, the levels and the evaluation count (the pairs the loop used) are
+bit-for-bit those of the serial rule, and an integrand that raises or
+returns a non-finite value fails at the same node and level.  No child
+outlives its level.
+
 The rule is one-dimensional; the consequence identities' double integrals
 reach it already reduced to 1-D integrals of theta-series kernels
 (moments.py).
@@ -35,12 +52,14 @@ reach it already reduced to 1-D integrals of theta-series kernels
 from __future__ import annotations
 
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from mpmath import mp, mpf
 
-from .hpreal import _tolerance, _working, default_tolerance
+from .hpreal import _from_child, _tolerance, _working, default_tolerance
 
 __all__ = [
     "QuadratureResult",
@@ -54,6 +73,10 @@ __all__ = [
 _WORK_GUARD = 15
 # refinement levels are capped; hitting the cap raises QuadratureError
 _DEFAULT_LEVEL_CAP = 12
+# a level is split across two processes when the one before it took this
+# long (perf_counter seconds): one fork round-trip costs about 3.4 ms, and
+# a level has about twice the nodes of the one before
+_SPLIT_AFTER_S = 0.008
 
 IntegrandFn = Callable[..., mpf]
 
@@ -161,13 +184,61 @@ def _truncation_range(P: int, tol: mpf) -> int:
 # the 1-D engine
 # ---------------------------------------------------------------------------
 
-def _pairs(nodes, a, b, r, width):
-    """A level's mirrored node pairs on [a, b] as (x_lo, x_hi, near, far, w):
-    x_lo = a + near and x_hi = b - near, with near = r*offset the distance of
-    each from its own endpoint and far = width - near from the other."""
+def _contributions(f, nodes, a, b, r, width):
+    """Each node pair's weight * (f(x_lo) + f(x_hi)) on [a, b], in node
+    order: x_lo = a + near and x_hi = b - near, with near = r*offset the
+    distance of each from its own endpoint and far = width - near from the
+    other."""
     for offset, weight in nodes:
         near = r * offset
-        yield a + near, b - near, near, width - near, weight
+        far = width - near
+        yield weight * (f(a + near, near, far) + f(b - near, far, near))
+
+
+def _until_cut(contribs, hr, cutoff, seen_large):
+    """contribs up to the converged-tail cut: the second tiny one (|c|*hr
+    below cutoff) in a row after a large one.  The cut waits for a large
+    contribution, since an integrand peaked away from the centre starts
+    with tiny ones; seen_large says whether one came before contribs."""
+    tiny_run = 0
+    for contrib in contribs:
+        yield contrib
+        if abs(contrib) * hr < cutoff:
+            tiny_run += 1
+            if tiny_run >= 2 and seen_large:
+                return
+        else:
+            tiny_run = 0
+            seen_large = True
+
+
+@contextmanager
+def _level_contributions(f, nodes, geometry, half, hr, cutoff):
+    """A level's contributions in node order.  With half set, the pairs from
+    half on are evaluated at the same time in a forked child
+    (``hpreal._from_child``), up to its own tail cut; it sends each
+    contribution back exactly, as its ``_mpf_`` tuple.  The pairs before
+    half are evaluated here, lazily, then the child's are read in order, and
+    whatever the child did not send is evaluated here."""
+    if half is None:
+        yield _contributions(f, nodes, *geometry)
+        return
+
+    def produce():
+        for contrib in _until_cut(_contributions(f, nodes[half:], *geometry),
+                                  hr, cutoff, False):
+            yield contrib._mpf_
+
+    def merged(records):
+        yield from _contributions(f, nodes[:half], *geometry)
+        done = half
+        for record in records:
+            yield mp.make_mpf(record)
+            done += 1
+        yield from _contributions(f, nodes[done:], *geometry)
+
+    with _from_child(produce) as records:
+        yield merged(records)
 
 
 def integrate_1d(f: IntegrandFn, a, b, P: int, tol=None) -> QuadratureResult:
@@ -185,6 +256,7 @@ def integrate_1d(f: IntegrandFn, a, b, P: int, tol=None) -> QuadratureResult:
         tol = _tolerance(P, tol)
         width = b - a
         r = width / 2
+        geometry = (a, b, r, width)
         tmax_q4 = _truncation_range(P, tol)
         # per-node contributions below this are treated as converged tail
         cutoff = tol * mpf(10) ** -4
@@ -193,15 +265,13 @@ def integrate_1d(f: IntegrandFn, a, b, P: int, tol=None) -> QuadratureResult:
         deltas: List[mpf] = []
         evaluations = 0
         level_cap = _DEFAULT_LEVEL_CAP
+        took = 0.0
         for level in range(level_cap + 1):
             h = mpf(2) ** (-level)
             # h is a power of two, so |c|*hr rounds exactly as (|c|*h)*r
             hr = h * r
             nodes = _node_levels(dps, tmax_q4, level)[level]
             part = mpf(0)
-            tiny_run = 0
-            # cut the tail only after a contribution above the cutoff: an
-            # integrand peaked away from the centre starts with tiny ones
             seen_large = False
             if level == 0:
                 # the centre node, t = 0 (offset 1), is its own mirror image;
@@ -213,17 +283,14 @@ def integrate_1d(f: IntegrandFn, a, b, P: int, tol=None) -> QuadratureResult:
                 evaluations += 1
                 part += contrib
                 seen_large = abs(contrib) * hr >= cutoff
-            for x_lo, x_hi, near, far, weight in _pairs(nodes, a, b, r, width):
-                contrib = weight * (f(x_lo, near, far) + f(x_hi, far, near))
-                evaluations += 2
-                part += contrib
-                if abs(contrib) * hr < cutoff:
-                    tiny_run += 1
-                    if tiny_run >= 2 and seen_large:
-                        break
-                else:
-                    tiny_run = 0
-                    seen_large = True
+            # a costly level's second half runs in a child, on another core
+            half = len(nodes) // 2 if level and took >= _SPLIT_AFTER_S else None
+            start = time.perf_counter()
+            with _level_contributions(f, nodes, geometry, half, hr, cutoff) as contribs:
+                for contrib in _until_cut(contribs, hr, cutoff, seen_large):
+                    evaluations += 2
+                    part += contrib
+            took = time.perf_counter() - start
             # a non-finite contribution leaves the level's sum non-finite
             # (inf + -inf is nan), so one test per level finds it
             if not mp.isfinite(part):

@@ -17,6 +17,8 @@ from cotmoments import moments, series
 from cotmoments.moments import run_suite
 from cotmoments.report import VerificationReport
 
+from sweep_log import _log_sweeps
+
 
 def run_cli(args, capsys):
     code = cli.main(args)
@@ -127,25 +129,20 @@ def test_moments_series_routes_agree_with_closed_form(capsys):
     assert "DISAGREEMENT" not in err
 
 
-def test_moments_sweeps_once_per_parity(monkeypatch, capsys):
+def test_moments_sweeps_once_per_parity(monkeypatch, capsys, tmp_path):
     # the deepest m is computed first, so each route's cached sweep of a
-    # parity serves every shallower m of it
-    calls = {"cfn": [], "nested": []}
-    for module, name, cache, kind in ((moments, "_cfn_sweep", "_cfn_cache", "cfn"),
-                                      (series, "_sums_sweep", "_sums_cache", "nested")):
-        def counted(*args, _sweep=getattr(module, name), _calls=calls[kind]):
-            _calls.append(args)
-            return _sweep(*args)
-
-        monkeypatch.setattr(module, cache, {})
-        monkeypatch.setattr(module, name, counted)
+    # parity serves every shallower m of it; those misses are deeper than
+    # the suites' range, so no sibling is swept in a child
+    cfn_calls = _log_sweeps(monkeypatch, moments, "_cfn_sweep", "_cfn_cache", tmp_path / "cfn")
+    s_calls = _log_sweeps(monkeypatch, series, "_sums_sweep", "_sums_cache", tmp_path / "sums")
     code, out, _ = run_cli(["moments", "--m", "1..12", "--route", "cfn,nested",
                             "--digits", "30", "--n", "2000"], capsys)
     assert code == 0
     assert [line.split()[0] for line in out.splitlines()[::2]] == [
         f"C({m})" for m in range(1, 13)]
-    assert len(calls["cfn"]) == 2
-    assert len(calls["nested"]) == 2
+    here = os.getpid()
+    assert cfn_calls() == [[here, 0, 6], [here, 1, 5]]
+    assert s_calls() == [[here, "even", 5], [here, "odd", 5]]
 
 
 def _significant_digits(text):

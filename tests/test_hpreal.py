@@ -9,7 +9,10 @@ cross-checks.
 
 from __future__ import annotations
 
+import ast
 import inspect
+import io
+import marshal
 import math
 import os
 import pathlib
@@ -28,6 +31,8 @@ from cotmoments.hpreal import (
     _ACCEL_RATE,
     MIN_DIGITS,
     _beside,
+    _from_child,
+    _records,
     eta,
     log2,
     pi,
@@ -291,7 +296,7 @@ def test_every_entry_point_refuses_too_few_digits(name):
 
 
 # ---------------------------------------------------------------------------
-# _beside: a sibling sweep in a forked child
+# _from_child, and _beside over it: work in a forked child
 # ---------------------------------------------------------------------------
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
@@ -393,3 +398,45 @@ def test_without_fork_both_sweeps_run_here_and_are_cached(no_fork, monkeypatch):
                                   for p in (0, 1)}
     assert series._sums_cache == {(kind, 2000, 140): (2, sums_sweep(kind, 2, 2000, 140))
                                   for kind in ("odd", "even")}
+
+
+def test_records_end_at_the_first_missing_or_truncated_one():
+    whole = marshal.dumps(1) + marshal.dumps([2, "three"])
+    assert list(_records(io.BytesIO(whole))) == [1, [2, "three"]]
+    assert list(_records(io.BytesIO(whole + marshal.dumps((4 << 900, 5))[:-3]))) == [1, [2, "three"]]
+    assert list(_records(io.BytesIO(b""))) == []
+    assert list(_records(io.BytesIO(b"\xff"))) == []  # not a type code
+
+
+@needs_fork
+def test_from_child_streams_in_order_and_reaps_a_child_left_unread():
+    def produce():
+        for i in range(3000):  # about 400 KB, far more than a pipe holds
+            yield [i, os.getpid(), "x" * 100]
+
+    with _deadline(60):
+        with _from_child(produce) as items:
+            head = [next(items) for _ in range(5)]
+    assert [i for i, _, _ in head] == list(range(5))
+    assert all(pid != os.getpid() for _, pid, _ in head)
+    with pytest.raises(ChildProcessError):  # reaped, though blocked on the pipe
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_one_function_forks_pipes_kills_and_reaps():
+    # _beside and the quadrature level split share one process path
+    package = pathlib.Path(cotmoments.__file__).parent
+    process_calls = {"fork", "pipe", "kill", "waitpid", "_exit"}
+    users = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                named = (node.attr if isinstance(node, ast.Attribute)
+                         and getattr(node.value, "id", None) == "os"
+                         else node.value if isinstance(node, ast.Constant) else None)
+                if named in process_calls:
+                    users.add(f"{path.name}:{fn.name}")
+    assert users == {"hpreal.py:_from_child"}

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import ast
 import json
-import os
 import pathlib
 import random
 import sys
@@ -39,6 +38,7 @@ from cotmoments.quadrature import default_tolerance, integrate_1d
 from reference_cfn import _reference_cfn
 from reference_kernels import _reference_theta_kernels
 from reference_quadrature import _reference_2d
+from sweep_log import _log_sweeps
 
 # 40-digit references, frozen from mpmath closed forms
 _FROZEN = {
@@ -167,27 +167,6 @@ def test_cfn_deeper_m_resweeps_a_shallow_entry(monkeypatch, shallow, deep):
     # the deeper one then serves both
     assert [(parity, kmax) for parity, kmax, _, _ in calls] == [
         (shallow % 2, (6 - shallow % 2) // 2), (deep % 2, deep // 2)]
-
-
-def _log_sweeps(monkeypatch, module, name, cache, path):
-    """Route module.<name> through a counter on an empty cache that appends
-    (pid, first two arguments) to the file path, one line per call, so a
-    sweep run in a forked child is counted too.  Returns a reader of the
-    calls, this process's first, each side in call order."""
-    sweep = getattr(module, name)
-
-    def counted(*args):
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps([os.getpid(), *args[:2]]) + "\n")
-        return sweep(*args)
-
-    monkeypatch.setattr(module, cache, {})
-    monkeypatch.setattr(module, name, counted)
-
-    def calls():
-        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        return sorted(rows, key=lambda row: row[0] != os.getpid())  # stable
-    return calls
 
 
 def test_routes_suite_runs_one_cfn_sweep_per_parity(monkeypatch, tmp_path):

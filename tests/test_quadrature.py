@@ -6,15 +6,18 @@ from __future__ import annotations
 
 import ast
 import math
+import os
 import pathlib
+import signal
 import sys
 import threading
+from functools import partial
 
 import pytest
 from mpmath import mp, mpf
 
 import cotmoments
-from cotmoments import quadrature
+from cotmoments import moments, quadrature, series
 from cotmoments.hpreal import _closed_form_tolerance, _working, _zeta_even_tolerance, eta, log2, pi
 from cotmoments.quadrature import (
     _WORK_GUARD,
@@ -27,6 +30,7 @@ from cotmoments.quadrature import (
     integrate_1d,
     moment_quadrature,
 )
+from cotmoments.series import kernel_k0, kernel_k1
 
 from reference_quadrature import (
     _reference_2d,
@@ -357,11 +361,16 @@ def test_build_level_restores_the_precision():
             assert mp.prec == prec
 
 
-def test_mixed_precision_threads_build_the_nodes_they_would_alone(monkeypatch):
+def _threads_at_mixed_precisions(monkeypatch, split_after):
+    """Four threads at P = 30 and 120 on an empty node cache, with levels
+    split after split_after seconds, give the results of serial runs that
+    split no level."""
     def f(x, da, db):
         return mp.sqrt(da) * mp.log(1 + x)
 
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _NEVER)
     serial = {P: integrate_1d(f, 0, 1, P) for P in (30, 120)}
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", split_after)
     monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
     precisions = (30, 120, 30, 120)
     results = {}
@@ -383,6 +392,179 @@ def test_mixed_precision_threads_build_the_nodes_they_would_alone(monkeypatch):
     assert not any(t.is_alive() for t in threads)
     assert results == {i: serial[P] for i, P in enumerate(precisions)}
     assert len(quadrature._NODE_CACHE) == 2  # one table per precision
+
+
+def test_mixed_precision_threads_build_the_nodes_they_would_alone(monkeypatch):
+    _threads_at_mixed_precisions(monkeypatch, quadrature._SPLIT_AFTER_S)
+
+
+def test_mixed_precision_threads_split_levels_as_they_would_alone(monkeypatch):
+    # each thread forks under the precision lock; the child keeps only it
+    _threads_at_mixed_precisions(monkeypatch, _ALWAYS)
+
+
+# ---------------------------------------------------------------------------
+# the level split: a costly level's second half in a forked child
+# ---------------------------------------------------------------------------
+
+# the split threshold forced either way: every level L >= 1 split, or none
+_ALWAYS, _NEVER = 0.0, math.inf
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+
+
+def _consequence_integrals(P):
+    k1, k0 = moments._theta_kernels(P)
+    for integrand in (moments._ci1, partial(moments._ci2, k1),
+                      moments._ci3, partial(moments._ci4, k0)):
+        quadrature.integrate_1d(integrand, 0, 1, P)
+
+
+_SPLIT_CASES = {
+    "moment-1": lambda P: moment_quadrature(1, P),
+    "moment-12": lambda P: moment_quadrature(12, P),
+    "moment-40": lambda P: moment_quadrature(40, P),
+    "k0-0.8": lambda P: kernel_k0("0.8", P),
+    "k0-1": lambda P: kernel_k0(1, P),
+    "k1-0.8": lambda P: kernel_k1("0.8", P),
+    "k1-1": lambda P: kernel_k1(1, P),
+    "consequences": _consequence_integrals,
+}
+
+
+def _results(monkeypatch, split_after, run):
+    """Every QuadratureResult that run() gets from integrate_1d, with the
+    levels split after split_after seconds."""
+    results = []
+
+    def recorded(*args):
+        results.append(integrate_1d(*args))
+        return results[-1]
+
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", split_after)
+    for module in (quadrature, series):
+        monkeypatch.setattr(module, "integrate_1d", recorded)
+    run()
+    return results
+
+
+@pytest.mark.parametrize("P", [30, 100])
+@pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
+def test_split_levels_give_the_serial_results(case, P, monkeypatch):
+    # value, error_estimate, levels, evaluations and deltas, exactly
+    run = partial(_SPLIT_CASES[case], P)
+    serial = _results(monkeypatch, _NEVER, run)
+    assert serial and all(res.levels >= 3 for res in serial)
+    assert _results(monkeypatch, _ALWAYS, run) == serial
+
+
+def _evaluating_pids(monkeypatch, split_after, path):
+    def f(x, da, db):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return mp.sqrt(da)
+
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", split_after)
+    result = integrate_1d(f, 0, 1, 30)
+    pids = set(path.read_text(encoding="utf-8").split())
+    path.unlink()
+    return result, pids
+
+
+@needs_fork
+def test_a_split_level_is_evaluated_in_two_processes(monkeypatch, tmp_path):
+    serial, pids = _evaluating_pids(monkeypatch, _NEVER, tmp_path / "pids")
+    assert pids == {str(os.getpid())}
+    split, pids = _evaluating_pids(monkeypatch, _ALWAYS, tmp_path / "pids")
+    assert len(pids) > 2  # a child per level L >= 1
+    assert split == serial
+
+
+def test_the_default_threshold_splits_only_costly_levels(monkeypatch):
+    levels = []
+    split = quadrature._level_contributions
+
+    def logged(f, nodes, geometry, half, hr, cutoff):
+        levels.append(half is not None)
+        return split(f, nodes, geometry, half, hr, cutoff)
+
+    monkeypatch.setattr(quadrature, "_level_contributions", logged)
+    integrate_1d(lambda x, da, db: x, 0, 1, 30)
+    assert not any(levels)  # a cheap integral never forks
+
+
+def _dies(how):
+    if how == "raises":
+        raise RuntimeError("the child failed")
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@needs_fork
+@pytest.mark.parametrize("how", ["raises", "killed"])
+def test_a_child_that_fails_leaves_the_serial_result(how, monkeypatch):
+    parent = os.getpid()
+
+    def f(x, da, db):
+        if os.getpid() != parent:
+            _dies(how)
+        return mp.sqrt(da) * mp.log(1 + x)
+
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _NEVER)
+    serial = integrate_1d(f, 0, 1, 30)
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _ALWAYS)
+    assert integrate_1d(f, 0, 1, 30) == serial
+
+
+@pytest.mark.parametrize("bad", ["raises", "inf"])
+def test_a_failure_in_the_childs_half_is_the_serial_failure(bad, monkeypatch):
+    # a node in the second half of level 1, which the child evaluates
+    P = 30
+    with _working(P, _WORK_GUARD):
+        tmax_q4 = _truncation_range(P, default_tolerance(P))
+        nodes = _node_levels(P + _WORK_GUARD, tmax_q4, 1)[1]
+        near = nodes[len(nodes) * 3 // 4][0] / 2
+
+    def f(x, da, db):
+        if da == near:
+            if bad == "raises":
+                raise ZeroDivisionError(f"bad node in process {os.getpid() != parent}")
+            return mp.inf
+        return mpf(1)
+
+    parent = os.getpid()
+    failures = []
+    for split_after in (_NEVER, _ALWAYS):
+        monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", split_after)
+        with pytest.raises((ZeroDivisionError, QuadratureError)) as err:
+            integrate_1d(f, 0, 1, P)
+        failures.append((type(err.value), str(err.value)))
+    assert failures[1] == failures[0]
+    assert failures[0] == ((ZeroDivisionError, "bad node in process False") if bad == "raises"
+                           else (QuadratureError, "integrand returned a non-finite value at"
+                                 " level 1 (endpoint distances are passed for a reason)"))
+
+
+def _fork_fails():
+    raise OSError("fork: resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("no_fork", ["raises", "missing"])
+def test_without_fork_a_split_level_runs_here(no_fork, monkeypatch):
+    pids = set()
+
+    def f(x, da, db):
+        pids.add(os.getpid())
+        return mp.sqrt(da) * mp.log(1 + x)
+
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _NEVER)
+    serial = integrate_1d(f, 0, 1, 30)
+    if no_fork == "raises":
+        monkeypatch.setattr(os, "fork", _fork_fails)
+    else:
+        monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _ALWAYS)
+    assert integrate_1d(f, 0, 1, 30) == serial
+    assert pids == {os.getpid()}
 
 
 # ---------------------------------------------------------------------------

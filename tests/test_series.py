@@ -8,6 +8,7 @@ integral evaluations.
 
 from __future__ import annotations
 
+import os
 import threading
 from fractions import Fraction as Fr
 
@@ -36,6 +37,7 @@ from cotmoments.series import (
 )
 
 from reference_kernels import _reference_k0, _reference_k1
+from sweep_log import _log_sweeps
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +298,15 @@ def test_mixed_precision_threads_return_serial_values():
     assert wrong == []
 
 
-def test_rising_depths_cost_one_sweep(monkeypatch):
-    calls = _count_sweeps(monkeypatch, "_sums_sweep", "_sums_cache")
+def test_rising_depths_cost_one_sweep(monkeypatch, tmp_path):
+    # the miss at depth 0 sweeps odd to depth 2 here and even beside it, in
+    # a child; depths 1 and 2 then hit
+    calls = _log_sweeps(monkeypatch, series, "_sums_sweep", "_sums_cache", tmp_path / "sums")
     for l in range(3):
         s_odd(l, 30, N=4000)
-    assert len(calls) == 1
+    here, child = os.getpid(), calls()[-1][0]
+    assert child != here
+    assert calls() == [[here, "odd", 2], [child, "even", 2]]
 
 
 def test_s_rejects_bad_arguments():
