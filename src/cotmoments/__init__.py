@@ -30,9 +30,8 @@ from .exact import (
     euler_zigzag,
     partitions,
 )
-from .hpreal import default_tolerance, eta, log2, pi, to_digits, zeta
+from .hpreal import Evaluation, default_tolerance, eta, log2, pi, to_digits, zeta
 from .moments import (
-    MomentValue,
     ROUTES,
     SUITES,
     binomial_gf_identities,
@@ -52,7 +51,6 @@ from .quadrature import (
 )
 from .report import CheckRecord, VerificationReport
 from .series import (
-    SeriesValue,
     a0,
     a0_via_recurrence,
     a1,
@@ -73,14 +71,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckRecord",
-    "MomentValue",
+    "Evaluation",
     "Partition",
     "QuadratureError",
     "QuadratureResult",
     "ROUTES",
     "RationalPowerSeries",
     "SUITES",
-    "SeriesValue",
     "VerificationReport",
     "a0",
     "a0_via_recurrence",

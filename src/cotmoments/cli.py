@@ -29,12 +29,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 from mpmath import mp, mpf
 
 from . import cfn
-from .hpreal import (_DEFAULT_DIGITS, _DEFAULT_N, MIN_DIGITS, _closed_form_tolerance,
+from .hpreal import (_DEFAULT_DIGITS, _DEFAULT_N, MIN_DIGITS, Evaluation, _closed_form_tolerance,
                      _tolerance, _working, eta, log2, pi, to_digits, zeta)
 from .moments import (
     ROUTES,
     SUITES,
-    MomentValue,
     _ROUTE_ALIASES,
     _require_suite_n,
     compute_moment,
@@ -188,13 +187,13 @@ def _parse_routes(spec: str) -> List[str]:
     return routes
 
 
-def _route_bound(mv: MomentValue, P: int) -> mpf:
+def _route_bound(mv: Evaluation, P: int) -> mpf:
     if mv.error_bound is not None:
         return mv.error_bound
     return _closed_form_tolerance(P)
 
 
-def _certified_digits(mv: MomentValue, P: int) -> int:
+def _certified_digits(mv: Evaluation, P: int) -> int:
     """Significant digits that the route's absolute error bound B certifies:
     max(1, floor(log10(|value| / B))), capped at P, so B stays below one
     unit of the last digit shown.  The closed form (no bound, a few ulps
@@ -217,7 +216,7 @@ def cmd_moments(args: argparse.Namespace, cfg: RunConfig, stream: TextIO) -> int
                 " use the eta or quadrature route")
     # deepest first: the series routes' cached sweeps then serve every
     # shallower m instead of sweeping again at each new depth
-    computed: Dict[Tuple[int, str], MomentValue] = {}
+    computed: Dict[Tuple[int, str], Evaluation] = {}
     for m in sorted(set(m_values), reverse=True):
         for route in routes:
             computed[m, route] = compute_moment(m, P, route, N=cfg.n, tol=cfg.tol)
@@ -227,9 +226,9 @@ def cmd_moments(args: argparse.Namespace, cfg: RunConfig, stream: TextIO) -> int
     with _working(P):
         tol_text = mp.nstr(_tolerance(P, cfg.tol), 5)
         shown = [to_digits(mv.value, _certified_digits(mv, P)) for mv in rows]
-        by_m: Dict[int, List[MomentValue]] = {}
+        by_m: Dict[int, List[Evaluation]] = {}
         for mv in rows:
-            by_m.setdefault(mv.m, []).append(mv)
+            by_m.setdefault(mv.index, []).append(mv)
         for m, group in by_m.items():
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
@@ -238,7 +237,7 @@ def cmd_moments(args: argparse.Namespace, cfg: RunConfig, stream: TextIO) -> int
                     allowed = _route_bound(a, P) + _route_bound(b, P)
                     if gap > allowed:
                         disagreements.append(
-                            f"C({m}): {a.route} vs {b.route} differ by "
+                            f"C({m}): {a.name} vs {b.name} differ by "
                             f"{mp.nstr(gap, 5)} > combined bound {mp.nstr(allowed, 5)}")
 
     fmt = cfg.format or "text"
@@ -248,8 +247,8 @@ def cmd_moments(args: argparse.Namespace, cfg: RunConfig, stream: TextIO) -> int
             "config": {"digits": P, "n": cfg.n, "tol": tol_text},
             "rows": [
                 {
-                    "m": mv.m,
-                    "route": mv.route,
+                    "m": mv.index,
+                    "route": mv.name,
                     "value": value,
                     "truncation": mv.truncation,
                     "error_bound": None if mv.error_bound is None
@@ -265,7 +264,7 @@ def cmd_moments(args: argparse.Namespace, cfg: RunConfig, stream: TextIO) -> int
         for mv, value in zip(rows, shown):
             bound = "" if mv.error_bound is None else mp.nstr(mv.error_bound, 8)
             trunc = "" if mv.truncation is None else str(mv.truncation)
-            lines.append(f"{mv.m},{mv.route},{value},{trunc},{bound}")
+            lines.append(f"{mv.index},{mv.name},{value},{trunc},{bound}")
         _emit("\n".join(lines), stream)
     else:
         lines = []
@@ -276,7 +275,7 @@ def cmd_moments(args: argparse.Namespace, cfg: RunConfig, stream: TextIO) -> int
             if mv.error_bound is not None:
                 extras.append(f"bound={mp.nstr(mv.error_bound, 8)}")
             suffix = f"  ({', '.join(extras)})" if extras else ""
-            lines.append(f"C({mv.m})  {mv.route:<16} {value}{suffix}")
+            lines.append(f"C({mv.index})  {mv.name:<16} {value}{suffix}")
         _emit("\n".join(lines), stream)
 
     if disagreements:

@@ -26,16 +26,15 @@ caller falls back on its own work; without ``os.fork``, or when it fails,
 sees only the parent's spans: what the child records is lost with it.  It
 has two users:
 
-* ``_beside(own, other)`` runs an odd/even pair of the series routes'
-  integer sweeps, which the suites ask for at the same (N, bits), at once:
-  ``own`` here, ``other`` in the child.  The routes use it only for a cache
-  miss inside the suites' range (cfn m <= 6, S depth <= 2), where the
-  sibling sweep would be asked for next; deeper misses sweep alone.  If the
-  child fails, the sibling comes back as None and stays uncached; the
-  asked-for value never depends on the child.
+* ``_beside(own, other)`` runs ``own`` here and ``other`` in the child,
+  for the series routes' sweep cache ``_paired_sweep``.
 * ``quadrature.integrate_1d`` evaluates the second half of a costly
   tanh-sinh level's node pairs in the child, and sums every contribution
   here, in the serial order.
+
+The two series routes share no maths, but they share this layer's
+plumbing: the value record ``Evaluation`` that every route returns, the
+block length of their fixed-point sweeps, and ``_paired_sweep``.
 
 eta(s) is summed with the Chebyshev-weighted acceleration for alternating
 series with totally monotone terms (Cohen, Rodriguez Villegas, Zagier,
@@ -56,7 +55,9 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import mpmath
 from mpmath import mp, mpf
@@ -64,6 +65,7 @@ from mpmath import mp, mpf
 from .exact import bernoulli
 
 __all__ = [
+    "Evaluation",
     "GUARD_DIGITS",
     "MIN_DIGITS",
     "pi",
@@ -80,12 +82,30 @@ GUARD_DIGITS = 10
 MIN_DIGITS = 10
 _DEFAULT_DIGITS = 50  # the library's and the CLI's default precision
 _DEFAULT_N = 100000    # the library's and the CLI's default truncation N
+_SWEEP_BLOCK_BITS = 1 << 17  # a sweep block holds _SWEEP_BLOCK_BITS // fbits values of j
 
 _ACCEL_RATE = math.log(3 + math.sqrt(8))  # ~1.7627
 
 _eta_cache: Dict[Tuple[int, int], mpf] = {}
 
 _PRECISION_LOCK = threading.RLock()
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """One computed value: a moment by a route, or a series family's value.
+
+    name is the route (``cfn-series``) or the family (``S_odd``), and index
+    its m, k or l.  truncation is the cutoff N of a truncated sum, None
+    otherwise.  error_bound is the value's own accuracy claim; it is None
+    only for a closed form, whose error is a few ulps at the precision
+    asked for."""
+
+    name: str
+    index: int
+    value: mpf
+    truncation: Optional[int] = None
+    error_bound: Optional[mpf] = None
 
 
 def _require_digits(P: int) -> None:
@@ -171,7 +191,9 @@ def eta(s: int, P: int) -> mpf:
     With fb = bitlength(n) + 5, 2^fb > 32 n, so this rounding allowance is
     below 1/(16 (3 + sqrt 8)^n): less than 1/22 of the CVZ bound
     2 eta(s) / (3 + sqrt 8)^n, as eta(s) >= log 2.  The quotient by d is
-    rounded once to the working precision.
+    rounded once to the working precision.  A term whose (k+1)^s exceeds
+    2^bitlength(c) floors to 0 or -1 without the power, so the cost stays
+    bounded however large s is.
     """
     if not isinstance(s, int):
         # (k+1)^s would be a float, good to ~15 digits whatever P is
@@ -193,7 +215,10 @@ def eta(s: int, P: int) -> mpf:
         acc = 0
         for k in range(n):
             c = (b << fb) - c
-            acc += c // (k + 1) ** s
+            if ((k + 1).bit_length() - 1) * s < c.bit_length():
+                acc += c // (k + 1) ** s
+            elif c < 0:  # (k + 1)^s > |c|, so the floor is -1 (0 for c >= 0)
+                acc -= 1
             b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
         value = _eta_cache[key] = mp.fdiv(acc, d << fb)
     return value
@@ -318,3 +343,33 @@ def _beside(own: Callable[[], object], other: Callable[[], object]) -> Tuple[obj
 
     with _from_child(produce) as results:
         return own(), next(results, None)
+
+
+def _paired_sweep(cache: dict, sweep: Callable[..., object], kind, sibling, depth: int,
+                  N: int, fbits: int, floors: dict) -> object:
+    """sweep(kind, d, N, fbits) for some d >= depth, cached in cache as
+    (d, result) per (kind, N, fbits): the series routes' one sweep cache.
+
+    The suites ask for both members of an odd/even pair (kind, sibling) at
+    the same (N, fbits), each up to its floor depth.  So a miss at depth <=
+    floors[kind], with the sibling's entry missing, sweeps kind to its floor
+    here and the sibling to its own floor at once in a forked child
+    (``_beside``), which leaves the sibling uncached if it fails.  Every
+    other miss sweeps kind alone, to max(depth, floors[kind]).  A sweep's
+    integers at a depth do not depend on how deep it ran, or where.  Callers
+    hold the precision scope, whose lock guards the cache."""
+    key = (kind, N, fbits)
+    hit = cache.get(key)
+    if hit is not None and hit[0] >= depth:
+        return hit[1]
+    floor, pair = floors[kind], (sibling, N, fbits)
+    if depth > floor or pair in cache:
+        depth = max(depth, floor)
+        cache[key] = (depth, sweep(kind, depth, N, fbits))
+        return cache[key][1]
+    swept, other = _beside(partial(sweep, kind, floor, N, fbits),
+                           partial(sweep, sibling, floors[sibling], N, fbits))
+    cache[key] = (floor, swept)
+    if other is not None:
+        cache[pair] = (floors[sibling], other)
+    return swept

@@ -8,16 +8,16 @@ independent routes compute it:
 * cfn-series — the central-binomial series whose coefficients are the exact
   H-triangles, summed in fixed-point integers with a calibrated tail bound;
   one cached sweep per parity serves every m of it, and runs as blocked
-  column passes with the same integers as a per-j loop; a miss at m <= 6
-  sweeps both parities to m <= 6 at once, the other parity in a forked
-  child on a second core (``hpreal._beside``);
+  column passes with the same integers as a per-j loop;
 * nested-series — pi-power combinations of the S_odd/S_even suffix-nested
-  sums, each carrying a propagated tail bound (the series layer likewise
-  sweeps both kinds at once for a miss at depth <= 2);
+  sums, each carrying a propagated tail bound;
 * quadrature — direct tanh-sinh integration of the defining integral.
 
 No route shares code with another past the constants layer, which is what
-makes the cross-route agreement checks in `run_suite` meaningful.
+makes the cross-route agreement checks in `run_suite` meaningful.  That
+layer (``hpreal``) holds the plumbing the routes do share: every route
+returns an ``hpreal.Evaluation``, and both series routes cache their
+odd/even sweeps through ``hpreal._paired_sweep``.
 
 The consequence identities 2 and 4 are double integrals over the unit
 square, and their inner integral is one of the central-binomial kernels
@@ -34,7 +34,6 @@ checks the two against each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, count, repeat
 from operator import floordiv, mul, rshift
@@ -43,9 +42,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 from mpmath import mp, mpf
 
 from . import cfn
-from .hpreal import (_DEFAULT_DIGITS, _DEFAULT_N, GUARD_DIGITS, _beside, _closed_form_tolerance,
-                     _require_digits, _tolerance, _working, _zeta_even_tolerance,
-                     default_tolerance, eta, fixed_point_bits, zeta, zeta_even_closed)
+from .hpreal import (_DEFAULT_DIGITS, _DEFAULT_N, _SWEEP_BLOCK_BITS, GUARD_DIGITS, Evaluation,
+                     _closed_form_tolerance, _paired_sweep, _require_digits, _tolerance,
+                     _working, _zeta_even_tolerance, default_tolerance, eta, fixed_point_bits,
+                     zeta, zeta_even_closed)
 from .quadrature import _WORK_GUARD, integrate_1d, moment_quadrature
 from .report import VerificationReport
 from .series import (
@@ -66,7 +66,6 @@ from .series import (
 )
 
 __all__ = [
-    "MomentValue",
     "ROUTES",
     "SUITES",
     "c_eta_route",
@@ -82,19 +81,6 @@ __all__ = [
 ROUTES = ("eta-closed-form", "cfn-series", "nested-series", "quadrature")
 
 
-@dataclass(frozen=True)
-class MomentValue:
-    """One computed moment.  truncation is the term count for series routes;
-    error_bound is the route's own accuracy claim (None for the closed form,
-    whose error is a few ulps at the working precision)."""
-
-    m: int
-    route: str
-    value: mpf
-    truncation: Optional[int] = None
-    error_bound: Optional[mpf] = None
-
-
 def _fmt(P: int) -> Callable[[object], str]:
     digits = max(P, 12)
     return lambda v: mp.nstr(mpf(v), digits)
@@ -104,7 +90,7 @@ def _fmt(P: int) -> Callable[[object], str]:
 # route 1: eta/zeta closed form
 # ---------------------------------------------------------------------------
 
-def c_eta_route(m: int, P: int) -> MomentValue:
+def c_eta_route(m: int, P: int) -> Evaluation:
     """C(m) = sum_{l=0}^{floor(m/2)} (-1)^l pi^(m-2l)/(m-2l)! eta(2l+1)
               + [m even] (-1)^(m/2) zeta(m+1).
 
@@ -131,14 +117,15 @@ def c_eta_route(m: int, P: int) -> MomentValue:
             if m % 2 == 0:
                 acc += (-1) ** (m // 2) * zeta(m + 1, Q + 5)
         value = +acc
-    return MomentValue(m=m, route="eta-closed-form", value=value)
+    return Evaluation("eta-closed-form", m, value)
 
 
 # ---------------------------------------------------------------------------
 # route 2: central-binomial series with exact H-triangle coefficients
 # ---------------------------------------------------------------------------
 
-_cfn_cache: Dict[Tuple[int, int, int], Tuple[List[int], List[int]]] = {}
+# maps (parity, N, fbits) to (kmax, the sweep's result at depths <= kmax)
+_cfn_cache: Dict[Tuple[int, int, int], Tuple[int, Tuple[List[int], List[int]]]] = {}
 
 # The integers that tell the parities apart, per parity (j0, a, c, e, f, s,
 # r): the sum runs from j = j0; the H-row root a i + c steps the strict
@@ -152,7 +139,9 @@ _CFN_ROWS = {
     0: (1, 1, 0, 2, 0, 0, 1),  # even: sum_{j>=1} ratio H0(k,j) / (2 j^3)
 }
 
-_CFN_BLOCK_BITS = 1 << 17  # a sweep block holds _CFN_BLOCK_BITS // fbits values of j
+# the routes suite asks for m <= 6, depth 2 odd and 3 even, so a sweep
+# covers that (``hpreal._paired_sweep``)
+_CFN_FLOORS = {1: 2, 0: 3}
 
 
 def _cfn_sweep(parity: int, kmax: int, N: int, fbits: int) -> Tuple[List[int], List[int]]:
@@ -182,7 +171,7 @@ def _cfn_sweep(parity: int, kmax: int, N: int, fbits: int) -> Tuple[List[int], L
     ratio = one
     for j in range(1, j0 + 1):        # ratio(j0)
         ratio = ratio * (2 * j - s) // (2 * j - 1 + s)
-    block = max(1, _CFN_BLOCK_BITS // fbits)
+    block = max(1, _SWEEP_BLOCK_BITS // fbits)
     for lo in range(j0, N + 1, block):
         hi = min(lo + block, N + 1)   # this block is lo <= j < hi
         ratios = []
@@ -207,22 +196,7 @@ def _cfn_sweep(parity: int, kmax: int, N: int, fbits: int) -> Tuple[List[int], L
     return sums, lasts
 
 
-def _cfn_fill(parity: int, k: int, N: int, fbits: int) -> Tuple[List[int], List[int]]:
-    """The sweep for a miss at depth k (see ``c_cfn_route``): a miss at
-    m <= 6 sweeps this parity to m <= 6, and the other parity beside it
-    where that entry is missing or shallower; a deeper miss sweeps alone."""
-    depth, other = (6 - parity) // 2, 1 - parity  # m <= 6: depth 2 odd, 3 even
-    hit = _cfn_cache.get((other, N, fbits))
-    if k > depth or (hit is not None and len(hit[0]) > (6 - other) // 2):
-        return _cfn_sweep(parity, max(k, depth), N, fbits)
-    swept, sibling = _beside(partial(_cfn_sweep, parity, depth, N, fbits),
-                             partial(_cfn_sweep, other, (6 - other) // 2, N, fbits))
-    if sibling is not None:
-        _cfn_cache[other, N, fbits] = sibling
-    return swept
-
-
-def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> MomentValue:
+def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> Evaluation:
     """C(m) through the central-binomial series
 
         C(2k+1) = 2^(2k+1) sum_{j>=0} C(2j,j) 4^-j H1(k,j) / (2j+1)^2
@@ -231,9 +205,9 @@ def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> MomentValue:
     summed to N terms in fixed-point integers (the H-values are built by
     their strict-prefix recurrences in the same sweep, never as rationals).
     One sweep serves every m of a parity: it is cached per (parity, N,
-    fbits), and a miss at m <= 6 sweeps every m <= 6 of its parity, depth 2
-    for odd m and 3 for even m, with the other parity's sweep beside it in a
-    forked child (``hpreal._beside``), so m = 1..6 cost one sweep per
+    fbits) by ``hpreal._paired_sweep``, with the floors m <= 6 (depth 2 for
+    odd m, 3 for even m), so a miss at m <= 6 sweeps both parities to m <= 6
+    at once, the other one in a forked child: m = 1..6 cost one sweep per
     parity and one wall-clock sweep in all.  Depth k reads the same
     integers whatever the sweep's depth, and wherever it ran.
     The sweep is blocked (see ``_cfn_sweep``) and bit-identical to a per-j
@@ -249,26 +223,23 @@ def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> MomentValue:
     fbits = fixed_point_bits(P)
     k, parity = divmod(m, 2)          # m = 2k+1 or m = 2k
     with _working(P):
-        key = (parity, N, fbits)
-        swept = _cfn_cache.get(key)
-        if swept is None or len(swept[0]) <= k:
-            swept = _cfn_cache[key] = _cfn_fill(parity, k, N, fbits)
-        total, last = swept[0][k], swept[1][k]
+        sums, lasts = _paired_sweep(_cfn_cache, _cfn_sweep, parity, 1 - parity, k, N, fbits,
+                                    _CFN_FLOORS)
+        total, last = sums[k], lasts[k]
         unit = mpf(2) ** (-fbits)
         scale = mpf(2 ** (2 * k + 1) if parity else 1)
         value = +(total * unit * scale)
         tail = mpf("1.05") * (mpf(2) / 3) * N * (last * unit)
         fp_err = (k + 3) * (N + 1) * unit
         bound = +((tail + fp_err) * scale)
-    return MomentValue(m=m, route="cfn-series", value=value,
-                       truncation=N, error_bound=bound)
+    return Evaluation("cfn-series", m, value, N, bound)
 
 
 # ---------------------------------------------------------------------------
 # route 3: nested S-series combination
 # ---------------------------------------------------------------------------
 
-def c_nested_route(m: int, P: int, N: int = _DEFAULT_N) -> MomentValue:
+def c_nested_route(m: int, P: int, N: int = _DEFAULT_N) -> Evaluation:
     """C(m) as a pi-power combination of the S families:
 
         C(2k+1) = sum_{l=0}^{k} (-1)^l 2^(2l+1) pi^(2k-2l)/(2k-2l)!   S_odd(l)
@@ -292,8 +263,7 @@ def c_nested_route(m: int, P: int, N: int = _DEFAULT_N) -> MomentValue:
             err += weight * series[l].error_bound
         value = +acc
         bound = +err
-    return MomentValue(m=m, route="nested-series", value=value,
-                       truncation=N, error_bound=bound)
+    return Evaluation("nested-series", m, value, N, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +283,7 @@ _ROUTE_ALIASES = {
 
 
 def compute_moment(m: int, P: int, route: str = "eta",
-                   N: Optional[int] = None, tol=None) -> MomentValue:
+                   N: Optional[int] = None, tol=None) -> Evaluation:
     """One C(m) by the named route (aliases: eta, cfn, nested, quadrature)."""
     canonical = _ROUTE_ALIASES.get(route)
     if canonical is None:
@@ -327,7 +297,7 @@ def compute_moment(m: int, P: int, route: str = "eta",
     value = moment_quadrature(m, P, tol)
     with _working(P):
         bound = +_tolerance(P, tol)
-    return MomentValue(m=m, route="quadrature", value=value, error_bound=bound)
+    return Evaluation("quadrature", m, value, error_bound=bound)
 
 
 # ---------------------------------------------------------------------------

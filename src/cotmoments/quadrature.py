@@ -59,14 +59,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from mpmath import mp, mpf
 
-from .hpreal import _from_child, _tolerance, _working, default_tolerance
+from .hpreal import _from_child, _tolerance, _working
 
 __all__ = [
     "QuadratureResult",
     "QuadratureError",
     "integrate_1d",
     "moment_quadrature",
-    "default_tolerance",
 ]
 
 # extra working digits on top of the requested P

@@ -31,10 +31,11 @@ B_l(N) of B_0(i) = sum_{j<=i} b(j), B_d(i) = B_d(i-1) + B_{d-1}(i) w(i).  So
 one forward sweep streams b(j) by its term ratio and updates all depths at
 once, with no tails and no per-depth dot product.  Both sweeps run over
 blocks of j, each depth a C-level column pass, and return the same integers
-as per-j loops.  Each is cached per (kind, N, fbits), and a miss at depth
-<= 2 sweeps both kinds to depth 2 at once, the other kind in a forked child
-on a second core (``hpreal._beside``); the integers are the same either
-way.
+as per-j loops.  Each is cached per (kind, N, fbits) by
+``hpreal._paired_sweep``, with the floor depth 2 for both kinds, as the S
+values are asked for at depths 0, 1 and 2: a miss at depth <= 2 sweeps
+both kinds to depth 2 at once, the other kind in a forked child.  Every
+value here is an ``hpreal.Evaluation``.
 
 Each right-shift floors, losing < 2^-fbits, so the fixed-point error grows
 like (N + 1) * 2^-fbits — negligible against the series tails for
@@ -51,20 +52,18 @@ forward sums: like their calibrated outer tail, it is an estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, count, repeat
 from operator import floordiv, mul, rshift
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from mpmath import mp, mpf
 
 from .exact import bernoulli, cycle_count, euler_zigzag, partitions
-from .hpreal import _DEFAULT_N, _beside, _working, fixed_point_bits, zeta
+from .hpreal import (_DEFAULT_N, _SWEEP_BLOCK_BITS, Evaluation, _paired_sweep, _working,
+                     fixed_point_bits, zeta)
 from .quadrature import _WORK_GUARD, integrate_1d
 
 __all__ = [
-    "SeriesValue",
     "r_odd",
     "r_even",
     "r_via_partitions",
@@ -101,23 +100,6 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class SeriesValue:
-    """A named series evaluation.
-
-    family: one of R_odd, R_even, A0, A1, S_odd, S_even, K0, K1.
-    method: closed-form | truncated-sum | quadrature.  Truncated sums carry
-    an explicit tail bound in error_bound; closed forms carry None (rounding
-    error only, a few ulps at the requested precision).
-    """
-
-    family: str
-    index: object
-    value: mpf
-    method: str
-    error_bound: Optional[mpf] = None
-
-
 def _require_kind(kind: str) -> None:
     if kind not in _FAMILIES:
         raise ValueError(f"kind must be one of {tuple(_FAMILIES)}, got {kind!r}")
@@ -127,7 +109,7 @@ def _require_kind(kind: str) -> None:
 # closed forms
 # ---------------------------------------------------------------------------
 
-def r_odd(k: int, P: int) -> SeriesValue:
+def r_odd(k: int, P: int) -> Evaluation:
     """R_odd(k) = (pi/2)^(2k) * E*_2k / (2k)! with E* the even zigzag
     (secant) numbers: pi^2/8, 5 pi^4/384, 61 pi^6/46080, ..."""
     if k < 1:
@@ -135,10 +117,10 @@ def r_odd(k: int, P: int) -> SeriesValue:
     z = euler_zigzag(2 * k)
     with _working(P):
         value = +((mp.pi / 2) ** (2 * k) * int(z) / mp.factorial(2 * k))
-    return SeriesValue("R_odd", k, value, "closed-form")
+    return Evaluation("R_odd", k, value)
 
 
-def r_even(k: int, P: int) -> SeriesValue:
+def r_even(k: int, P: int) -> Evaluation:
     """R_even(k) = 2 (2^(2k-1) - 1) |B_2k| pi^(2k) / (2k)!:
     pi^2/6, 7 pi^4/360, 31 pi^6/15120, ..."""
     if k < 1:
@@ -148,10 +130,10 @@ def r_even(k: int, P: int) -> SeriesValue:
         scale = 2 * (2 ** (2 * k - 1) - 1)
         value = +(scale * mpf(b.numerator) * mp.pi ** (2 * k)
                   / (b.denominator * mp.factorial(2 * k)))
-    return SeriesValue("R_even", k, value, "closed-form")
+    return Evaluation("R_even", k, value)
 
 
-def r_via_partitions(k: int, kind: str, P: int) -> SeriesValue:
+def r_via_partitions(k: int, kind: str, P: int) -> Evaluation:
     """R(k) through the cycle-index expansion over partitions of k.
 
     R(k) = sum over partitions pi of k of  a(pi)/k! * prod_l p(2l)^(pi_l),
@@ -179,28 +161,28 @@ def r_via_partitions(k: int, kind: str, P: int) -> SeriesValue:
                     term *= power_sums[l] ** m_l
             acc += term
         value = +acc
-    return SeriesValue(f"R_{kind}", k, value, "closed-form")
+    return Evaluation(f"R_{kind}", k, value)
 
 
-def a1(k: int, P: int) -> SeriesValue:
+def a1(k: int, P: int) -> Evaluation:
     """A1(k) = (pi/2)^(2k) / (2k)!, with A1(0) = 1."""
     if k < 0:
         raise ValueError(f"a1: need k >= 0, got {k}")
     with _working(P):
         value = +((mp.pi / 2) ** (2 * k) / mp.factorial(2 * k))
-    return SeriesValue("A1", k, value, "closed-form")
+    return Evaluation("A1", k, value)
 
 
-def a0(k: int, P: int) -> SeriesValue:
+def a0(k: int, P: int) -> Evaluation:
     """A0(k) = pi^(2k) / (2k+1)!, with A0(0) = 1."""
     if k < 0:
         raise ValueError(f"a0: need k >= 0, got {k}")
     with _working(P):
         value = +(mp.pi ** (2 * k) / mp.factorial(2 * k + 1))
-    return SeriesValue("A0", k, value, "closed-form")
+    return Evaluation("A0", k, value)
 
 
-def _a_recurrence(k: int, P: int, r_closed, family: str) -> SeriesValue:
+def _a_recurrence(k: int, P: int, r_closed, family: str) -> Evaluation:
     if k < 0:
         raise ValueError(f"a-recurrence: need k >= 0, got {k}")
     with _working(P):
@@ -212,15 +194,15 @@ def _a_recurrence(k: int, P: int, r_closed, family: str) -> SeriesValue:
                 acc += (-1) ** (l + 1) * rs[l] * a_vals[j - l]
             a_vals.append(acc)
         value = +a_vals[k]
-    return SeriesValue(family, k, value, "closed-form")
+    return Evaluation(family, k, value)
 
 
-def a1_via_recurrence(k: int, P: int) -> SeriesValue:
+def a1_via_recurrence(k: int, P: int) -> Evaluation:
     """A1(k) rebuilt from A1(k) = sum_{l=1..k} (-1)^(l+1) R_odd(l) A1(k-l)."""
     return _a_recurrence(k, P, r_odd, "A1")
 
 
-def a0_via_recurrence(k: int, P: int) -> SeriesValue:
+def a0_via_recurrence(k: int, P: int) -> Evaluation:
     """A0(k) rebuilt from the same alternating recurrence with R_even."""
     return _a_recurrence(k, P, r_even, "A0")
 
@@ -243,7 +225,7 @@ def euler_binomial_vanishing(k: int) -> int:
 # truncated weakly-nested prefix sums for R, with rigorous tail bounds
 # ---------------------------------------------------------------------------
 
-def r_truncated_nested(k: int, kind: str, P: int, N: int = 10000) -> SeriesValue:
+def r_truncated_nested(k: int, kind: str, P: int, N: int = 10000) -> Evaluation:
     """R(k) as the k-fold weakly-increasing nested sum over j0 <= i <= N.
 
     The value is the backward tails sweep's T_k(j0), and the prefix values
@@ -272,8 +254,11 @@ def r_truncated_nested(k: int, kind: str, P: int, N: int = 10000) -> SeriesValue
     _require_kind(kind)
     if N < 1:
         raise ValueError(f"r_truncated_nested: need N >= 1, got {N}")
+    fbits = fixed_point_bits(P)
     with _working(P):
-        tails, unit, _, w_tail = _nested_family(_tails_cache, _tails_sweep, kind, k, N, P)
+        tails = _paired_sweep(_tails_cache, _tails_sweep, kind, _SIBLING[kind], k, N, fbits,
+                              _S_FLOORS)
+        unit, _, w_tail = _nested_family(kind, N, fbits)
         V = [v * unit for v in tails[_FAMILIES[kind].j0]]
         U = mpf(1)
         for d in range(1, k):
@@ -281,7 +266,7 @@ def r_truncated_nested(k: int, kind: str, P: int, N: int = 10000) -> SeriesValue
         fp_err = 2 ** (k + 2) * (N + 1) * unit
         bound = +(U * w_tail + fp_err)
         value = V[k]
-    return SeriesValue(f"R_{kind}", k, value, "truncated-sum", error_bound=bound)
+    return Evaluation(f"R_{kind}", k, value, N, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +274,11 @@ def r_truncated_nested(k: int, kind: str, P: int, N: int = 10000) -> SeriesValue
 # ---------------------------------------------------------------------------
 
 _TAIL_RECORD_MAX = 24  # suffix tails T_d(j) are kept for j up to here
-_SWEEP_BLOCK_BITS = 1 << 17  # a sweep block holds _SWEEP_BLOCK_BITS // fbits values of j
+
+# the S values are asked for at depths 0, 1 and 2, so a sweep covers depth 2
+# (``hpreal._paired_sweep``)
+_S_FLOORS = {"odd": 2, "even": 2}
+_SIBLING = {"odd": "even", "even": "odd"}
 
 # each maps (kind, N, fbits) to (lmax, the sweep's result at depths <= lmax)
 _sums_cache: Dict[Tuple[str, int, int], Tuple[int, Tuple[List[int], int]]] = {}
@@ -379,48 +368,27 @@ def _tails_sweep(kind: str, lmax: int, N: int, fbits: int) -> Dict[int, List[int
     return tails
 
 
-def _nested_family(cache: dict, sweep, kind: str, depth: int, N: int,
-                   P: int) -> Tuple[object, mpf, mpf, mpf]:
-    """The one read path of both sweeps: (swept, unit, inner_full, w_tail).
-
-    swept is sweep's result, cached in cache per (kind, N, fbits), its
-    integers in units of unit = 2^-fbits; inner_full is the full inner sum
-    T_1(j0), the largest inner tail; and w_tail bounds sum_{i>N} w(i).  The
-    three are mpfs at the working precision, so callers hold the precision
-    scope.  The S values are asked for at rising depths 0, 1 and 2, so a
-    sweep always covers depth 2: one sweep per key instead of one per
-    depth.  The suites ask for both kinds at the same (N, fbits), so a miss
-    at depth <= 2 also sweeps the other kind to depth 2, where its entry is
-    missing, at the same time in a forked child (``hpreal._beside``).  A
-    deeper miss sweeps its own kind alone; deeper callers (R up to depth 3)
-    ask for their deepest value first.
-    """
-    fbits = fixed_point_bits(P)
-    key = (kind, N, fbits)
-    hit = cache.get(key)
-    if hit is None or hit[0] < depth:
-        other = ("even" if kind == "odd" else "odd", N, fbits)
-        if depth > 2 or other in cache:
-            hit = cache[key] = (max(depth, 2), sweep(kind, max(depth, 2), N, fbits))
-        else:
-            swept, sibling = _beside(partial(sweep, kind, 2, N, fbits),
-                                     partial(sweep, other[0], 2, N, fbits))
-            hit = cache[key] = (2, swept)
-            if sibling is not None:
-                cache[other] = (2, sibling)
+def _nested_family(kind: str, N: int, fbits: int) -> Tuple[mpf, mpf, mpf]:
+    """The constants that every read of a sweep needs: (unit, inner_full,
+    w_tail).  The sweeps' integers are in units of unit = 2^-fbits;
+    inner_full is the full inner sum T_1(j0), the largest inner tail; and
+    w_tail bounds sum_{i>N} w(i).  The three are mpfs at the working
+    precision, so callers hold the precision scope."""
     fam = _FAMILIES[kind]
-    return hit[1], mpf(2) ** -fbits, mp.pi ** 2 / fam.pi2_div, mpf(1) / (fam.tail_den * N)
+    return mpf(2) ** -fbits, mp.pi ** 2 / fam.pi2_div, mpf(1) / (fam.tail_den * N)
 
 
-def _s_value(kind: str, l: int, P: int, N: int) -> SeriesValue:
+def _s_value(kind: str, l: int, P: int, N: int) -> Evaluation:
     """S_kind(l) truncated at N, at P digits, with its tail bound."""
     if l < 0:
         raise ValueError(f"s_{kind}: need l >= 0, got {l}")
     if N < 1:
         raise ValueError(f"s_{kind}: need N >= 1, got {N}")
+    fbits = fixed_point_bits(P)
     with _working(P):
-        (sums, b_last), unit, inner_full, w_tail = _nested_family(
-            _sums_cache, _sums_sweep, kind, l, N, P)
+        sums, b_last = _paired_sweep(_sums_cache, _sums_sweep, kind, _SIBLING[kind], l, N, fbits,
+                                     _S_FLOORS)
+        unit, inner_full, w_tail = _nested_family(kind, N, fbits)
         value = sums[l] * unit
         b_sum = sums[0] * unit                            # sum of b(j), j <= N
         b_last = b_last * unit
@@ -436,16 +404,16 @@ def _s_value(kind: str, l: int, P: int, N: int) -> SeriesValue:
         # estimate like outer_err
         fp_err = (l + 3) * (N + 1) * unit
         bound = +(inner_err + outer_err + fp_err)
-    return SeriesValue(f"S_{kind}", l, value, "truncated-sum", error_bound=bound)
+    return Evaluation(f"S_{kind}", l, value, N, bound)
 
 
-def s_odd(l: int, P: int, N: int = _DEFAULT_N) -> SeriesValue:
+def s_odd(l: int, P: int, N: int = _DEFAULT_N) -> Evaluation:
     """S_odd(l): central-binomial outer weights against the l-fold suffix
     tails of 1/(2i+1)^2.  S_odd(0) is the K1(1) series (= pi/2 log 2)."""
     return _s_value("odd", l, P, N)
 
 
-def s_even(l: int, P: int, N: int = _DEFAULT_N) -> SeriesValue:
+def s_even(l: int, P: int, N: int = _DEFAULT_N) -> Evaluation:
     """S_even(l): inverse-central-binomial outer weights against the l-fold
     suffix tails of 1/i^2.  S_even(0) equals the second cotangent moment."""
     return _s_value("even", l, P, N)
@@ -470,9 +438,11 @@ def nested_tail_sums(kind: str, dmax: int, jmax: int, N: int, P: int):
         raise ValueError(f"nested_tail_sums: jmax <= {_TAIL_RECORD_MAX}, got {jmax}")
     if N <= jmax:
         raise ValueError(f"nested_tail_sums: need N > jmax, got N={N}")
+    fbits = fixed_point_bits(P)
     with _working(P):
-        tails, unit, inner_full, w_tail = _nested_family(
-            _tails_cache, _tails_sweep, kind, dmax, N, P)
+        tails = _paired_sweep(_tails_cache, _tails_sweep, kind, _SIBLING[kind], dmax, N, fbits,
+                              _S_FLOORS)
+        unit, inner_full, w_tail = _nested_family(kind, N, fbits)
         table = {j: [v * unit for v in tails[j][: dmax + 1]]
                  for j in range(_FAMILIES[kind].j0, jmax + 1)}
         bounds = [+(d * inner_full ** max(d - 1, 0) * w_tail + 2 ** (d + 2) * (N + 1) * unit)

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from mpmath import mp, mpf
 
-from cotmoments.hpreal import _working
+from cotmoments.hpreal import _working, default_tolerance
 from cotmoments.quadrature import (
     _WORK_GUARD,
     QuadratureError,
     QuadratureResult,
     _node_levels,
     _truncation_range,
-    default_tolerance,
 )
 
 

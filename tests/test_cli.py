@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 from mpmath import mp, mpf
@@ -40,6 +41,14 @@ def test_constants_eta3_thirty_digits(capsys):
     code, out, _ = run_cli(["constants", "eta3", "--digits", "30"], capsys)
     assert code == 0
     assert out.strip() == "eta3 0.901542677369695714049803621134"
+
+
+def test_constants_eta_at_a_huge_s_is_one_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(["constants", "eta1000000000", "--digits", "30"], capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert out.strip() == "eta1000000000 1." + "0" * 29
 
 
 def test_constants_several_names(capsys):

@@ -10,6 +10,7 @@ cross-checks.
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import io
 import marshal
@@ -153,6 +154,16 @@ def test_eta_approaches_one():
     assert 0.999999 < float(v) < 1.0
 
 
+def test_eta_cost_stays_bounded_in_s():
+    # a term whose (k+1)^s dwarfs the numerator floors without the power;
+    # eta(10^9) is 1 - 2^(-10^9), so 1 to every digit asked for
+    start = time.perf_counter()
+    v = eta(10 ** 9, 30)
+    assert time.perf_counter() - start < 5
+    assert to_digits(v, 30) == "1." + "0" * 29
+    assert abs(v - 1) <= mpf(10) ** -(30 + 8)
+
+
 def test_eta_monotone_in_s():
     vals = [float(eta(s, 25)) for s in range(2, 12)]
     assert vals == sorted(vals)
@@ -289,6 +300,24 @@ def test_entry_point_list_is_complete():
     assert len(_ENTRY_POINTS) == 37
 
 
+def test_every_layer_defines_the_names_in_its_all():
+    # the span tracer in bench/spans.py wraps a layer's __all__ names only
+    # where that layer defines them, so a re-exported function goes untraced
+    spans = pathlib.Path(__file__).parents[1] / "bench" / "spans.py"
+    layers = next(ast.literal_eval(node.value) for node in ast.parse(spans.read_text()).body
+                  if isinstance(node, ast.Assign) and node.targets[0].id == "LAYERS")
+    foreign = []
+    for layer in layers:
+        module = importlib.import_module(f"cotmoments.{layer}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) \
+                    and obj.__module__ != module.__name__:
+                foreign.append(f"{layer}.{name}")
+    assert len(layers) == 8
+    assert foreign == []
+
+
 @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
 def test_every_entry_point_refuses_too_few_digits(name):
     with pytest.raises(ValueError, match=r"^precision must be >= 10 digits, got 9$"):
@@ -394,8 +423,8 @@ def test_without_fork_both_sweeps_run_here_and_are_cached(no_fork, monkeypatch):
     moments.c_cfn_route(1, 30, 2000)
     series.s_even(0, 30, 2000)
     assert pids == [os.getpid()] * 4
-    assert moments._cfn_cache == {(p, 2000, 140): cfn_sweep(p, (6 - p) // 2, 2000, 140)
-                                  for p in (0, 1)}
+    assert moments._cfn_cache == {
+        (p, 2000, 140): ((6 - p) // 2, cfn_sweep(p, (6 - p) // 2, 2000, 140)) for p in (0, 1)}
     assert series._sums_cache == {(kind, 2000, 140): (2, sums_sweep(kind, 2, 2000, 140))
                                   for kind in ("odd", "even")}
 

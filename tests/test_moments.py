@@ -8,6 +8,7 @@ package's own eta acceleration.
 from __future__ import annotations
 
 import ast
+import inspect
 import json
 import pathlib
 import random
@@ -20,7 +21,7 @@ from mpmath import mp, mpf
 
 import cotmoments
 from cotmoments import hpreal, moments, quadrature, series
-from cotmoments.hpreal import _working, eta, to_digits
+from cotmoments.hpreal import Evaluation, _working, default_tolerance, eta, to_digits
 from cotmoments.moments import (
     ROUTES,
     SUITES,
@@ -33,7 +34,7 @@ from cotmoments.moments import (
     verify_consequences,
     verify_h_integral_reduction,
 )
-from cotmoments.quadrature import default_tolerance, integrate_1d
+from cotmoments.quadrature import integrate_1d
 
 from reference_cfn import _reference_cfn
 from reference_kernels import _reference_theta_kernels
@@ -79,13 +80,6 @@ def test_eta_route_keeps_digits_through_cancellation(m, P):
         assert abs(v - ref) <= mpf(10) ** -(P + 5) * ref
 
 
-def test_eta_route_metadata():
-    v = c_eta_route(3, 30)
-    assert v.route == "eta-closed-form"
-    assert v.m == 3
-    assert v.truncation is None and v.error_bound is None
-
-
 def test_eta_route_rejects_bad_m():
     with pytest.raises(ValueError):
         c_eta_route(0, 30)
@@ -99,8 +93,6 @@ def test_eta_route_rejects_bad_m():
 def test_cfn_route_within_bound(m):
     ref = c_eta_route(m, 40).value
     v = c_cfn_route(m, 40, N=20000)
-    assert v.route == "cfn-series"
-    assert v.truncation == 20000
     with mp.workdps(50):
         assert abs(v.value - ref) <= v.error_bound, m
 
@@ -109,7 +101,6 @@ def test_cfn_route_within_bound(m):
 def test_nested_route_within_bound(m):
     ref = c_eta_route(m, 40).value
     v = c_nested_route(m, 40, N=20000)
-    assert v.route == "nested-series"
     with mp.workdps(50):
         assert abs(v.value - ref) <= v.error_bound, m
 
@@ -204,8 +195,9 @@ def test_a_shallow_miss_fills_both_parities_and_kinds_with_the_serial_integers(m
             assert lmax == 2
             assert swept == sweep(kind, 2, N, fbits), kind
     assert sorted(moments._cfn_cache) == [(0, 2000, 140), (1, 2000, 140)]
-    for (parity, N, fbits), swept in moments._cfn_cache.items():
-        assert swept == moments._cfn_sweep(parity, (6 - parity) // 2, N, fbits), parity
+    for (parity, N, fbits), (kmax, swept) in moments._cfn_cache.items():
+        assert kmax == (6 - parity) // 2
+        assert swept == moments._cfn_sweep(parity, kmax, N, fbits), parity
 
 
 def test_cfn_mixed_precision_threads_return_serial_values(monkeypatch):
@@ -240,7 +232,7 @@ def test_cfn_sweep_shares_nothing_with_the_series_route():
         if isinstance(node, ast.ImportFrom) and node.module == "series":
             banned.update(alias.asname or alias.name for alias in node.names)
     assert len(banned) > 1
-    scanned = {"_cfn_sweep", "_cfn_fill", "c_cfn_route"}
+    scanned = {"_cfn_sweep", "c_cfn_route"}
     found, seen = [], set()
     for fn in tree.body:
         if isinstance(fn, ast.FunctionDef) and fn.name in scanned:
@@ -261,7 +253,6 @@ def test_cfn_sweep_shares_nothing_with_the_series_route():
 def test_quadrature_route_agreement(m):
     ref = c_eta_route(m, 35).value
     v = compute_moment(m, 35, route="quadrature")
-    assert v.route == "quadrature"
     with mp.workdps(45):
         assert abs(v.value - ref) < mpf(10) ** -22
 
@@ -270,15 +261,65 @@ def test_dispatcher_aliases():
     for alias, canonical in [("eta", "eta-closed-form"), ("quad", "quadrature"),
                              ("cfn", "cfn-series"), ("nested", "nested-series")]:
         v = compute_moment(1, 30, route=alias, N=1000)
-        assert v.route == canonical
+        assert v.name == canonical
         assert canonical in ROUTES
     # full names are accepted too
-    assert compute_moment(1, 30, route="cfn-series", N=1000).route == "cfn-series"
+    assert compute_moment(1, 30, route="cfn-series", N=1000).name == "cfn-series"
 
 
 def test_dispatcher_rejects_unknown_route():
     with pytest.raises(ValueError):
         compute_moment(1, 30, route="telepathy")
+
+
+# ---------------------------------------------------------------------------
+# the one value record
+# ---------------------------------------------------------------------------
+
+# every public function that returns a value, as
+# (call, name, index, truncation, whether the value is a closed form)
+_RECORDS = {
+    "r_odd": (partial(series.r_odd, 2, 30), "R_odd", 2, None, True),
+    "r_even": (partial(series.r_even, 1, 30), "R_even", 1, None, True),
+    "r_via_partitions": (partial(series.r_via_partitions, 3, "even", 30), "R_even", 3, None, True),
+    "a1": (partial(series.a1, 2, 30), "A1", 2, None, True),
+    "a0": (partial(series.a0, 2, 30), "A0", 2, None, True),
+    "a1_via_recurrence": (partial(series.a1_via_recurrence, 3, 30), "A1", 3, None, True),
+    "a0_via_recurrence": (partial(series.a0_via_recurrence, 3, 30), "A0", 3, None, True),
+    "r_truncated_nested": (partial(series.r_truncated_nested, 2, "odd", 30, 500),
+                           "R_odd", 2, 500, False),
+    "s_odd": (partial(series.s_odd, 1, 30, 500), "S_odd", 1, 500, False),
+    "s_even": (partial(series.s_even, 2, 30, 500), "S_even", 2, 500, False),
+    "c_eta_route": (partial(c_eta_route, 3, 30), "eta-closed-form", 3, None, True),
+    "c_cfn_route": (partial(c_cfn_route, 4, 30, 500), "cfn-series", 4, 500, False),
+    "c_nested_route": (partial(c_nested_route, 5, 30, 500), "nested-series", 5, 500, False),
+    **{f"compute_moment/{route}": (partial(compute_moment, 6, 30, route, 500), route, 6,
+                                   500 if route.endswith("-series") else None,
+                                   route == "eta-closed-form")
+       for route in ROUTES},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RECORDS))
+def test_every_value_is_one_record(case):
+    call, name, index, truncation, closed = _RECORDS[case]
+    v = call()
+    assert type(v) is Evaluation
+    assert (v.name, v.index, v.truncation) == (name, index, truncation)
+    assert (v.error_bound is None) == closed
+    assert isinstance(v.value, mpf)
+
+
+def test_the_record_cases_cover_every_value_function_and_record_class():
+    returns_a_value = {name for name in cotmoments.__all__
+                       if inspect.isfunction(getattr(cotmoments, name))
+                       and inspect.signature(getattr(cotmoments, name)).return_annotation
+                       == "Evaluation"}
+    assert returns_a_value == {case.split("/")[0] for case in _RECORDS}
+    records = {obj for name, module in sys.modules.items() if name.startswith("cotmoments.")
+               for obj in vars(module).values()
+               if inspect.isclass(obj) and "error_bound" in getattr(obj, "__dataclass_fields__", {})}
+    assert records == {Evaluation}
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from mpmath import mp, mpf
 
 import cotmoments
 from cotmoments import moments, quadrature, series
-from cotmoments.hpreal import _closed_form_tolerance, _working, _zeta_even_tolerance, eta, log2, pi
+from cotmoments.hpreal import (_closed_form_tolerance, _working, _zeta_even_tolerance,
+                               default_tolerance, eta, log2, pi)
 from cotmoments.quadrature import (
     _WORK_GUARD,
     QuadratureError,
@@ -26,7 +27,6 @@ from cotmoments.quadrature import (
     _build_level,
     _node_levels,
     _truncation_range,
-    default_tolerance,
     integrate_1d,
     moment_quadrature,
 )

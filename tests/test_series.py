@@ -19,7 +19,6 @@ from cotmoments import series
 from cotmoments.hpreal import _working, eta, fixed_point_bits, log2, pi
 from cotmoments.moments import _suite_closed_forms
 from cotmoments.series import (
-    SeriesValue,
     a0,
     a0_via_recurrence,
     a1,
@@ -60,14 +59,6 @@ def test_r_even_low_orders():
         assert abs(r_even(3, 50).value - 31 * p**6 / 15120) < mpf(10) ** -44
 
 
-def test_r_metadata():
-    v = r_odd(2, 30)
-    assert isinstance(v, SeriesValue)
-    assert v.family == "R_odd" and v.index == 2
-    assert v.method == "closed-form"
-    assert r_even(1, 30).family == "R_even"
-
-
 def test_r_rejects_bad_arguments():
     with pytest.raises(ValueError):
         r_odd(0, 30)
@@ -87,10 +78,6 @@ def test_partition_route_matches_closed_form(kind, closed):
         for k in range(1, 7):
             gap = abs(closed(k, 50).value - r_via_partitions(k, kind, 50).value)
             assert gap < mpf(10) ** -40, (kind, k)
-
-
-def test_partition_route_method_label():
-    assert r_via_partitions(2, "odd", 30).method == "closed-form"
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +132,7 @@ def test_truncated_nested_within_bound(kind, closed):
     with mp.workdps(45):
         for k in (1, 2, 3):
             t = r_truncated_nested(k, kind, 35, N=2000)
-            assert t.method == "truncated-sum"
-            assert t.error_bound is not None and t.error_bound > 0
+            assert t.error_bound > 0
             gap = abs(t.value - closed(k, 35).value)
             assert gap <= t.error_bound, (kind, k)
 
@@ -240,8 +226,7 @@ def test_s_odd_within_bounds():
     with mp.workdps(50):
         for l, target in enumerate(targets):
             v = s_odd(l, 40, N=20000)
-            assert v.family == "S_odd" and v.index == l
-            assert v.method == "truncated-sum"
+            assert (v.name, v.index) == ("S_odd", l)
             assert abs(v.value - target) <= v.error_bound, l
 
 
@@ -250,7 +235,7 @@ def test_s_even_within_bounds():
     with mp.workdps(50):
         for l, target in enumerate(targets):
             v = s_even(l, 40, N=20000)
-            assert v.family == "S_even" and v.index == l
+            assert (v.name, v.index) == ("S_even", l)
             assert abs(v.value - target) <= v.error_bound, l
 
 

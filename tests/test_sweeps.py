@@ -13,7 +13,7 @@ import tracemalloc
 
 import pytest
 
-from cotmoments import moments, series
+from cotmoments import hpreal, moments, series
 
 from reference_sweeps import (_reference_cfn_sweep, _reference_sums_sweep,
                               _reference_tails_sweep)
@@ -47,7 +47,7 @@ def test_sweeps_match_the_per_j_references(route, family, fbits):
 
 def test_sweeps_share_the_block_rule_of_the_grid():
     # the grid above crosses block edges only while the rule is the same
-    assert moments._CFN_BLOCK_BITS == series._SWEEP_BLOCK_BITS == _BLOCK_BITS
+    assert hpreal._SWEEP_BLOCK_BITS == _BLOCK_BITS
 
 
 @pytest.mark.parametrize("route,family,depth",[("cfn", 1, 3), ("S", "odd", 2)])
