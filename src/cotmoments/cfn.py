@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .exact import double_factorial_odd, fps_arcsin, fps_power
+from .exact import RationalPowerSeries, double_factorial_odd, fps_arcsin
 from .report import VerificationReport
 
 __all__ = [
@@ -188,23 +188,21 @@ def check_generating_functions(kmax: int, order: int) -> VerificationReport:
     t0 = build_t0(kmax, nmax)
     t1 = build_t1(kmax, nmax)
     base = fps_arcsin(order)
+    # the powers 1, base, base^2, ... one exact product each
+    even_pow = RationalPowerSeries((Fr(1),) + (Fr(0),) * order, order)
     rep = VerificationReport("generating-functions", {"kmax": kmax, "order": order})
     for k in range(kmax + 1):
         even_fact = Fr(math.factorial(2 * k))
         odd_fact = Fr(math.factorial(2 * k + 1))
-        even_pow = fps_power(base, 2 * k) if k else None  # k=0: power is 1
-        odd_pow = fps_power(base, 2 * k + 1)
+        odd_pow = even_pow * base
         for n in range(nmax + 1):
-            if even_pow is None:
-                coeff = Fr(1) if n == 0 else Fr(0)
-            else:
-                coeff = even_pow.coefficient(2 * n)
-            lhs = coeff / even_fact
+            lhs = even_pow.coefficient(2 * n) / even_fact
             rhs = t0[k, n] / Fr(math.factorial(2 * n))
             rep.add_exact(f"gf-even/k={k},n={n}", _ANCHOR_GF_EVEN, lhs, rhs)
             lhs = odd_pow.coefficient(2 * n + 1) / odd_fact
             rhs = t1[k, n] / Fr(math.factorial(2 * n + 1))
             rep.add_exact(f"gf-odd/k={k},n={n}", _ANCHOR_GF_ODD, lhs, rhs)
+        even_pow = odd_pow * base
     return rep
 
 

@@ -53,6 +53,7 @@ _EXIT_USAGE = 2
 _ETA_M_MAX = 40
 _SERIES_M_MAX = 12
 _TABLE_MAX = 200
+_FORMATS = ("json", "csv", "text")
 
 
 class UsageError(Exception):
@@ -80,6 +81,9 @@ class RunConfig:
             except (TypeError, ValueError) as exc:
                 raise UsageError(
                     f"--tol must be a positive finite number, got {self.tol!r}") from exc
+        if self.format is not None and self.format not in _FORMATS:
+            raise UsageError(f"--format must be one of {', '.join(_FORMATS)},"
+                             f" got {self.format!r}")
 
 
 def _load_config_file(path: str) -> Dict[str, object]:
@@ -393,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"series truncation cutoff (default {_DEFAULT_N})")
     common.add_argument("--tol", type=str, default=None,
                         help="quadrature tolerance (default 10^-(digits-10))")
-    common.add_argument("--format", choices=("json", "csv", "text"), default=None,
+    common.add_argument("--format", choices=_FORMATS, default=None,
                         help="output format (moments/tables default text/csv;"
                              " verify always emits JSON)")
     common.add_argument("--out", type=str, default=None,

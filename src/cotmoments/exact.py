@@ -21,7 +21,6 @@ __all__ = [
     "cycle_count",
     "double_factorial_odd",
     "fps_arcsin",
-    "fps_power",
 ]
 
 Fr = Fraction  # local binding, used heavily below
@@ -205,20 +204,3 @@ def fps_arcsin(order: int) -> RationalPowerSeries:
         coeffs[2 * n + 1] = Fr(math.comb(2 * n, n), 16**n * (2 * n + 1))
         n += 1
     return RationalPowerSeries(tuple(coeffs), order)
-
-
-def fps_power(s: RationalPowerSeries, m: int) -> RationalPowerSeries:
-    """Exact m-th power of a truncated series (binary exponentiation)."""
-    if m < 1:
-        raise ValueError(f"fps_power: m must be positive, got {m}")
-    result: RationalPowerSeries | None = None
-    base = s
-    e = m
-    while e:
-        if e & 1:
-            result = base if result is None else result * base
-        e >>= 1
-        if e:
-            base = base * base
-    assert result is not None
-    return result

@@ -15,19 +15,18 @@ run; the work itself is serialised.  The tolerance rules live here too, and
 read the caller's precision under the same lock.
 
 Work that can run on a second core goes through one helper,
-``_from_child(produce)``: the generator ``produce`` runs in a child made by
-``os.fork``, and its items come back through a pipe as ``marshal``
-records, read one at a time.  No child outlives the block that made it:
-on leaving it the parent closes the pipe, kills the child if it still runs
+``_from_child(work)``: the function ``work`` runs in a child made by
+``os.fork``, and its value comes back through a pipe as one ``marshal``
+record, or not at all.  No child outlives the block that made it: on
+leaving it the parent closes the pipe, kills the child if it still runs
 and reaps it (only a parent killed outright leaves its child to finish and
-exit on the broken pipe).  A child that fails sends fewer items, and the
-caller falls back on its own work; without ``os.fork``, or when it fails,
-``produce`` runs here, so every value is the same either way.  A traced run
-sees only the parent's spans: what the child records is lost with it.  It
-has two users:
+exit on the broken pipe).  When no value comes back (the child failed, or
+there is no ``os.fork``, or it failed) the caller does that work itself,
+so every value is the same either way.  A traced run sees only the
+parent's spans: what the child records is lost with it.  It has two users:
 
-* ``_beside(own, other)`` runs ``own`` here and ``other`` in the child,
-  for the series routes' sweep cache ``_paired_sweep``.
+* ``_paired_sweep``, the series routes' sweep cache, sweeps the odd/even
+  sibling of the asked-for kind in the child.
 * ``quadrature.integrate_1d`` evaluates the second half of a costly
   tanh-sinh level's node pairs in the child, and sums every contribution
   here, in the serial order.
@@ -261,114 +260,94 @@ def fixed_point_bits(P: int) -> int:
     return max(140, int(P * 3.322) + 40)
 
 
-def _records(reader) -> Iterator[object]:
-    """The ``marshal`` records on reader, one at a time, up to the first one
-    that is missing or cut short."""
-    while True:
-        try:
-            item = marshal.load(reader)
-        except (EOFError, ValueError):
-            return
-        yield item
-
-
 @contextmanager
-def _from_child(produce: Callable[[], Iterator[object]]) -> Iterator[Iterator[object]]:
-    """An iterator over the items of the generator ``produce()``, which runs
-    in a child made by ``os.fork``, at the same time as the caller's block.
+def _from_child(work: Callable[[], object]) -> Iterator[Callable[[], object]]:
+    """A function ``fetch`` that returns the value of ``work()``, which runs
+    in a child made by ``os.fork``, at the same time as the caller's block;
+    or None, and then the caller does that work itself.
 
-    The child collects every item in its own memory first, so it never
-    waits on the pipe while it works, then writes each as its own
-    ``marshal`` record (ints, strings, lists, tuples, dicts) and ends with
-    ``os._exit``.  The caller reads one record per step.  A record that is
-    missing or cut short ends the iterator, so a child that raises, is
-    killed or meets an item ``marshal`` cannot write sends fewer items (a
-    raising ``produce`` sends none), and the caller does the rest itself.
-    On leaving the block the caller closes the pipe, kills the child
-    (SIGKILL) if it is still running and reaps it, however the block ends:
-    with the items used up, with some left unread, or by an exception.
-    Without ``os.fork``, or when the pipe or the fork fails, the iterator
-    is ``produce()`` itself, run here as the caller steps it.  The child
-    keeps only the forking thread, so ``produce`` must take no lock that
-    another thread may hold.
+    The child sends the value as one ``marshal`` record (ints, strings,
+    lists, tuples, dicts) and ends with ``os._exit``.  ``fetch()`` waits for
+    that record.  It returns None when the record is missing or cut short:
+    when the child raised, was killed or returned a value ``marshal`` cannot
+    write.  It also returns None without ``os.fork``, or when the pipe or
+    the fork fails.  On leaving the block the caller closes the pipe, kills
+    the child (SIGKILL) if it is still running and reaps it, however the
+    block ends: with the value fetched, not fetched, or by an exception.
+    The child keeps only the forking thread, so ``work`` must take no lock
+    that another thread may hold.
     """
     pid = None
-    fork = getattr(os, "fork", None)
-    if fork is not None:
+    if hasattr(os, "fork"):
         try:
             r, w = os.pipe()
         except OSError:
-            fork = None
-    if fork is not None:
-        try:
-            pid = fork()
-        except OSError:
-            os.close(r)
-            os.close(w)
+            pass
+        else:
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
     if pid is None:
-        yield produce()
+        yield lambda: None
         return
-    if pid == 0:  # the child: send the items and leave, whatever happens
+    if pid == 0:  # the child: send the value and leave, whatever happens
         status = 1
         try:
             os.close(r)
-            items = list(produce())
+            value = work()
             with open(w, "wb") as out:
-                for item in items:
-                    marshal.dump(item, out)
+                marshal.dump(value, out)
             status = 0
         finally:
             os._exit(status)
     os.close(w)
     reader = open(r, "rb")
+
+    def fetch():
+        try:
+            return marshal.load(reader)
+        except (EOFError, ValueError):
+            return None
+
     try:
-        yield _records(reader)
+        yield fetch
     finally:
         reader.close()
         os.kill(pid, 9)  # SIGKILL; a child that has exited is not affected
         os.waitpid(pid, 0)
 
 
-def _beside(own: Callable[[], object], other: Callable[[], object]) -> Tuple[object, object]:
-    """(own(), other()), with other() run at the same time in a forked child.
-
-    It is one of the two users of ``_from_child``, the package's one
-    fork/pipe/kill/reap path; the other is the tanh-sinh level split in
-    ``quadrature.integrate_1d``.  If the child fails, other comes back as
-    None.  If own() raises, the child is killed and reaped before the error
-    goes on.  Without ``os.fork`` both run here, own() first.  The sweeps it
-    runs are plain integer code, which takes no lock."""
-    def produce():
-        yield other()
-
-    with _from_child(produce) as results:
-        return own(), next(results, None)
-
-
-def _paired_sweep(cache: dict, sweep: Callable[..., object], kind, sibling, depth: int,
+def _paired_sweep(cache: dict, sweep: Callable[..., object], kind, depth: int,
                   N: int, fbits: int, floors: dict) -> object:
     """sweep(kind, d, N, fbits) for some d >= depth, cached in cache as
     (d, result) per (kind, N, fbits): the series routes' one sweep cache.
 
-    The suites ask for both members of an odd/even pair (kind, sibling) at
-    the same (N, fbits), each up to its floor depth.  So a miss at depth <=
-    floors[kind], with the sibling's entry missing, sweeps kind to its floor
-    here and the sibling to its own floor at once in a forked child
-    (``_beside``), which leaves the sibling uncached if it fails.  Every
+    floors has two keys, kind and its odd/even sibling, and the suites ask
+    for both at the same (N, fbits), each up to its floor depth.  So a miss
+    at depth <= floors[kind], with the sibling's entry missing, sweeps kind
+    to its floor here and the sibling to its own floor at once in a forked
+    child (``_from_child``); if that child fails, or there is no fork, the
+    sibling stays uncached and is swept here when it is asked for.  Every
     other miss sweeps kind alone, to max(depth, floors[kind]).  A sweep's
-    integers at a depth do not depend on how deep it ran, or where.  Callers
-    hold the precision scope, whose lock guards the cache."""
+    integers at a depth do not depend on how deep it ran, or where.  The
+    sweeps are plain integer code, which takes no lock.  Callers hold the
+    precision scope, whose lock guards the cache."""
     key = (kind, N, fbits)
     hit = cache.get(key)
     if hit is not None and hit[0] >= depth:
         return hit[1]
-    floor, pair = floors[kind], (sibling, N, fbits)
+    floor = floors[kind]
+    sibling = next(other for other in floors if other != kind)
+    pair = (sibling, N, fbits)
     if depth > floor or pair in cache:
         depth = max(depth, floor)
         cache[key] = (depth, sweep(kind, depth, N, fbits))
         return cache[key][1]
-    swept, other = _beside(partial(sweep, kind, floor, N, fbits),
-                           partial(sweep, sibling, floors[sibling], N, fbits))
+    with _from_child(partial(sweep, sibling, floors[sibling], N, fbits)) as fetch:
+        swept = sweep(kind, floor, N, fbits)
+        other = fetch()
     cache[key] = (floor, swept)
     if other is not None:
         cache[pair] = (floors[sibling], other)

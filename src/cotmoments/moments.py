@@ -140,7 +140,7 @@ _CFN_ROWS = {
 }
 
 # the routes suite asks for m <= 6, depth 2 odd and 3 even, so a sweep
-# covers that (``hpreal._paired_sweep``)
+# covers that; the two keys are the parity pair (``hpreal._paired_sweep``)
 _CFN_FLOORS = {1: 2, 0: 3}
 
 
@@ -223,8 +223,7 @@ def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> Evaluation:
     fbits = fixed_point_bits(P)
     k, parity = divmod(m, 2)          # m = 2k+1 or m = 2k
     with _working(P):
-        sums, lasts = _paired_sweep(_cfn_cache, _cfn_sweep, parity, 1 - parity, k, N, fbits,
-                                    _CFN_FLOORS)
+        sums, lasts = _paired_sweep(_cfn_cache, _cfn_sweep, parity, k, N, fbits, _CFN_FLOORS)
         total, last = sums[k], lasts[k]
         unit = mpf(2) ** (-fbits)
         scale = mpf(2 ** (2 * k + 1) if parity else 1)

@@ -32,17 +32,18 @@ cores (Bailey and Borwein, "Highly parallel, high-precision numerical
 integration", 2008).  When the level before took at least
 ``_SPLIT_AFTER_S``, the second half of the level's pairs is evaluated in a
 child made by ``os.fork`` (``hpreal._from_child``), up to the child's own
-tail cut, while this process evaluates the first half.  The contributions
-are still summed here, one at a time, in node order, by the serial loop
-with its tail cut: the first half as it is evaluated, then the child's,
-read back exactly (as ``_mpf_`` tuples), then any the child did not send,
-evaluated here.  The child's cut starts from a fresh state, so it never
-comes before the serial cut when that falls in its half.  So the same
-additions of the same values happen in the same order: the value, the
-deltas, the levels and the evaluation count (the pairs the loop used) are
-bit-for-bit those of the serial rule, and an integrand that raises or
-returns a non-finite value fails at the same node and level.  No child
-outlives its level.
+tail cut, while this process evaluates the first half.  The child sends
+its contributions back exactly, as one list of ``_mpf_`` tuples.  They are
+still summed here, one at a time, in node order, by the serial loop with
+its tail cut: the first half as it is evaluated, then the child's list,
+then the pairs past its end, evaluated here.  The child's cut starts from
+a fresh state, so it never comes before the serial cut when that falls in
+its half, and the loop reaches past the list only when the child sent
+none (it failed, or there is no fork).  So the same additions of the
+same values happen in the same order: the value, the deltas, the levels
+and the evaluation count (the pairs the loop used) are bit-for-bit those
+of the serial rule, and an integrand that raises or returns a non-finite
+value fails at the same node and level.  No child outlives its level.
 
 The rule is one-dimensional; the consequence identities' double integrals
 reach it already reduced to 1-D integrals of theta-series kernels
@@ -215,29 +216,26 @@ def _until_cut(contribs, hr, cutoff, seen_large):
 def _level_contributions(f, nodes, geometry, half, hr, cutoff):
     """A level's contributions in node order.  With half set, the pairs from
     half on are evaluated at the same time in a forked child
-    (``hpreal._from_child``), up to its own tail cut; it sends each
-    contribution back exactly, as its ``_mpf_`` tuple.  The pairs before
-    half are evaluated here, lazily, then the child's are read in order, and
-    whatever the child did not send is evaluated here."""
+    (``hpreal._from_child``), up to its own tail cut; it sends them back
+    exactly, as one list of ``_mpf_`` tuples.  The pairs before half are
+    evaluated here, lazily, then the child's list is read, and the pairs it
+    does not cover (all of them, if the child failed) are evaluated here."""
     if half is None:
         yield _contributions(f, nodes, *geometry)
         return
 
-    def produce():
-        for contrib in _until_cut(_contributions(f, nodes[half:], *geometry),
-                                  hr, cutoff, False):
-            yield contrib._mpf_
+    def work():
+        return [contrib._mpf_ for contrib in
+                _until_cut(_contributions(f, nodes[half:], *geometry), hr, cutoff, False)]
 
-    def merged(records):
+    def merged(fetch):
         yield from _contributions(f, nodes[:half], *geometry)
-        done = half
-        for record in records:
-            yield mp.make_mpf(record)
-            done += 1
-        yield from _contributions(f, nodes[done:], *geometry)
+        sent = fetch() or []
+        yield from map(mp.make_mpf, sent)
+        yield from _contributions(f, nodes[half + len(sent):], *geometry)
 
-    with _from_child(produce) as records:
-        yield merged(records)
+    with _from_child(work) as fetch:
+        yield merged(fetch)
 
 
 def integrate_1d(f: IntegrandFn, a, b, P: int, tol=None) -> QuadratureResult:

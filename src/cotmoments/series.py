@@ -256,8 +256,7 @@ def r_truncated_nested(k: int, kind: str, P: int, N: int = 10000) -> Evaluation:
         raise ValueError(f"r_truncated_nested: need N >= 1, got {N}")
     fbits = fixed_point_bits(P)
     with _working(P):
-        tails = _paired_sweep(_tails_cache, _tails_sweep, kind, _SIBLING[kind], k, N, fbits,
-                              _S_FLOORS)
+        tails = _paired_sweep(_tails_cache, _tails_sweep, kind, k, N, fbits, _S_FLOORS)
         unit, _, w_tail = _nested_family(kind, N, fbits)
         V = [v * unit for v in tails[_FAMILIES[kind].j0]]
         U = mpf(1)
@@ -275,10 +274,9 @@ def r_truncated_nested(k: int, kind: str, P: int, N: int = 10000) -> Evaluation:
 
 _TAIL_RECORD_MAX = 24  # suffix tails T_d(j) are kept for j up to here
 
-# the S values are asked for at depths 0, 1 and 2, so a sweep covers depth 2
-# (``hpreal._paired_sweep``)
+# the S values are asked for at depths 0, 1 and 2, so a sweep covers depth 2;
+# the two keys are the odd/even pair (``hpreal._paired_sweep``)
 _S_FLOORS = {"odd": 2, "even": 2}
-_SIBLING = {"odd": "even", "even": "odd"}
 
 # each maps (kind, N, fbits) to (lmax, the sweep's result at depths <= lmax)
 _sums_cache: Dict[Tuple[str, int, int], Tuple[int, Tuple[List[int], int]]] = {}
@@ -386,8 +384,7 @@ def _s_value(kind: str, l: int, P: int, N: int) -> Evaluation:
         raise ValueError(f"s_{kind}: need N >= 1, got {N}")
     fbits = fixed_point_bits(P)
     with _working(P):
-        sums, b_last = _paired_sweep(_sums_cache, _sums_sweep, kind, _SIBLING[kind], l, N, fbits,
-                                     _S_FLOORS)
+        sums, b_last = _paired_sweep(_sums_cache, _sums_sweep, kind, l, N, fbits, _S_FLOORS)
         unit, inner_full, w_tail = _nested_family(kind, N, fbits)
         value = sums[l] * unit
         b_sum = sums[0] * unit                            # sum of b(j), j <= N
@@ -440,8 +437,7 @@ def nested_tail_sums(kind: str, dmax: int, jmax: int, N: int, P: int):
         raise ValueError(f"nested_tail_sums: need N > jmax, got N={N}")
     fbits = fixed_point_bits(P)
     with _working(P):
-        tails = _paired_sweep(_tails_cache, _tails_sweep, kind, _SIBLING[kind], dmax, N, fbits,
-                              _S_FLOORS)
+        tails = _paired_sweep(_tails_cache, _tails_sweep, kind, dmax, N, fbits, _S_FLOORS)
         unit, inner_full, w_tail = _nested_family(kind, N, fbits)
         table = {j: [v * unit for v in tails[j][: dmax + 1]]
                  for j in range(_FAMILIES[kind].j0, jmax + 1)}

@@ -9,11 +9,11 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_child_outlives_a_test():
-    """The series routes may sweep a sibling in a forked child
-    (``hpreal._beside``), and ``quadrature.integrate_1d`` may evaluate half
-    of a level in one; both go through ``hpreal._from_child``.  Every such
-    child must be reaped by the call that made it, so none is left, running
-    or finished, when a test ends."""
+    """The series routes' sweep cache (``hpreal._paired_sweep``) may sweep a
+    sibling in a forked child, and ``quadrature.integrate_1d`` may evaluate
+    half of a level in one; both go through ``hpreal._from_child``.  Every
+    such child must be reaped by the call that made it, so none is left,
+    running or finished, when a test ends."""
     yield
     if not hasattr(os, "fork"):
         return

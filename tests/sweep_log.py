@@ -1,6 +1,6 @@
 """A sweep counter that sees every process: the series routes may run a
-sibling sweep in a forked child (``hpreal._beside``), whose calls a list in
-the test process would miss."""
+sibling sweep in a forked child (``hpreal._paired_sweep``), whose calls a
+list in the test process would miss."""
 
 from __future__ import annotations
 

@@ -442,6 +442,21 @@ def test_config_file_non_integer_digits(tmp_path, capsys, value):
     assert "'digits'" in err
 
 
+def test_config_file_format_is_validated_like_the_flag(tmp_path, capsys):
+    cfgfile = tmp_path / "cot.json"
+    cfgfile.write_text(json.dumps({"format": "xml"}))
+    argv = ["tables", "--which", "t0", "--kmax", "1", "--nmax", "2"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--format", "xml"], capsys)
+    assert exc.value.code == 2
+    code, out, err = run_cli(argv + ["--config", str(cfgfile)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--format must be one of json, csv, text, got 'xml'" in err
+    # the flag still overrides the file
+    assert run_cli(argv + ["--config", str(cfgfile), "--format", "csv"], capsys)[0] == 0
+
+
 @pytest.mark.parametrize("value", [20.0, "20"])
 def test_config_file_integral_float_and_decimal_string_digits(tmp_path, capsys, value):
     cfgfile = tmp_path / "cot.json"

@@ -21,7 +21,6 @@ from cotmoments.exact import (
     double_factorial_odd,
     euler_zigzag,
     fps_arcsin,
-    fps_power,
     partitions,
 )
 
@@ -265,19 +264,6 @@ def test_fps_coefficient_access():
     assert s.coefficient(17) == 0  # beyond order
     with pytest.raises(ValueError):
         s.coefficient(-1)
-
-
-def test_fps_power_matches_repeated_multiplication():
-    rng = random.Random(999)
-    for _ in range(15):
-        s = _random_series(rng, 10)
-        acc = s
-        for m in range(2, 6):
-            acc = acc * s
-            assert fps_power(s, m) == acc
-        assert fps_power(s, 1) == s
-    with pytest.raises(ValueError):
-        fps_power(s, 0)
 
 
 def test_fps_arcsin_leading_coefficients():

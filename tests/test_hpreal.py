@@ -12,7 +12,6 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
-import io
 import marshal
 import math
 import os
@@ -31,9 +30,7 @@ from cotmoments import moments, quadrature, series
 from cotmoments.hpreal import (
     _ACCEL_RATE,
     MIN_DIGITS,
-    _beside,
     _from_child,
-    _records,
     eta,
     log2,
     pi,
@@ -325,7 +322,7 @@ def test_every_entry_point_refuses_too_few_digits(name):
 
 
 # ---------------------------------------------------------------------------
-# _from_child, and _beside over it: work in a forked child
+# _from_child: one value from a forked child
 # ---------------------------------------------------------------------------
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
@@ -350,21 +347,44 @@ def _raise():
     raise RuntimeError("the sibling failed")
 
 
-def test_beside_returns_the_serial_values():
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_from_child_returns_the_serial_values():
     # a cfn pair (a tuple of lists), an S-sums pair (a list and an int) and
     # an S-tails pair (a dict of lists)
     for sweep, own, other in ((moments._cfn_sweep, (1, 2), (0, 3)),
                               (series._sums_sweep, ("odd", 2), ("even", 2)),
                               (series._tails_sweep, ("even", 2), ("odd", 2))):
         own, other = partial(sweep, *own, 3000, 140), partial(sweep, *other, 3000, 140)
-        assert _beside(own, other) == (own(), other())
+        with _from_child(other) as fetch:
+            pair = own(), fetch()
+        assert pair == (own(), other())
 
 
 @needs_fork
 @pytest.mark.parametrize("other", [_raise, lambda: os.kill(os.getpid(), signal.SIGKILL),
                                    lambda: object()], ids=["raises", "killed", "unmarshallable"])
 def test_a_failed_child_gives_none_and_keeps_the_parents_value(other):
-    assert _beside(lambda: 41 + 1, other) == (42, None)
+    with _from_child(other) as fetch:
+        pair = 41 + 1, fetch()
+    assert pair == (42, None)
+
+
+@needs_fork
+def test_a_record_cut_short_gives_none(monkeypatch):
+    def half_then_fail(value, out):  # the child inherits this marshal.dump
+        whole = marshal.dumps(value)
+        out.write(whole[: len(whole) // 2])
+        out.flush()
+        raise OSError("the pipe broke")
+
+    monkeypatch.setattr(marshal, "dump", half_then_fail)
+    with _from_child(lambda: [1 << 900, "x" * 100, (2, 3)]) as fetch:
+        assert fetch() is None
 
 
 @needs_fork
@@ -388,15 +408,36 @@ def test_a_failed_sibling_sweep_stays_uncached(monkeypatch):
 @pytest.mark.parametrize("other", [lambda: bytes(1 << 20), lambda: time.sleep(600)],
                          ids=["larger-than-the-pipe", "never-ends"])
 def test_own_raising_reraises_and_leaves_no_child(other):
-    def own():
-        time.sleep(0.2)  # the child is now blocked on the full pipe, or asleep
-        raise KeyError("own failed")
-
     with _deadline(60):
         with pytest.raises(KeyError, match="own failed"):
-            _beside(own, other)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+            with _from_child(other):
+                time.sleep(0.2)  # the child is now blocked on the full pipe, or asleep
+                raise KeyError("own failed")
+    _no_child_left()
+
+
+@needs_fork
+def test_from_child_reaps_a_child_left_unread():
+    with _deadline(60):
+        start = time.perf_counter()
+        with _from_child(lambda: time.sleep(600)):
+            pass
+        assert time.perf_counter() - start < 30
+    _no_child_left()
+
+
+@needs_fork
+def test_a_large_value_round_trips_intact():
+    # about 400 KB, far more than a pipe holds; no two strings are equal, so
+    # marshal writes each in full
+    value = [[i, f"{i:08d}" * 16] for i in range(3000)]
+    assert len(marshal.dumps(value)) > 400_000
+    with _deadline(60):
+        with _from_child(lambda: (value, os.getpid())) as fetch:
+            got, pid = fetch()
+    assert got == value
+    assert pid != os.getpid()
+    _no_child_left()
 
 
 def _fork_fails():
@@ -404,68 +445,46 @@ def _fork_fails():
 
 
 @pytest.mark.parametrize("no_fork", ["raises", "missing"])
-def test_without_fork_both_sweeps_run_here_and_are_cached(no_fork, monkeypatch):
+def test_without_fork_only_the_asked_for_sweep_runs_here(no_fork, monkeypatch):
+    cfn_sweep, sums_sweep = moments._cfn_sweep, series._sums_sweep
+    monkeypatch.setattr(moments, "_cfn_cache", {})
+    monkeypatch.setattr(series, "_sums_cache", {})
+    expected = moments.c_cfn_route(1, 30, 2000), series.s_even(0, 30, 2000)
     if no_fork == "raises":
         monkeypatch.setattr(os, "fork", _fork_fails)
     else:
         monkeypatch.delattr(os, "fork", raising=False)
-    pids = []
-    cfn_sweep, sums_sweep = moments._cfn_sweep, series._sums_sweep
+    with _from_child(lambda: 42) as fetch:
+        assert fetch() is None
+    calls = []
 
     def counted(sweep, *args):
-        pids.append(os.getpid())
+        calls.append((os.getpid(), *args[:2]))
         return sweep(*args)
 
     monkeypatch.setattr(moments, "_cfn_cache", {})
     monkeypatch.setattr(series, "_sums_cache", {})
     monkeypatch.setattr(moments, "_cfn_sweep", partial(counted, cfn_sweep))
     monkeypatch.setattr(series, "_sums_sweep", partial(counted, sums_sweep))
-    moments.c_cfn_route(1, 30, 2000)
-    series.s_even(0, 30, 2000)
-    assert pids == [os.getpid()] * 4
-    assert moments._cfn_cache == {
-        (p, 2000, 140): ((6 - p) // 2, cfn_sweep(p, (6 - p) // 2, 2000, 140)) for p in (0, 1)}
-    assert series._sums_cache == {(kind, 2000, 140): (2, sums_sweep(kind, 2, 2000, 140))
-                                  for kind in ("odd", "even")}
-
-
-def test_records_end_at_the_first_missing_or_truncated_one():
-    whole = marshal.dumps(1) + marshal.dumps([2, "three"])
-    assert list(_records(io.BytesIO(whole))) == [1, [2, "three"]]
-    assert list(_records(io.BytesIO(whole + marshal.dumps((4 << 900, 5))[:-3]))) == [1, [2, "three"]]
-    assert list(_records(io.BytesIO(b""))) == []
-    assert list(_records(io.BytesIO(b"\xff"))) == []  # not a type code
-
-
-@needs_fork
-def test_from_child_streams_in_order_and_reaps_a_child_left_unread():
-    def produce():
-        for i in range(3000):  # about 400 KB, far more than a pipe holds
-            yield [i, os.getpid(), "x" * 100]
-
-    with _deadline(60):
-        with _from_child(produce) as items:
-            head = [next(items) for _ in range(5)]
-    assert [i for i, _, _ in head] == list(range(5))
-    assert all(pid != os.getpid() for _, pid, _ in head)
-    with pytest.raises(ChildProcessError):  # reaped, though blocked on the pipe
-        os.waitpid(-1, os.WNOHANG)
+    assert (moments.c_cfn_route(1, 30, 2000), series.s_even(0, 30, 2000)) == expected
+    assert calls == [(os.getpid(), 1, 2), (os.getpid(), "even", 2)]
+    assert moments._cfn_cache == {(1, 2000, 140): (2, cfn_sweep(1, 2, 2000, 140))}
+    assert series._sums_cache == {("even", 2000, 140): (2, sums_sweep("even", 2, 2000, 140))}
 
 
 def test_one_function_forks_pipes_kills_and_reaps():
-    # _beside and the quadrature level split share one process path
+    # the sweep cache and the quadrature level split share one process path,
+    # and the wire format has one home
     package = pathlib.Path(cotmoments.__file__).parent
     process_calls = {"fork", "pipe", "kill", "waitpid", "_exit"}
     users = set()
     for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for fn in ast.walk(tree):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            for node in ast.walk(fn):
+        # each top-level statement, so a function nested in one counts as it
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(stmt):
                 named = (node.attr if isinstance(node, ast.Attribute)
                          and getattr(node.value, "id", None) == "os"
                          else node.value if isinstance(node, ast.Constant) else None)
-                if named in process_calls:
-                    users.add(f"{path.name}:{fn.name}")
+                if named in process_calls or getattr(node, "id", None) == "marshal":
+                    users.add(f"{path.name}:{getattr(stmt, 'name', '<module>')}")
     assert users == {"hpreal.py:_from_child"}
