@@ -20,10 +20,12 @@ Work that can run on a second core goes through one helper,
 record, or not at all.  No child outlives the block that made it: on
 leaving it the parent closes the pipe, kills the child if it still runs
 and reaps it (only a parent killed outright leaves its child to finish and
-exit on the broken pipe).  When no value comes back (the child failed, or
-there is no ``os.fork``, or it failed) the caller does that work itself,
-so every value is the same either way.  A traced run sees only the
-parent's spans: what the child records is lost with it.  It has two users:
+exit on the broken pipe).  It forks only while the calling thread is the
+process's only thread.  When no value comes back (the child failed, or
+there is no ``os.fork``, or it failed, or other threads run) the caller
+does that work itself, so every value is the same either way.  A traced
+run sees only the parent's spans: what the child records is lost with it.
+It has two users:
 
 * ``_paired_sweep``, the series routes' sweep cache, sweeps the odd/even
   sibling of the asked-for kind in the child.
@@ -270,15 +272,17 @@ def _from_child(work: Callable[[], object]) -> Iterator[Callable[[], object]]:
     lists, tuples, dicts) and ends with ``os._exit``.  ``fetch()`` waits for
     that record.  It returns None when the record is missing or cut short:
     when the child raised, was killed or returned a value ``marshal`` cannot
-    write.  It also returns None without ``os.fork``, or when the pipe or
-    the fork fails.  On leaving the block the caller closes the pipe, kills
-    the child (SIGKILL) if it is still running and reaps it, however the
-    block ends: with the value fetched, not fetched, or by an exception.
-    The child keeps only the forking thread, so ``work`` must take no lock
-    that another thread may hold.
+    write.  It also returns None without ``os.fork``, when the pipe or
+    the fork fails, and when another thread runs: it forks only while the
+    caller's thread is the only one, since the child would keep only that
+    thread, and any lock another thread held would stay held there (from
+    Python 3.12 on, ``os.fork`` warns of this).  On leaving the block the
+    caller closes the pipe, kills the child (SIGKILL) if it is still
+    running and reaps it, however the block ends: with the value fetched,
+    not fetched, or by an exception.
     """
     pid = None
-    if hasattr(os, "fork"):
+    if hasattr(os, "fork") and threading.active_count() == 1:
         try:
             r, w = os.pipe()
         except OSError:

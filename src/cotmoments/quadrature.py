@@ -48,6 +48,15 @@ value fails at the same node and level.  No child outlives its level.
 The rule is one-dimensional; the consequence identities' double integrals
 reach it already reduced to 1-D integrals of theta-series kernels
 (moments.py).
+
+``moment_quadrature`` caches its finished value, one mpf per (m, P, tol),
+with tol the mpf that the tolerance rule makes of the caller's tol (or the
+default for P) at the working precision.  So a repeated moment costs one
+lookup, and returns the value of the first call.  The cache is read and
+filled inside the precision scope, under the package lock.  A call that
+raises (``QuadratureError``, ``ValueError``) caches nothing, so its repeat
+runs the rule again and raises again.  ``integrate_1d`` itself caches only
+its node tables.
 """
 
 from __future__ import annotations
@@ -320,17 +329,28 @@ def integrate_1d(f: IntegrandFn, a, b, P: int, tol=None) -> QuadratureResult:
 # the moment integrals
 # ---------------------------------------------------------------------------
 
+# the finished values per (m, P, tol), tol as an mpf at the working precision
+_moment_cache: Dict[Tuple[int, int, mpf], mpf] = {}
+
+
 def moment_quadrature(m: int, P: int, tol=None) -> mpf:
     """The m-th cotangent moment by direct quadrature: the integral over
     [0, pi] of x^m/(2 m!) * cot(x/2), with the half-angle cotangent
     evaluated as tan(db/2) from the exact distance to the right endpoint.
+    The value is cached per (m, P, tol); a failure is not.
     """
     if m < 1:
         raise ValueError(f"moment_quadrature: need m >= 1, got {m}")
     with _working(P, _WORK_GUARD):
+        tol = _tolerance(P, tol)
+        key = (m, P, tol)
+        hit = _moment_cache.get(key)
+        if hit is not None:
+            return hit
         two_fact = 2 * mp.factorial(m)
 
         def f(x, da, db):
             return x ** m / two_fact * mp.tan(db / 2)
 
-        return integrate_1d(f, 0, mp.pi, P, tol).value
+        value = _moment_cache[key] = integrate_1d(f, 0, mp.pi, P, tol).value
+    return value

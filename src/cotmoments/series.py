@@ -12,7 +12,10 @@ Three layers live here:
   integral, which must agree wherever both converge.  The power series are
   the S families' outer terms against powers of z, one loop for both:
   K1(z) = sum_j b_odd(j) z^(2j) and K0(z) = sum_j b_even(j) z^j, so
-  K1(1) = S_odd(0) and K0(1) = S_even(0).
+  K1(1) = S_odd(0) and K0(1) = S_even(0).  An integral's finished value is
+  cached, one mpf per (kind, z, P), with z the mpf that the working
+  precision makes of the caller's z, so a repeat costs one lookup; the
+  power series are not cached, and an integral that raises caches nothing.
 
 The S families and their inner tails are evaluated in fixed-point integer
 arithmetic: a value v is carried as the integer v * 2^fbits, floored.  The
@@ -452,6 +455,10 @@ def nested_tail_sums(kind: str, dmax: int, jmax: int, N: int, P: int):
 
 _SERIES_Z_MAX = 0.9  # beyond this the power series converge too slowly
 
+# the integrals' finished values per (kind, z, P), z as an mpf at the working
+# precision
+_kernel_cache: Dict[Tuple[str, mpf, int], mpf] = {}
+
 
 def _kernel_series(kind: str, z: mpf, P: int) -> mpf:
     """K(z) = sum_{j >= j0} b(j) z^(a j), with b(j) the S family's outer term:
@@ -524,7 +531,11 @@ def _kernel(kind: str, z, P: int, method: str, integral_fn, at_zero: mpf) -> mpf
                     f"kernel series: need z <= {_SERIES_Z_MAX} (got {mp.nstr(z, 8)});"
                     " use the integral method near 1")
             return +_kernel_series(kind, z, P)
-        return +integral_fn(z, P)
+        key = (kind, z, P)
+        hit = _kernel_cache.get(key)
+        if hit is None:
+            hit = _kernel_cache[key] = +integral_fn(z, P)
+        return hit
 
 
 def kernel_k1(z, P: int, method: str = "auto") -> mpf:

@@ -361,27 +361,18 @@ def test_build_level_restores_the_precision():
             assert mp.prec == prec
 
 
-def _threads_at_mixed_precisions(monkeypatch, split_after):
-    """Four threads at P = 30 and 120 on an empty node cache, with levels
-    split after split_after seconds, give the results of serial runs that
-    split no level."""
-    def f(x, da, db):
-        return mp.sqrt(da) * mp.log(1 + x)
-
-    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _NEVER)
-    serial = {P: integrate_1d(f, 0, 1, P) for P in (30, 120)}
-    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", split_after)
-    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
-    precisions = (30, 120, 30, 120)
+def _in_threads(work, precisions):
+    """{i: work(P)} for the i-th of precisions, each in its own thread, all
+    started at once and switching often."""
     results = {}
 
-    def work(i, P):
-        results[i] = integrate_1d(f, 0, 1, P)
+    def run(i, P):
+        results[i] = work(P)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=work, args=(i, P))
+        threads = [threading.Thread(target=run, args=(i, P))
                    for i, P in enumerate(precisions)]
         for t in threads:
             t.start()
@@ -390,16 +381,48 @@ def _threads_at_mixed_precisions(monkeypatch, split_after):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    return results
+
+
+def _recorded_forks(monkeypatch):
+    """The name of the thread of every os.fork from now on; each still forks."""
+    forks = []
+    fork = os.fork
+
+    def recorded():
+        forks.append(threading.current_thread().name)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return forks
+
+
+def _threads_at_mixed_precisions(monkeypatch, split_after):
+    """Four threads at P = 30 and 120 on an empty node cache, with levels
+    split after split_after seconds, give the results of serial runs that
+    split no level, and fork no child."""
+    def f(x, da, db):
+        return mp.sqrt(da) * mp.log(1 + x)
+
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _NEVER)
+    serial = {P: integrate_1d(f, 0, 1, P) for P in (30, 120)}
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", split_after)
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    forks = _recorded_forks(monkeypatch) if hasattr(os, "fork") else []
+    precisions = (30, 120, 30, 120)
+    results = _in_threads(lambda P: integrate_1d(f, 0, 1, P), precisions)
     assert results == {i: serial[P] for i, P in enumerate(precisions)}
     assert len(quadrature._NODE_CACHE) == 2  # one table per precision
+    assert forks == []
 
 
 def test_mixed_precision_threads_build_the_nodes_they_would_alone(monkeypatch):
     _threads_at_mixed_precisions(monkeypatch, quadrature._SPLIT_AFTER_S)
 
 
-def test_mixed_precision_threads_split_levels_as_they_would_alone(monkeypatch):
-    # each thread forks under the precision lock; the child keeps only it
+def test_mixed_precision_threads_evaluate_forced_splits_here(monkeypatch):
+    # a level splits only in a process of one thread, so with other threads
+    # running each evaluates every node pair itself
     _threads_at_mixed_precisions(monkeypatch, _ALWAYS)
 
 
@@ -432,18 +455,32 @@ _SPLIT_CASES = {
 }
 
 
-def _results(monkeypatch, split_after, run):
-    """Every QuadratureResult that run() gets from integrate_1d, with the
-    levels split after split_after seconds."""
+def _recording(monkeypatch):
+    """Empties the caches of finished moment and kernel values, and returns
+    a list that gets every QuadratureResult that integrate_1d returns from
+    then on, or the QuadratureError that it raises."""
     results = []
 
     def recorded(*args):
-        results.append(integrate_1d(*args))
+        try:
+            results.append(integrate_1d(*args))
+        except QuadratureError as err:
+            results.append(err)
+            raise
         return results[-1]
 
-    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", split_after)
+    monkeypatch.setattr(quadrature, "_moment_cache", {})
+    monkeypatch.setattr(series, "_kernel_cache", {})
     for module in (quadrature, series):
         monkeypatch.setattr(module, "integrate_1d", recorded)
+    return results
+
+
+def _results(monkeypatch, split_after, run):
+    """Every QuadratureResult that run() gets from integrate_1d, with the
+    levels split after split_after seconds, from empty value caches."""
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", split_after)
+    results = _recording(monkeypatch)
     run()
     return results
 
@@ -544,6 +581,22 @@ def test_a_failure_in_the_childs_half_is_the_serial_failure(bad, monkeypatch):
                                  " level 1 (endpoint distances are passed for a reason)"))
 
 
+@needs_fork
+def test_a_split_level_in_a_second_thread_makes_no_child(monkeypatch):
+    def f(x, da, db):
+        return mp.sqrt(da) * mp.log(1 + x)
+
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _NEVER)
+    serial = integrate_1d(f, 0, 1, 30)
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _ALWAYS)
+    forks = _recorded_forks(monkeypatch)
+    assert integrate_1d(f, 0, 1, 30) == serial
+    assert forks and set(forks) == {threading.current_thread().name}
+    forks.clear()
+    assert _in_threads(lambda P: integrate_1d(f, 0, 1, P), (30,)) == {0: serial}
+    assert forks == []
+
+
 def _fork_fails():
     raise OSError("fork: resource temporarily unavailable")
 
@@ -565,6 +618,103 @@ def test_without_fork_a_split_level_runs_here(no_fork, monkeypatch):
     monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _ALWAYS)
     assert integrate_1d(f, 0, 1, 30) == serial
     assert pids == {os.getpid()}
+
+
+# ---------------------------------------------------------------------------
+# the finished values: a repeated moment or kernel integral is one lookup
+# ---------------------------------------------------------------------------
+
+_CACHED_CASES = {
+    "moment-3": lambda P: moment_quadrature(3, P),
+    "compute-moment-3": lambda P: moments.compute_moment(3, P, "quad").value,
+    "k0-0.8": lambda P: kernel_k0("0.8", P),
+    "k0-1": lambda P: kernel_k0(1, P),
+    "k1-0.8": lambda P: kernel_k1("0.8", P),
+    "k1-1": lambda P: kernel_k1(1, P),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CACHED_CASES))
+def test_a_repeat_runs_the_rule_once_and_gives_the_cold_value(case, monkeypatch):
+    run = partial(_CACHED_CASES[case], 30)
+    results = _recording(monkeypatch)
+    cold = run()
+    assert run()._mpf_ == cold._mpf_
+    assert len(results) == 1
+    results = _recording(monkeypatch)  # empty caches: a second cold call
+    assert run()._mpf_ == cold._mpf_
+    assert len(results) == 1
+
+
+def _rule_runs(results, call, *args, **kwargs):
+    """How many times call(*args, **kwargs) ran the rule."""
+    before = len(results)
+    call(*args, **kwargs)
+    return len(results) - before
+
+
+def test_a_moment_misses_on_any_other_m_p_or_tol(monkeypatch):
+    with _working(30, _WORK_GUARD):
+        tol = mpf("1e-20")  # as the string parses at the working precision
+    with mp.workdps(15):
+        coarse = mpf("1e-20")  # 53 bits: another tolerance
+    results = _recording(monkeypatch)
+    assert _rule_runs(results, moment_quadrature, 3, 30) == 1
+    # the default tolerance at P = 30 is 1e-20, the same mpf
+    assert _rule_runs(results, moment_quadrature, 3, 30, "1e-20") == 0
+    assert _rule_runs(results, moment_quadrature, 3, 30, tol=tol) == 0
+    assert _rule_runs(results, moment_quadrature, 4, 30) == 1
+    assert _rule_runs(results, moment_quadrature, 3, 31) == 1
+    exact = mpf(2) ** -66  # the same tolerance at every precision
+    assert _rule_runs(results, moment_quadrature, 3, 30, exact) == 1
+    assert _rule_runs(results, moment_quadrature, 3, 31, exact) == 1
+    assert _rule_runs(results, moment_quadrature, 3, 30, "1e-19") == 1
+    assert _rule_runs(results, moment_quadrature, 3, 30, coarse) == 1
+    assert _rule_runs(results, moments.compute_moment, 4, 30, "quad") == 0
+
+
+def test_a_kernel_integral_misses_on_any_other_kind_z_or_p(monkeypatch):
+    with _working(30):
+        z = mpf("0.8")  # as the string parses at the working precision
+    results = _recording(monkeypatch)
+    assert _rule_runs(results, kernel_k1, "0.8", 30) == 1
+    assert _rule_runs(results, kernel_k1, z, 30) == 0
+    assert _rule_runs(results, kernel_k1, "0.8", 30, method="integral") == 0
+    assert _rule_runs(results, kernel_k0, "0.8", 30) == 1
+    assert _rule_runs(results, kernel_k1, 0.8, 30) == 1  # the float is not 0.8
+    assert _rule_runs(results, kernel_k1, "0.8", 31) == 1
+    # 7/8 is the same z at every precision
+    assert _rule_runs(results, kernel_k1, "0.875", 30) == 1
+    assert _rule_runs(results, kernel_k1, "0.875", 31) == 1
+    # the series branch neither reads nor fills the cache
+    assert _rule_runs(results, kernel_k1, "0.5", 30) == 0
+    assert len(series._kernel_cache) == 6
+
+
+@pytest.mark.parametrize("case", sorted(_CACHED_CASES))
+def test_a_failure_is_not_cached(case, monkeypatch):
+    monkeypatch.setattr(quadrature, "_DEFAULT_LEVEL_CAP", 3)
+    results = _recording(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(QuadratureError):
+            _CACHED_CASES[case](30)
+    assert len(results) == 2
+    assert all(isinstance(res, QuadratureError) for res in results)
+    assert quadrature._moment_cache == {} and series._kernel_cache == {}
+
+
+def test_threads_at_mixed_precisions_fill_the_caches_with_the_serial_values(monkeypatch):
+    def values(P):
+        return [moment_quadrature(3, P), kernel_k1("0.8", P), kernel_k0(1, P)]
+
+    serial = {}
+    for P in (30, 120):
+        _recording(monkeypatch)
+        serial[P] = values(P)
+    results = _recording(monkeypatch)
+    precisions = (30, 120, 30, 120)
+    assert _in_threads(values, precisions) == {i: serial[P] for i, P in enumerate(precisions)}
+    assert len(results) == 6  # each key once, whichever thread came first
 
 
 # ---------------------------------------------------------------------------
