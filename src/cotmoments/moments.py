@@ -154,14 +154,14 @@ def _cfn_sweep(parity: int, kmax: int, N: int, fbits: int) -> Tuple[List[int], L
     pass that stops at depth k.
 
     The pass runs over blocks of about 2^17 / fbits values of j.  Within a
-    block each column (roots, weights w = 2^fbits // root^2, outer terms b,
-    H-rows and their floored products) is one C-level map or accumulate; a
-    row's carry is its value at the next block's first j.  Only ratio(j)
-    runs as a per-j loop, because each of its floors feeds the next.  The
-    constant rows are folded in exactly: (b 2^fbits) >> fbits == b,
-    (2^fbits w) >> fbits == w, and a row of zeros adds 0.  So every integer
-    equals that of a per-j loop, and a block holds no more than a few
-    columns of its own length.
+    block each column (roots, q = root^2, outer terms b, H-rows, their
+    exact floors H // q and floored products) is one C-level map or
+    accumulate; a row's carry is its value at the next block's first j.
+    Only ratio(j) runs as a per-j loop, because each of its floors feeds the
+    next.  The constant rows are folded in exactly: (b 2^fbits) >> fbits ==
+    b, 2^fbits // q steps row r + 1, and a row of zeros adds 0.  So every
+    integer equals that of a per-j loop, and a block holds no more than a
+    few columns of its own length.
     """
     j0, a, c, e, f, s, r = _CFN_ROWS[parity]
     one = 1 << fbits
@@ -181,18 +181,17 @@ def _cfn_sweep(parity: int, kmax: int, N: int, fbits: int) -> Tuple[List[int], L
             ratio = ratio * num // den  # ratio(j + 1)
         roots = range(a * lo + c, a * hi + c, a)
         q = list(map(mul, roots, roots))
-        w = list(map(floordiv, repeat(one), q))
         b = list(map(floordiv, ratios, map(mul, q, count(e * lo + f, e))))
         if r <= kmax:
             sums[r] += sum(b)
             lasts[r] = b[-1]
-        inc = w                       # row r + 1 steps by (2^fbits w) >> fbits == w
+        inc = map(floordiv, repeat(one), q)  # row r + 1 steps by 2^fbits // q
         for i in range(r + 1, kmax + 1):
             col = list(accumulate(inc, initial=carry[i]))
             carry[i] = col.pop()
             sums[i] += sum(map(rshift, map(mul, b, col), repeat(fbits)))
             lasts[i] = (b[-1] * col[-1]) >> fbits
-            inc = map(rshift, map(mul, col, w), repeat(fbits))
+            inc = map(floordiv, col, q)
     return sums, lasts
 
 
@@ -214,7 +213,8 @@ def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> Evaluation:
     loop, so value and bound do not depend on the block length.
     Terms decay like j^(-5/2); the returned bound is the integral-comparison
     tail (2/3) N t_N with a 1.05 calibration factor, plus the fixed-point
-    rounding allowance.
+    allowance (k + 3) (N + 1) 2^-fbits, an estimate: one floor per term and
+    per H-row step measures below 0.29 of it (tests/test_sweeps.py).
     """
     if m < 1:
         raise ValueError(f"c_cfn_route: need m >= 1, got {m}")

@@ -40,23 +40,23 @@ values are asked for at depths 0, 1 and 2: a miss at depth <= 2 sweeps
 both kinds to depth 2 at once, the other kind in a forked child.  Every
 value here is an ``hpreal.Evaluation``.
 
-Each right-shift floors, losing < 2^-fbits, so the fixed-point error grows
+A depth step times w = 1/q, q = (a i + c)^2, is the one exact floor x // q
+by the small integer q, losing < 2^-fbits, so the fixed-point error grows
 like (N + 1) * 2^-fbits — negligible against the series tails for
 fbits >= 140.  ``r_truncated_nested`` proves the allowance 2^(d+2) (N + 1)
 2^-fbits for a tail at depth d, and both it and ``nested_tail_sums`` add
 that allowance, so their bounds are rigorous.  The S values add
-(l + 3) (N + 1) 2^-fbits.  Measured against the same forward sweep with 200
-more bits, their error stays within it (about 0.5, 1.05 and 1.13 (N + 1)
-ulps at l = 0, 1, 2 for the odd family, 0.5, 1.16 and 1.40 for the even
-one, at N = 2 10^4 and 10^5), but that proof does not carry over to the
-forward sums: like their calibrated outer tail, it is an estimate.
+(l + 3) (N + 1) 2^-fbits.  Their error measures below 0.17 of it at depths
+0..6 (tests/test_sweeps.py), but the tails' proof gives the forward sums
+only a constant geometric in l: like their calibrated outer tail, it is an
+estimate.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import accumulate, count, repeat
-from operator import floordiv, mul, rshift
+from operator import floordiv, mul
 from typing import Dict, List, NamedTuple, Tuple
 
 from mpmath import mp, mpf
@@ -239,16 +239,14 @@ def r_truncated_nested(k: int, kind: str, P: int, N: int = 10000) -> Evaluation:
     its largest index > N, and the remaining d-1 indices are bounded by the
     full sum U_{d-1}).
 
-    Fixed point: let e = 2^-fbits.  Every R(d) is below 2 (R_odd(d) =
-    (4/pi) beta(2d+1), R_even(d) = 2 eta(2d)).  Each of the N+1 steps floors
-    w(j) and the product w(j) T_{d-1}(j), so by induction on d the swept
-    T_d(j0) lies below the truncated sum by at most
+    Fixed point: let e = 2^-fbits.  Each of the N+1 steps adds the exact
+    floor T_{d-1}(j) // q(j), q = 1/w, losing less than e, so by induction
+    on d the swept T_d(j0) lies below the truncated sum by at most
 
-        c_d (N+1) e,   c_1 = 1,   c_d = 2 c_{d-1} + 3 = 2^(d+1) - 3:
+        c_d (N+1) e,   c_1 = 1,   c_d = 2 c_{d-1} + 1 = 2^d - 1,
 
-    sum w < 2 carries the depth d-1 error, and the two floors lose less than
-    (T_{d-1} + 1) e < 3e per step.  Read from the sweep, the V_d make
-    U_{k-1} * w_tail smaller by at most sum_{d<k} c_d (N+1) e, as
+    as sum w < 2 carries the depth d-1 error.  Read from the sweep, the V_d
+    make U_{k-1} * w_tail smaller by at most sum_{d<k} c_d (N+1) e, as
     w_tail <= 1; the allowance 2^(k+2) (N+1) e that the bound adds covers
     both.
     """
@@ -297,13 +295,13 @@ def _sums_sweep(kind: str, lmax: int, N: int, fbits: int) -> Tuple[List[int], in
 
     so each depth is the running sum of the depth below it times w.  The
     pass runs over blocks of about 2^17 / fbits values of j, from j0 up.
-    Within a block each column (roots, weights w = 2^fbits // root^2, outer
-    terms b, the B_d and their floored products) is one C-level map or
-    accumulate, and a column's carry is its value at the block's last j;
-    the deepest column is only summed.  Only ratio(j) runs as a per-j loop,
-    because each of its floors feeds the next.  So every integer equals
-    that of a per-j loop, and a block holds no more than a few columns of
-    its own length.
+    Within a block each column (roots, q = root^2 = 1/w, outer terms b, the
+    B_d and their exact floors B // q) is one C-level map or accumulate,
+    and a column's carry is its value at the block's last j; the deepest
+    column is only summed.  Only ratio(j) runs as a per-j loop, because
+    each of its floors feeds the next.  So every integer equals that of a
+    per-j loop, and a block holds no more than a few columns of its own
+    length.
     """
     fam = _FAMILIES[kind]
     j0, a, c, e, f, s = fam.j0, fam.a, fam.c, fam.e, fam.f, fam.s
@@ -322,14 +320,13 @@ def _sums_sweep(kind: str, lmax: int, N: int, fbits: int) -> Tuple[List[int], in
             ratio = ratio * num // den  # ratio(j + 1)
         roots = range(a * lo + c, a * hi + c, a)
         q = list(map(mul, roots, roots))
-        w = list(map(floordiv, repeat(one), q))
         b = list(map(floordiv, ratios, map(mul, q, count(e * lo + f, e))))
         inc = b
         for d in range(lmax):
             col = list(accumulate(inc, initial=sums[d]))
             del col[0]
             sums[d] = col[-1]
-            inc = map(rshift, map(mul, col, w), repeat(fbits))
+            inc = map(floordiv, col, q)
         sums[lmax] += sum(inc)
     return sums, b[-1]
 
@@ -340,11 +337,10 @@ def _tails_sweep(kind: str, lmax: int, N: int, fbits: int) -> Dict[int, List[int
     Returns {j: [T_0(j), ..., T_lmax(j)]} times 2^fbits for j up to
     _TAIL_RECORD_MAX.  T_d(j) = T_d(j + 1) + w(j) T_{d-1}(j) updates every
     depth at once.  The pass runs over blocks of about 2^17 / fbits values
-    of j, from N down, each depth one C-level accumulate over the floored
-    products of the depth below, and a tail's carry is its value at the
-    block's last j.  The constant T_0 = 1 is folded in exactly:
-    (2^fbits w) >> fbits == w.  So every integer equals that of a per-j
-    loop.
+    of j, from N down, each depth one C-level accumulate over the exact
+    floors T_{d-1} // q of the depth below, q = root^2 = 1/w, and a tail's
+    carry is its value at the block's last j.  So every integer equals that
+    of a per-j loop.
     """
     fam = _FAMILIES[kind]
     a, c = fam.a, fam.c
@@ -355,15 +351,15 @@ def _tails_sweep(kind: str, lmax: int, N: int, fbits: int) -> Dict[int, List[int
     for hi in range(N, fam.j0 - 1, -block):
         lo = max(hi - block + 1, fam.j0)  # this block is hi >= j >= lo
         roots = range(a * hi + c, a * lo + c - a, -a)
-        w = list(map(floordiv, repeat(one), map(mul, roots, roots)))
+        q = list(map(mul, roots, roots))
         cols = []
-        inc = w  # T_1 steps by (2^fbits w) >> fbits == w
+        inc = map(floordiv, repeat(one), q)  # T_1 steps by 2^fbits // q
         for d in range(1, lmax + 1):
             col = list(accumulate(inc, initial=carry[d]))
             del col[0]
             carry[d] = col[-1]
             cols.append(col)
-            inc = map(rshift, map(mul, col, w), repeat(fbits))
+            inc = map(floordiv, col, q)
         for j in range(min(hi, _TAIL_RECORD_MAX), lo - 1, -1):
             tails[j] = [one] + [col[hi - j] for col in cols]
     return tails
@@ -400,8 +396,8 @@ def _s_value(kind: str, l: int, P: int, N: int) -> Evaluation:
         # prefactor drift — heuristic, checked against closed forms in tests)
         outer_err = mpf("1.05") * (mpf(2) / 3) * N * b_last * inner_full ** l
         # fixed-point rounding of the forward sums, (l + 3) (N + 1) 2^-fbits:
-        # measured to hold (see the module docstring), not proved, so an
-        # estimate like outer_err
+        # one floor per step and depth, measured to hold (see the module
+        # docstring), not proved, so an estimate like outer_err
         fp_err = (l + 3) * (N + 1) * unit
         bound = +(inner_err + outer_err + fp_err)
     return Evaluation(f"S_{kind}", l, value, N, bound)
@@ -429,7 +425,7 @@ def nested_tail_sums(kind: str, dmax: int, jmax: int, N: int, P: int):
     a rigorous bound valid for every j: the truncation d * U^(d-1) * w_tail,
     with U the full inner sum and w_tail the dropped single-index tail, plus
     the fixed-point allowance 2^(d+2) (N+1) 2^-fbits, which covers the
-    (2^(d+1) - 3) (N+1) 2^-fbits proved in ``r_truncated_nested``.
+    (2^d - 1) (N+1) 2^-fbits proved in ``r_truncated_nested``.
     """
     _require_kind(kind)
     if dmax < 0 or jmax < 0:

@@ -29,9 +29,9 @@ def _reference_cfn(m, P, N):
         ratio = one                   # C(2j,j)/4^j
         for j in range(N + 1):
             if j:
-                w = one // (2 * j - 1) ** 2
+                q = (2 * j - 1) ** 2
                 for i in range(k, 0, -1):
-                    h[i] += (h[i - 1] * w) >> fbits
+                    h[i] += h[i - 1] // q
                 ratio = ratio * (2 * j - 1) // (2 * j)
             last = ((ratio // (2 * j + 1) ** 2) * h[k]) >> fbits
             total += last
@@ -45,9 +45,9 @@ def _reference_cfn(m, P, N):
             if j == 1:
                 h[1] = one
             else:
-                w = one // (j - 1) ** 2
+                q = (j - 1) ** 2
                 for i in range(k, 1, -1):
-                    h[i] += (h[i - 1] * w) >> fbits
+                    h[i] += h[i - 1] // q
             last = ((ratio // (2 * j ** 3)) * h[k]) >> fbits
             total += last
         scale_num, scale_den = 1, 1   # the 1/2 is folded into 2 j^3

@@ -9,8 +9,9 @@
   one j at a time; ``series._tails_sweep`` must return the same recorded
   tails.
 
-Every loop floors every product on its own, so the package's blocked sweeps
-reproduce them integer for integer.
+Every depth step is one exact floor x // q, with q = root^2, and every
+outer product floors on its own, so the package's blocked sweeps reproduce
+them integer for integer.
 """
 
 from __future__ import annotations
@@ -40,10 +41,9 @@ def _reference_cfn_sweep(parity, kmax, N, fbits):
     u = a * j0 + c                    # root a j + c
     v = e * j0 + f                    # outer factor e j + f
     for j in range(j0, N + 1):
-        if j > j0:
-            w = one // q              # q = (a (j-1) + c)^2, from step j-1
+        if j > j0:                    # q = (a (j-1) + c)^2, from step j-1
             for i in range(kmax, fixed, -1):
-                h[i] += (h[i - 1] * w) >> fbits
+                h[i] += h[i - 1] // q
             ratio = ratio * (2 * j - s) // (2 * j - 1 + s)
             u += a
             v += e
@@ -70,11 +70,10 @@ def _reference_sums_sweep(kind, lmax, N, fbits):
         if j > fam.j0:
             ratio = ratio * (2 * j - s) // (2 * j - 1 + s)
         q = (a * j + fam.c) ** 2  # inner root a j + c
-        w = one // q
         bj = ratio // (q * (e * j + fam.f))  # outer factor e j + f
         B[0] += bj
         for d in range(1, lmax + 1):
-            B[d] += (B[d - 1] * w) >> fbits
+            B[d] += B[d - 1] // q
     return B, bj
 
 
@@ -87,9 +86,9 @@ def _reference_tails_sweep(kind, lmax, N, fbits):
     t = [one] + [0] * lmax
     tails: Dict[int, List[int]] = {}
     for j in range(N, fam.j0 - 1, -1):
-        w = one // (fam.a * j + fam.c) ** 2
+        q = (fam.a * j + fam.c) ** 2
         for d in range(1, lmax + 1):
-            t[d] += (t[d - 1] * w) >> fbits
+            t[d] += t[d - 1] // q
         if j <= _TAIL_RECORD_MAX:
             tails[j] = list(t)
     return tails

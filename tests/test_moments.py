@@ -105,6 +105,20 @@ def test_nested_route_within_bound(m):
         assert abs(v.value - ref) <= v.error_bound, m
 
 
+@pytest.mark.parametrize("P", [90, 150, 300])
+def test_series_routes_within_bound_at_high_precision(P):
+    # the session-mixed workload's series keys above P = 60, where the
+    # sweeps run at 338 to 1036 bits; each cfn gap is about 0.95 of its
+    # bound, the room that the 1.05 calibration leaves
+    for route, fn, ms in (("cfn", c_cfn_route, (8, 9, 12)),
+                          ("nested", c_nested_route, (7, 10, 11))):
+        for m in ms:
+            ref = c_eta_route(m, P + 10).value
+            v = fn(m, P, N=20000)
+            with mp.workdps(P + 10):
+                assert abs(v.value - ref) <= v.error_bound, (route, m, P)
+
+
 @pytest.mark.parametrize("route", ["cfn", "nested"])
 def test_series_partial_sums_converge_monotonically(route):
     """All series terms are positive, so deeper truncations move upward."""

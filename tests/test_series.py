@@ -337,7 +337,8 @@ def test_tail_sums_validation():
 @pytest.mark.parametrize("kind", ["odd", "even"])
 def test_tail_sums_allowance_covers_the_proved_rounding(kind):
     # r_truncated_nested proves the swept T_d low by at most
-    # (2^(d+1) - 3)(N+1) 2^-fbits; a flat (dmax + 2) units falls short at d = 2
+    # (2^d - 1)(N+1) 2^-fbits; the allowance must still cover the larger
+    # (2^(d+1) - 3), the constant of a step that floored twice
     P, N, dmax = 30, 50, 2
     _, bounds = nested_tail_sums(kind, dmax, 3, N, P)
     with mp.workdps(80):

@@ -2,8 +2,8 @@
 
 ``moments._cfn_sweep``, ``series._sums_sweep`` and ``series._tails_sweep``
 must return the same integers as the loops in ``reference_sweeps``, at
-every depth, and hold only a block of their columns at a time.  The S
-sums must also stay inside their fixed-point allowance.
+every depth, and hold only a block of their columns at a time.  Every
+value they return must also stay inside its fixed-point allowance.
 """
 
 from __future__ import annotations
@@ -64,12 +64,35 @@ def test_sweep_peak_memory_stays_below_one_column(route, family, depth):
     assert peak < column // 4, (peak, column)
 
 
-@pytest.mark.parametrize("kind", ["odd", "even"])
-def test_s_sums_stay_inside_their_fixed_point_allowance(kind):
+def _sweep_values(route, family, depth, N, fbits):
+    """[(depth, value)] of one sweep: the cfn sums, the S sums, or every
+    recorded suffix tail."""
+    if route == "cfn":
+        return list(enumerate(moments._cfn_sweep(family, depth, N, fbits)[0]))
+    if route == "S":
+        return list(enumerate(series._sums_sweep(family, depth, N, fbits)[0]))
+    tails = series._tails_sweep(family, depth, N, fbits)
+    return [pair for j in sorted(tails) for pair in enumerate(tails[j])]
+
+
+# each value's fixed-point allowance in units of (N + 1) ulps: the cfn and S
+# bounds add (depth + 3); the tails are held to the 2^d - 1 that
+# series.r_truncated_nested proves, which is 0 for the exact T_0 = 1
+_ALLOWANCE = {
+    "cfn": lambda k: k + 3,
+    "S": lambda l: l + 3,
+    "T": lambda d: 2 ** d - 1,
+}
+
+
+@pytest.mark.parametrize("fbits", [140, 1036])
+@pytest.mark.parametrize("route,family", _SWEEPS + [("T", "odd"), ("T", "even")])
+def test_sweeps_stay_inside_their_fixed_point_allowance(route, family, fbits):
     # the same sweep with 200 more bits, shifted down, stands for the exact
-    # truncated sums; each S_l may be off by its allowance (l + 3)(N + 1) ulps
-    N, fbits, extra = 20000, 140, 200
-    sums, _ = series._sums_sweep(kind, 2, N, fbits)
-    fine, _ = series._sums_sweep(kind, 2, N, fbits + extra)
-    for l in range(3):
-        assert abs((fine[l] >> extra) - sums[l]) <= (l + 3) * (N + 1), (kind, l)
+    # truncated values
+    N, extra, depth = 20000, 200, 6
+    got = _sweep_values(route, family, depth, N, fbits)
+    fine = _sweep_values(route, family, depth, N, fbits + extra)
+    assert len(got) == len(fine)
+    for (d, value), (_, exact) in zip(got, fine):
+        assert abs((exact >> extra) - value) <= _ALLOWANCE[route](d) * (N + 1), (d, value)
