@@ -25,13 +25,17 @@ process's only thread.  When no value comes back (the child failed, or
 there is no ``os.fork``, or it failed, or other threads run) the caller
 does that work itself, so every value is the same either way.  A traced
 run sees only the parent's spans: what the child records is lost with it.
-It has two users:
+It has three users:
 
 * ``_paired_sweep``, the series routes' sweep cache, sweeps the odd/even
   sibling of the asked-for kind in the child.
 * ``quadrature.integrate_1d`` evaluates the second half of a costly
   tanh-sinh level's node pairs in the child, and sums every contribution
   here, in the serial order.
+* ``_in_halves(works)`` evaluates the back half of a list of independent
+  mpf computations in the child and the front half here; the consequences
+  and routes suites get their quadrature values through it.  The child's
+  values come back exactly, so each is bit-identical to a serial run's.
 
 The two series routes share no maths, but they share this layer's
 plumbing: the value record ``Evaluation`` that every route returns, the
@@ -58,7 +62,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp, mpf
@@ -321,6 +325,26 @@ def _from_child(work: Callable[[], object]) -> Iterator[Callable[[], object]]:
         reader.close()
         os.kill(pid, 9)  # SIGKILL; a child that has exited is not affected
         os.waitpid(pid, 0)
+
+
+def _in_halves(works: Sequence[Callable[[], mpf]]) -> List[mpf]:
+    """[work() for work in works], for independent works that each return an
+    mpf: the back half, works[len(works) // 2:], is evaluated in a child
+    (``_from_child``) while this process evaluates the front half.  The
+    child sends its values back exactly, as one list of ``_mpf_`` tuples;
+    when none come back, this process evaluates the back half itself, after
+    the front half.  So the values are those of a serial run, and a work
+    that raises raises here, the front half's first.  A work's caches are
+    filled only in the process that evaluates it: the child's are lost with
+    it.  Callers order works so that the two halves cost about the same."""
+    half = len(works) // 2
+    back = works[half:]
+    with _from_child(lambda: [work()._mpf_ for work in back]) as fetch:
+        values = [work() for work in works[:half]]
+        sent = fetch()
+    if sent is None:
+        return values + [work() for work in back]
+    return values + [mp.make_mpf(value) for value in sent]
 
 
 def _paired_sweep(cache: dict, sweep: Callable[..., object], kind, depth: int,

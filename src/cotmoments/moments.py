@@ -16,8 +16,10 @@ independent routes compute it:
 No route shares code with another past the constants layer, which is what
 makes the cross-route agreement checks in `run_suite` meaningful.  That
 layer (``hpreal``) holds the plumbing the routes do share: every route
-returns an ``hpreal.Evaluation``, and both series routes cache their
-odd/even sweeps through ``hpreal._paired_sweep``.
+returns an ``hpreal.Evaluation``, both series routes cache their
+odd/even sweeps through ``hpreal._paired_sweep``, and the consequences and
+routes suites evaluate their independent integrals half in a forked child
+through ``hpreal._in_halves``, with bit-identical values.
 
 The consequence identities 2 and 4 are double integrals over the unit
 square, and their inner integral is one of the central-binomial kernels
@@ -43,9 +45,9 @@ from mpmath import mp, mpf
 
 from . import cfn
 from .hpreal import (_DEFAULT_DIGITS, _DEFAULT_N, _SWEEP_BLOCK_BITS, GUARD_DIGITS, Evaluation,
-                     _closed_form_tolerance, _paired_sweep, _require_digits, _tolerance,
-                     _working, _zeta_even_tolerance, default_tolerance, eta, fixed_point_bits,
-                     zeta, zeta_even_closed)
+                     _closed_form_tolerance, _in_halves, _paired_sweep, _require_digits,
+                     _tolerance, _working, _zeta_even_tolerance, default_tolerance, eta,
+                     fixed_point_bits, zeta, zeta_even_closed)
 from .quadrature import _WORK_GUARD, integrate_1d, moment_quadrature
 from .report import VerificationReport
 from .series import (
@@ -439,7 +441,12 @@ def verify_consequences(P: int, N: int = _DEFAULT_N, tol=None) -> VerificationRe
     K0(x1)/x1.  Their quadrature evidence is the remaining 1-D integral,
     with the kernels summed by their theta-series (_theta_kernels); the
     consequence-{2,4}/kernel checks hold that series against the series
-    layer's K1/K0 power series."""
+    layer's K1/K0 power series.
+
+    The four 1-D integrals are independent, so they come from two
+    processes (``hpreal._in_halves``): _ci2 and _ci3 here, _ci1 and _ci4
+    in a forked child, which sends its values back exactly.  Every value,
+    and so the report, is bit-identical to a serial run's."""
     if N < 1:
         raise ValueError(f"verify_consequences: need N >= 1, got {N}")
     report = VerificationReport("consequences", config={"digits": P, "N": N})
@@ -460,12 +467,20 @@ def verify_consequences(P: int, N: int = _DEFAULT_N, tol=None) -> VerificationRe
             (-mp.pi ** 4 / 24 * lg2 - mp.pi ** 2 / 9 * e3 + mpf(31) / 15 * e5,
              s_even, 1, -1, partial(_ci4, k0)),
         )
-        for i, (closed, s_fn, l, sign, integrand) in enumerate(rows, start=1):
+
+        def quadrature_value(integrand):
+            return integrate_1d(integrand, 0, 1, P, tol_q).value
+
+        # _ci2 and _ci3 here, _ci1 and _ci4 in a child: about the same cost
+        order = (1, 2, 0, 3)
+        quads = dict(zip(order, _in_halves([partial(quadrature_value, rows[i][4])
+                                            for i in order])))
+        for i, (closed, s_fn, l, sign, _) in enumerate(rows, start=1):
             anchor = _CONSEQUENCE_ANCHORS[i]
             sv = s_fn(l, P, N)
             report.add_numeric(f"consequence-{i}/nested-vs-closed", anchor,
                                sign * sv.value, closed, tol=sv.error_bound, fmt=fmt)
-            quad = integrate_1d(integrand, 0, 1, P, tol_q).value
+            quad = quads[i - 1]
             report.add_numeric(f"consequence-{i}/quadrature-vs-closed", anchor,
                                quad, closed, tol=tol_q, fmt=fmt)
             if i == 1:
@@ -652,17 +667,36 @@ def _suite_gf(P: int, N: int, tol) -> VerificationReport:
 
 
 def _suite_routes(P: int, N: int, tol) -> VerificationReport:
+    """C(m) by quadrature (m = 1..8) and by the cfn and nested series
+    (m = 1..6) against the eta route, and the K1/K0 power series against
+    their integrals at z = 0.25, 0.5, 0.75 and their values at z = 1.
+
+    The 8 moment integrals and the 8 kernel integrals are independent, so
+    they come from two processes (``hpreal._in_halves``): half here and
+    half in a forked child, which sends its values back exactly.  Every
+    value, and so the report, is bit-identical to a serial run's."""
     report = VerificationReport("routes", config={"digits": P, "N": N})
     fmt = _fmt(P)
     with _working(P):
         tol_q = _tolerance(P, tol)
         report.config["tol"] = mp.nstr(tol_q, 5)
+        # the sixteen integrals, ordered so that this process's half (m = 1..4,
+        # z = 0.25 and 0.5) and a child's (m = 5..8, z = 0.75 and 1) cost
+        # about the same
+        works = {}
+        for ms, zs in (((1, 2, 3, 4), ("0.25", "0.5")), ((5, 6, 7, 8), ("0.75", 1))):
+            for m in ms:
+                works[m] = partial(moment_quadrature, m, P, tol)
+            for z in zs:
+                works["k1", z] = partial(kernel_k1, z, P, method="integral")
+                works["k0", z] = partial(kernel_k0, z, P, method="integral")
+        value = dict(zip(works, _in_halves(list(works.values()))))
         for m in range(1, 9):
             ref = c_eta_route(m, P).value
             report.add_numeric(
                 f"route-quadrature/m={m}",
                 "tanh-sinh moment integral matches the eta closed form",
-                moment_quadrature(m, P, tol), ref, tol=10 * tol_q, fmt=fmt)
+                value[m], ref, tol=10 * tol_q, fmt=fmt)
         for m in range(1, 7):
             ref = c_eta_route(m, P).value
             mv = c_cfn_route(m, P, N)
@@ -680,22 +714,20 @@ def _suite_routes(P: int, N: int, tol) -> VerificationReport:
             report.add_numeric(
                 f"kernel-k1/z={z}",
                 "K1 power series matches (1/z) int_0^z asin(y)/y dy",
-                kernel_k1(z, P, method="series"),
-                kernel_k1(z, P, method="integral"), tol=tol10, fmt=fmt)
+                kernel_k1(z, P, method="series"), value["k1", z], tol=tol10, fmt=fmt)
             report.add_numeric(
                 f"kernel-k0/z={z}",
                 "K0 power series matches int_0^z asin^2(sqrt y)/y dy",
-                kernel_k0(z, P, method="series"),
-                kernel_k0(z, P, method="integral"), tol=tol10, fmt=fmt)
+                kernel_k0(z, P, method="series"), value["k0", z], tol=tol10, fmt=fmt)
         lg2 = eta(1, P + 5)
         report.add_numeric(
             "kernel-k1/z=1",
             "K1(1) = (pi/2) log 2 (the S_odd(0) series)",
-            kernel_k1(1, P), mp.pi / 2 * lg2, tol=tol10, fmt=fmt)
+            value["k1", 1], mp.pi / 2 * lg2, tol=tol10, fmt=fmt)
         report.add_numeric(
             "kernel-k0/z=1",
             "K0(1) equals the second moment C(2)",
-            kernel_k0(1, P), c_eta_route(2, P).value, tol=tol10, fmt=fmt)
+            value["k0", 1], c_eta_route(2, P).value, tol=tol10, fmt=fmt)
     return report
 
 

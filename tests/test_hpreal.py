@@ -17,6 +17,7 @@ import math
 import os
 import pathlib
 import signal
+import threading
 import time
 from contextlib import contextmanager
 from fractions import Fraction as Fr
@@ -31,6 +32,8 @@ from cotmoments.hpreal import (
     _ACCEL_RATE,
     MIN_DIGITS,
     _from_child,
+    _in_halves,
+    _working,
     eta,
     log2,
     pi,
@@ -470,6 +473,82 @@ def test_without_fork_only_the_asked_for_sweep_runs_here(no_fork, monkeypatch):
     assert calls == [(os.getpid(), 1, 2), (os.getpid(), "even", 2)]
     assert moments._cfn_cache == {(1, 2000, 140): (2, cfn_sweep(1, 2, 2000, 140))}
     assert series._sums_cache == {("even", 2000, 140): (2, sums_sweep("even", 2, 2000, 140))}
+
+
+def _reciprocal(k):
+    # an mpf that no cache holds, at a precision no caller runs at
+    with _working(37):
+        return mpf(1) / k
+
+
+def _pid():
+    return mpf(os.getpid())
+
+
+@needs_fork
+def test_in_halves_returns_the_serial_values_in_order():
+    works = [partial(_reciprocal, k) for k in range(3, 10)]  # the child takes 4 of 7
+    serial = [work()._mpf_ for work in works]
+    with _deadline(60):
+        assert [value._mpf_ for value in _in_halves(works)] == serial
+        here, *there = _in_halves([_pid, _pid, _pid])
+    assert here == os.getpid()
+    assert there[0] == there[1] != os.getpid()
+    _no_child_left()
+
+
+@needs_fork
+def test_in_halves_evaluates_a_failed_childs_half_here():
+    parent = os.getpid()
+
+    def here_only(k):
+        if os.getpid() != parent:
+            raise RuntimeError("the child failed")
+        return _reciprocal(k)
+
+    with _deadline(60):
+        got = _in_halves([partial(here_only, k) for k in range(3, 7)])
+        assert [value._mpf_ for value in got] == [_reciprocal(k)._mpf_ for k in range(3, 7)]
+        # a work that fails in both processes raises here
+        with pytest.raises(RuntimeError, match="the sibling failed"):
+            _in_halves([partial(_reciprocal, 3), _raise])
+    _no_child_left()
+
+
+def test_in_halves_with_a_second_thread_runs_every_work_here(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked while another thread runs")
+
+    works = [partial(_reciprocal, k) for k in range(3, 7)]
+    serial = [work()._mpf_ for work in works]
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        got = _in_halves(works)
+        pids = _in_halves([_pid, _pid])
+    finally:
+        release.set()
+        other.join()
+    assert [value._mpf_ for value in got] == serial
+    assert pids == [os.getpid()] * 2
+
+
+@needs_fork
+def test_in_halves_reraises_the_front_halfs_error_and_reaps_the_child():
+    def fails():
+        time.sleep(0.2)  # the child is now asleep
+        raise KeyError("front failed")
+
+    def sleeps():
+        time.sleep(600)
+        return mpf(1)
+
+    with _deadline(60):
+        with pytest.raises(KeyError, match="front failed"):
+            _in_halves([fails, sleeps])
+    _no_child_left()
 
 
 def test_one_function_forks_pipes_kills_and_reaps():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import inspect
 import json
+import os
 import pathlib
 import random
 import sys
@@ -432,6 +433,8 @@ def test_consequences_use_no_2d_rule(monkeypatch):
         return res
 
     monkeypatch.setattr(moments, "integrate_1d", counted)
+    # without os.fork every integral runs here, where the counts are kept
+    monkeypatch.delattr(os, "fork", raising=False)
     rep = verify_consequences(30)
     assert rep.all_passed, [c.id for c in rep.failing()]
     # 131 each at P = 30; the 2-D rule took about 18,000 each
@@ -583,6 +586,24 @@ def test_run_suite_all_body_matches_the_frozen_copy():
     old = {c["id"]: c for c in json.loads(frozen)["checks"]}
     changed = sorted(i for i in new.keys() | old.keys() if new.get(i) != old.get(i))
     assert body == frozen, f"check ids that differ: {changed}"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
+@pytest.mark.parametrize("suite", ["consequences", "routes"])
+def test_suite_body_is_the_same_with_and_without_fork(suite, monkeypatch):
+    # with os.fork a child evaluates half of the suite's integrals
+    # (hpreal._in_halves); without it every integral runs here
+    bodies, cached = [], []
+    for fork in (True, False):
+        monkeypatch.setattr(quadrature, "_moment_cache", {})
+        monkeypatch.setattr(series, "_kernel_cache", {})
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        bodies.append(run_suite(suite, 30).to_json())
+        cached.append(len(quadrature._moment_cache) + len(series._kernel_cache))
+    assert bodies[0] == bodies[1]
+    # the child's values are not cached here
+    assert cached == ([0, 0] if suite == "consequences" else [8, 16])
 
 
 @pytest.mark.parametrize("tol", [0, -1, "inf", "nan"])
