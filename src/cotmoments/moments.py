@@ -8,7 +8,7 @@ independent routes compute it:
 * cfn-series — the central-binomial series whose coefficients are the exact
   H-triangles, summed in fixed-point integers with a calibrated tail bound;
   one cached sweep per parity serves every m of it, and runs as blocked
-  column passes with the same integers as a per-j loop;
+  column passes that form full-width products only once per block;
 * nested-series — pi-power combinations of the S_odd/S_even suffix-nested
   sums, each carrying a propagated tail bound;
 * quadrature — direct tanh-sinh integration of the defining integral.
@@ -38,19 +38,20 @@ from __future__ import annotations
 import math
 from functools import partial
 from itertools import accumulate, count, repeat
-from operator import floordiv, mul, rshift
+from operator import floordiv, mul
 from typing import Callable, Dict, List, Optional, Tuple
 
 from mpmath import mp, mpf
 
-from . import cfn
+from . import cfn, quadrature, series
 from .hpreal import (_DEFAULT_DIGITS, _DEFAULT_N, _SWEEP_BLOCK_BITS, GUARD_DIGITS, Evaluation,
                      _closed_form_tolerance, _in_halves, _paired_sweep, _require_digits,
                      _tolerance, _working, _zeta_even_tolerance, default_tolerance, eta,
                      fixed_point_bits, zeta, zeta_even_closed)
-from .quadrature import _WORK_GUARD, integrate_1d, moment_quadrature
+from .quadrature import _WORK_GUARD, _moment_key, integrate_1d, moment_quadrature
 from .report import VerificationReport
 from .series import (
+    _kernel_key,
     a0,
     a0_via_recurrence,
     a1,
@@ -150,50 +151,60 @@ def _cfn_sweep(parity: int, kmax: int, N: int, fbits: int) -> Tuple[List[int], L
     """One fixed-point pass over j <= N for every depth k <= kmax of one parity.
 
     Returns (sums, lasts): sums[k] is the partial sum and lasts[k] the last
-    term of the series for m = 2k + parity, both times 2^fbits.  The
-    strict-prefix DP that builds row kmax builds every row below it, and
-    each term floors on its own, so depth k reads the same integers as a
-    pass that stops at depth k.
+    term of the series for m = 2k + parity, both times 2^fbits.
 
-    The pass runs over blocks of about 2^17 / fbits values of j.  Within a
-    block each column (roots, q = root^2, outer terms b, H-rows, their
-    exact floors H // q and floored products) is one C-level map or
-    accumulate; a row's carry is its value at the next block's first j.
-    Only ratio(j) runs as a per-j loop, because each of its floors feeds the
-    next.  The constant rows are folded in exactly: (b 2^fbits) >> fbits ==
-    b, 2^fbits // q steps row r + 1, and a row of zeros adds 0.  So every
-    integer equals that of a per-j loop, and a block holds no more than a
-    few columns of its own length.
+    Per block [lo, hi) of _SWEEP_BLOCK_BITS // fbits values of j, sum_j b_j
+    H(k,j) = sum_{d <= k-r} H(k-d, lo) F_d, F_d the sum of b_j w(i_1)...
+    w(i_d), w = 1/q, over lo <= i_d < ... < i_1 < j < hi: one backward pass,
+    E_d(i) = E_d(i+1) + E_{d-1}(i+1) // q(i), one exact floor per step.  A
+    block floors (kmax-r)(kmax-r+1)/2 products; the H-rows step forward only
+    to the next block.  The integers depend on the block rule, not on kmax.
     """
     j0, a, c, e, f, s, r = _CFN_ROWS[parity]
     one = 1 << fbits
     sums = [0] * (kmax + 1)
     lasts = [0] * (kmax + 1)
     carry = [0] * (kmax + 1)          # carry[i] = H(i, lo), i > r: the row at the block start
+    if r > kmax:                      # every row is 0
+        return sums, lasts
     ratio = one
     for j in range(1, j0 + 1):        # ratio(j0)
         ratio = ratio * (2 * j - s) // (2 * j - 1 + s)
     block = max(1, _SWEEP_BLOCK_BITS // fbits)
     for lo in range(j0, N + 1, block):
         hi = min(lo + block, N + 1)   # this block is lo <= j < hi
-        ratios = []
-        for num, den in zip(range(2 * lo + 2 - s, 2 * hi + 2 - s, 2),
-                            range(2 * lo + 1 + s, 2 * hi + 1 + s, 2)):
-            ratios.append(ratio)
-            ratio = ratio * num // den  # ratio(j + 1)
         roots = range(a * lo + c, a * hi + c, a)
         q = list(map(mul, roots, roots))
-        b = list(map(floordiv, ratios, map(mul, q, count(e * lo + f, e))))
-        if r <= kmax:
-            sums[r] += sum(b)
-            lasts[r] = b[-1]
+        b = []
+        for num, den, qv in zip(range(2 * lo + 2 - s, 2 * hi + 2 - s, 2),
+                                range(2 * lo + 1 + s, 2 * hi + 1 + s, 2),
+                                map(mul, q, count(e * lo + f, e))):
+            b.append(ratio // qv)      # b_j
+            ratio = ratio * num // den  # ratio(j + 1)
+        F = [sum(b)]
+        chain = accumulate(reversed(b))  # E_0(i), i = hi-1 down to lo
+        back = q[-2::-1]                # q(i), i = hi-2 down to lo
+        for d in range(r + 1, kmax + 1):
+            inc = map(floordiv, chain, back)
+            if d == kmax:               # the top depth needs only E_d(lo)
+                F.append(sum(inc))
+            else:
+                chain = list(accumulate(inc, initial=0))
+                F.append(chain[-1])
+        for k in range(r, kmax + 1):
+            sums[k] += F[k - r] + sum([(carry[k - d] * F[d]) >> fbits for d in range(k - r)])
         inc = map(floordiv, repeat(one), q)  # row r + 1 steps by 2^fbits // q
-        for i in range(r + 1, kmax + 1):
+        for i in range(r + 1, kmax):
             col = list(accumulate(inc, initial=carry[i]))
             carry[i] = col.pop()
-            sums[i] += sum(map(rshift, map(mul, b, col), repeat(fbits)))
-            lasts[i] = (b[-1] * col[-1]) >> fbits
             inc = map(floordiv, col, q)
+        if kmax > r:                    # the top row needs only its carry
+            carry[kmax] += sum(inc)
+    h = one                             # H(i, N) = H(i, N + 1) - H(i - 1, N) // q(N)
+    for i in range(r, kmax + 1):
+        if i > r:
+            h = carry[i] - h // q[-1]
+        lasts[i] = (b[-1] * h) >> fbits
     return sums, lasts
 
 
@@ -209,14 +220,14 @@ def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> Evaluation:
     fbits) by ``hpreal._paired_sweep``, with the floors m <= 6 (depth 2 for
     odd m, 3 for even m), so a miss at m <= 6 sweeps both parities to m <= 6
     at once, the other one in a forked child: m = 1..6 cost one sweep per
-    parity and one wall-clock sweep in all.  Depth k reads the same
-    integers whatever the sweep's depth, and wherever it ran.
-    The sweep is blocked (see ``_cfn_sweep``) and bit-identical to a per-j
-    loop, so value and bound do not depend on the block length.
+    parity and one wall-clock sweep in all.  The sweep is blocked (see
+    ``_cfn_sweep``): its value depends on the block rule, not on kmax or on
+    the process that ran it.
     Terms decay like j^(-5/2); the returned bound is the integral-comparison
     tail (2/3) N t_N with a 1.05 calibration factor, plus the fixed-point
-    allowance (k + 3) (N + 1) 2^-fbits, an estimate: one floor per term and
-    per H-row step measures below 0.29 of it (tests/test_sweeps.py).
+    allowance (k + 3) (N + 1) 2^-fbits, an estimate: one floor per term,
+    ratio step and chain step, and per block product, measure below 0.29 of
+    it (tests/test_sweeps.py).
     """
     if m < 1:
         raise ValueError(f"c_cfn_route: need m >= 1, got {m}")
@@ -253,15 +264,15 @@ def c_nested_route(m: int, P: int, N: int = _DEFAULT_N) -> Evaluation:
     k = (m - 1) // 2
     # 2^(2l+1) pi^(2k-2l)/(2k-2l)! = 2^(2k+1) A1(k-l); the even weight is A0(k-l)
     s_fn, a_fn, scale = (s_odd, a1, 2 ** (2 * k + 1)) if m % 2 else (s_even, a0, 1)
-    series = [s_fn(l, P, N) for l in range(k, -1, -1)]
-    series.reverse()  # index by l again
+    sums = [s_fn(l, P, N) for l in range(k, -1, -1)]
+    sums.reverse()  # index by l again
     with _working(P):
         acc = mpf(0)
         err = mpf(0)
         for l in range(k + 1):
             weight = scale * a_fn(k - l, P).value
-            acc += (-1) ** l * weight * series[l].value
-            err += weight * series[l].error_bound
+            acc += (-1) ** l * weight * sums[l].value
+            err += weight * sums[l].error_bound
         value = +acc
         bound = +err
     return Evaluation("nested-series", m, value, N, bound)
@@ -674,7 +685,8 @@ def _suite_routes(P: int, N: int, tol) -> VerificationReport:
     The 8 moment integrals and the 8 kernel integrals are independent, so
     they come from two processes (``hpreal._in_halves``): half here and
     half in a forked child, which sends its values back exactly.  Every
-    value, and so the report, is bit-identical to a serial run's."""
+    value, and so the report, is bit-identical to a serial run's, and all
+    16 are kept in this process's value caches."""
     report = VerificationReport("routes", config={"digits": P, "N": N})
     fmt = _fmt(P)
     with _working(P):
@@ -691,6 +703,13 @@ def _suite_routes(P: int, N: int, tol) -> VerificationReport:
                 works["k1", z] = partial(kernel_k1, z, P, method="integral")
                 works["k0", z] = partial(kernel_k0, z, P, method="integral")
         value = dict(zip(works, _in_halves(list(works.values()))))
+        # the child's values join this process's caches, under the keys that
+        # their lookups build
+        for m in range(1, 9):
+            quadrature._moment_cache.setdefault(_moment_key(m, P, tol), value[m])
+        for z in ("0.25", "0.5", "0.75", 1):
+            series._kernel_cache.setdefault(_kernel_key("odd", z, P), value["k1", z])
+            series._kernel_cache.setdefault(_kernel_key("even", z, P), value["k0", z])
         for m in range(1, 9):
             ref = c_eta_route(m, P).value
             report.add_numeric(

@@ -333,6 +333,12 @@ def integrate_1d(f: IntegrandFn, a, b, P: int, tol=None) -> QuadratureResult:
 _moment_cache: Dict[Tuple[int, int, mpf], mpf] = {}
 
 
+def _moment_key(m: int, P: int, tol) -> Tuple[int, int, mpf]:
+    """The _moment_cache key of moment_quadrature(m, P, tol)."""
+    with _working(P, _WORK_GUARD):
+        return m, P, _tolerance(P, tol)
+
+
 def moment_quadrature(m: int, P: int, tol=None) -> mpf:
     """The m-th cotangent moment by direct quadrature: the integral over
     [0, pi] of x^m/(2 m!) * cot(x/2), with the half-angle cotangent
@@ -341,9 +347,8 @@ def moment_quadrature(m: int, P: int, tol=None) -> mpf:
     """
     if m < 1:
         raise ValueError(f"moment_quadrature: need m >= 1, got {m}")
+    key = _moment_key(m, P, tol)
     with _working(P, _WORK_GUARD):
-        tol = _tolerance(P, tol)
-        key = (m, P, tol)
         hit = _moment_cache.get(key)
         if hit is not None:
             return hit
@@ -352,5 +357,5 @@ def moment_quadrature(m: int, P: int, tol=None) -> mpf:
         def f(x, da, db):
             return x ** m / two_fact * mp.tan(db / 2)
 
-        value = _moment_cache[key] = integrate_1d(f, 0, mp.pi, P, tol).value
+        value = _moment_cache[key] = integrate_1d(f, 0, mp.pi, P, key[2]).value
     return value

@@ -456,6 +456,12 @@ _SERIES_Z_MAX = 0.9  # beyond this the power series converge too slowly
 _kernel_cache: Dict[Tuple[str, mpf, int], mpf] = {}
 
 
+def _kernel_key(kind: str, z, P: int) -> Tuple[str, mpf, int]:
+    """The _kernel_cache key of the kind's kernel integral at (z, P)."""
+    with _working(P):
+        return kind, mpf(z), P
+
+
 def _kernel_series(kind: str, z: mpf, P: int) -> mpf:
     """K(z) = sum_{j >= j0} b(j) z^(a j), with b(j) the S family's outer term:
     the power of z steps with the inner root a j + c, so K1 runs over z^(2j)
@@ -527,7 +533,7 @@ def _kernel(kind: str, z, P: int, method: str, integral_fn, at_zero: mpf) -> mpf
                     f"kernel series: need z <= {_SERIES_Z_MAX} (got {mp.nstr(z, 8)});"
                     " use the integral method near 1")
             return +_kernel_series(kind, z, P)
-        key = (kind, z, P)
+        key = _kernel_key(kind, z, P)
         hit = _kernel_cache.get(key)
         if hit is None:
             hit = _kernel_cache[key] = +integral_fn(z, P)

@@ -1,7 +1,8 @@
 """Per-j reference loops of the three fixed-point sweeps.
 
 * ``_reference_cfn_sweep``: the central-binomial sweep of the cfn route,
-  one j at a time, with the H-rows as a list updated in place;
+  one j at a time, with the H-rows and the chain sums as lists updated in
+  place;
   ``moments._cfn_sweep`` must return the same ``(sums, lasts)``.
 * ``_reference_sums_sweep``: the forward sums of the S families, one j at a
   time; ``series._sums_sweep`` must return the same ``(sums, b_last)``.
@@ -9,9 +10,11 @@
   one j at a time; ``series._tails_sweep`` must return the same recorded
   tails.
 
-Every depth step is one exact floor x // q, with q = root^2, and every
-outer product floors on its own, so the package's blocked sweeps reproduce
-them integer for integer.
+Every depth step is one exact floor x // q, with q = root^2.  The S loops
+floor no product; the cfn loop floors each block's products of an H-row
+value at the block start and a backward chain sum, with the package's
+block length.  So the package's blocked sweeps reproduce them integer for
+integer.
 """
 
 from __future__ import annotations
@@ -29,29 +32,42 @@ _CFN_ROWS = {
 
 
 def _reference_cfn_sweep(parity, kmax, N, fbits):
-    """(sums, lasts) of the cfn series for every depth k <= kmax, times 2^fbits."""
+    """(sums, lasts) of the cfn series for every depth k <= kmax, times 2^fbits.
+
+    Per block [lo, hi) of (1 << 17) // fbits values of j: forward over j the
+    H-rows step, H(i, j+1) = H(i, j) + H(i-1, j) // q(j); backward over j
+    the chain sums step, F_d(i) = F_d(i+1) + F_{d-1}(i+1) // q(i), with
+    F_0(i) = sum_{i <= j < hi} b_j; the block adds sum_d H(k-d, lo) F_d(lo)
+    to sums[k], each product floored once."""
     j0, a, c, e, f, s, seed = _CFN_ROWS[parity]
     one = 1 << fbits
+    block = (1 << 17) // fbits
     sums = [0] * (kmax + 1)
     h = ([one * x for x in seed] + [0] * kmax)[: kmax + 1]  # h[i] = H(i, j)
     fixed = len(seed) - 1             # rows up to here stay at their seed
     ratio = one
     for j in range(1, j0 + 1):        # ratio(j0)
         ratio = ratio * (2 * j - s) // (2 * j - 1 + s)
-    u = a * j0 + c                    # root a j + c
-    v = e * j0 + f                    # outer factor e j + f
-    for j in range(j0, N + 1):
-        if j > j0:                    # q = (a (j-1) + c)^2, from step j-1
+    for lo in range(j0, N + 1, block):
+        start = list(h)               # H(i, lo)
+        terms = []                    # (b_j, q(j)) for lo <= j < hi
+        for j in range(lo, min(lo + block, N + 1)):
+            if j > j0:
+                ratio = ratio * (2 * j - s) // (2 * j - 1 + s)
+            q = (a * j + c) ** 2      # root a j + c
+            b = ratio // (q * (e * j + f))  # outer factor e j + f
+            lasts = [(b * hk) >> fbits for hk in h]
+            terms.append((b, q))
             for i in range(kmax, fixed, -1):
                 h[i] += h[i - 1] // q
-            ratio = ratio * (2 * j - s) // (2 * j - 1 + s)
-            u += a
-            v += e
-        q = u * u
-        b = ratio // (q * v)
+        chains = [0] * (kmax + 1)     # chains[d] = F_d(i)
+        for b, q in reversed(terms):
+            for d in range(kmax, 0, -1):
+                chains[d] += chains[d - 1] // q
+            chains[0] += b
         for k in range(kmax + 1):
-            sums[k] += (b * h[k]) >> fbits
-    return sums, [(b * hk) >> fbits for hk in h]
+            sums[k] += sum((start[k - d] * chains[d]) >> fbits for d in range(k + 1))
+    return sums, lasts
 
 
 def _reference_sums_sweep(kind, lmax, N, fbits):

@@ -276,6 +276,22 @@ def test_verify_tables_suite(capsys):
     assert "[verify]" in err  # progress goes to stderr, not stdout
 
 
+def test_the_package_and_a_verify_run_leave_datetime_out():
+    # an import of datetime leaves about 190 KB of its pure-Python classes
+    # (replaced by _datetime's) as cyclic garbage in the importing process;
+    # verify stamps its report with time.strftime instead
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, sys, cotmoments, cotmoments.cli;"
+         " cotmoments.cli.main(['verify', '--suite', 'tables', '--out', os.devnull]);"
+         " print('datetime' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_verify_report_is_deterministic_modulo_meta(capsys):
     _, out1, _ = run_cli(["verify", "--suite", "gf", "--digits", "25"], capsys)
     _, out2, _ = run_cli(["verify", "--suite", "gf", "--digits", "25"], capsys)

@@ -602,8 +602,23 @@ def test_suite_body_is_the_same_with_and_without_fork(suite, monkeypatch):
         bodies.append(run_suite(suite, 30).to_json())
         cached.append(len(quadrature._moment_cache) + len(series._kernel_cache))
     assert bodies[0] == bodies[1]
-    # the child's values are not cached here
-    assert cached == ([0, 0] if suite == "consequences" else [8, 16])
+    # the routes suite keeps the child's values here too
+    assert cached == ([0, 0] if suite == "consequences" else [16, 16])
+
+
+def test_a_second_routes_suite_integrates_nothing(monkeypatch):
+    monkeypatch.setattr(quadrature, "_moment_cache", {})
+    monkeypatch.setattr(series, "_kernel_cache", {})
+    first = run_suite("routes", 30).to_json()  # half of its integrals in a child
+    calls = []
+    for module in (quadrature, series):
+        def counted(*args, integrate=module.integrate_1d, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+        monkeypatch.setattr(module, "integrate_1d", counted)
+    monkeypatch.delattr(os, "fork")  # so every lookup of the second run is counted here
+    assert run_suite("routes", 30).to_json() == first
+    assert calls == []
 
 
 @pytest.mark.parametrize("tol", [0, -1, "inf", "nan"])

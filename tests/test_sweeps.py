@@ -3,18 +3,23 @@
 ``moments._cfn_sweep``, ``series._sums_sweep`` and ``series._tails_sweep``
 must return the same integers as the loops in ``reference_sweeps``, at
 every depth, and hold only a block of their columns at a time.  Every
-value they return must also stay inside its fixed-point allowance.
+value they return must also stay inside its fixed-point allowance, and the
+cfn sums for small N inside theirs of the exact ``Fraction`` sums.
 """
 
 from __future__ import annotations
 
 import sys
 import tracemalloc
+from fractions import Fraction as Fr
+from itertools import accumulate
+from math import comb
 
 import pytest
 
 from cotmoments import hpreal, moments, series
 
+from reference_cfn import _reference_h0, _reference_h1
 from reference_sweeps import (_reference_cfn_sweep, _reference_sums_sweep,
                               _reference_tails_sweep)
 
@@ -85,14 +90,53 @@ _ALLOWANCE = {
 }
 
 
-@pytest.mark.parametrize("fbits", [140, 1036])
-@pytest.mark.parametrize("route,family", _SWEEPS + [("T", "odd"), ("T", "even")])
-def test_sweeps_stay_inside_their_fixed_point_allowance(route, family, fbits):
+def _assert_inside_allowance(route, family, depth, N, fbits):
     # the same sweep with 200 more bits, shifted down, stands for the exact
     # truncated values
-    N, extra, depth = 20000, 200, 6
+    extra = 200
     got = _sweep_values(route, family, depth, N, fbits)
     fine = _sweep_values(route, family, depth, N, fbits + extra)
     assert len(got) == len(fine)
     for (d, value), (_, exact) in zip(got, fine):
         assert abs((exact >> extra) - value) <= _ALLOWANCE[route](d) * (N + 1), (d, value)
+
+
+@pytest.mark.parametrize("fbits", [140, 1036])
+@pytest.mark.parametrize("route,family", _SWEEPS + [("T", "odd"), ("T", "even")])
+def test_sweeps_stay_inside_their_fixed_point_allowance(route, family, fbits):
+    _assert_inside_allowance(route, family, 6, 20000, fbits)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("parity", [1, 0])
+def test_cfn_sweep_stays_inside_its_allowance_at_block_edges(parity, offset):
+    # the cfn sweep floors its products once per block, so its error depends
+    # on where the blocks end: N = B - 1, B, B + 1 for a block length B
+    fbits = 206
+    _assert_inside_allowance("cfn", parity, 6, _BLOCK_BITS // fbits + offset, fbits)
+
+
+def _exact_cfn_sums(parity, kmax, nmax, fbits):
+    """[[floor(2^fbits S_k(N)) for N in 0..nmax] for k in 0..kmax], where
+    S_k(N) is the cfn series for m = 2k + parity truncated after j = N, in
+    Fractions from the exact H-triangles."""
+    rows = (_reference_h1 if parity else _reference_h0)(kmax, nmax)
+    if parity:  # sum_{j>=0} C(2j,j)/4^j H1(k,j) / (2j+1)^2
+        outer = [Fr(comb(2 * j, j), 4 ** j * (2 * j + 1) ** 2) for j in range(nmax + 1)]
+    else:       # sum_{j>=1} 4^j/C(2j,j) H0(k,j) / (2 j^3)
+        outer = [Fr(0)] + [Fr(4 ** j, comb(2 * j, j) * 2 * j ** 3) for j in range(1, nmax + 1)]
+    return [[x.numerator * 2 ** fbits // x.denominator
+             for x in accumulate(t * h for t, h in zip(outer, row))] for row in rows]
+
+
+@pytest.mark.parametrize("fbits", [140, 1036])
+@pytest.mark.parametrize("parity", [1, 0])
+def test_cfn_sweep_stays_inside_its_allowance_of_the_exact_sums(parity, fbits):
+    # against the Fraction sums, so whatever the floors of the sweep
+    depth_max, nmax = 6, 40
+    exact = _exact_cfn_sums(parity, depth_max, nmax, fbits)
+    for N in range(1, nmax + 1):
+        for depth in range(depth_max + 1):
+            sums, _ = moments._cfn_sweep(parity, depth, N, fbits)
+            for k, value in enumerate(sums):
+                assert abs(exact[k][N] - value) <= _ALLOWANCE["cfn"](k) * (N + 1), (k, N, depth)
