@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .exact import RationalPowerSeries, double_factorial_odd, fps_arcsin
 from .report import VerificationReport
@@ -53,10 +52,10 @@ __all__ = [
 Fr = Fraction
 
 
-@dataclass(frozen=True)
-class _RationalTable:
+class _RationalTable(NamedTuple):
     """An exact triangle: t0/t1 (central factorial numbers) or h0/h1
-    (recursive harmonic numbers), indexed table[k, n]."""
+    (recursive harmonic numbers), indexed table[k, n]: its __getitem__
+    replaces the tuple's."""
 
     kind: str
     kmax: int

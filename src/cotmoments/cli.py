@@ -23,7 +23,7 @@ import re
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from mpmath import mp, mpf
@@ -60,15 +60,19 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
+class RunConfig(SimpleNamespace):
     """Effective run configuration after merging all sources."""
 
-    digits: int = _DEFAULT_DIGITS
-    n: int = _DEFAULT_N
-    tol: Optional[str] = None      # None -> 10^-(digits-10)
-    format: Optional[str] = None   # per-command default
-    out: Optional[str] = None
+    digits: int
+    n: int
+    tol: Optional[str]     # None -> 10^-(digits-10)
+    format: Optional[str]  # per-command default
+    out: Optional[str]
+
+    def __init__(self, digits: int = _DEFAULT_DIGITS, n: int = _DEFAULT_N,
+                 tol: Optional[str] = None, format: Optional[str] = None,
+                 out: Optional[str] = None) -> None:
+        super().__init__(digits=digits, n=n, tol=tol, format=format, out=out)
 
     def validate(self) -> None:
         if self.digits < MIN_DIGITS:

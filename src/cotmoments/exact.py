@@ -8,9 +8,8 @@ Everything in this module is exact — no floating point anywhere; rationals are
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 __all__ = [
     "Partition",
@@ -85,21 +84,25 @@ def double_factorial_odd(n: int) -> int:
 # integer partitions and cycle counts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Partition:
+class _PartitionFields(NamedTuple):
+    multiplicities: Tuple[int, ...]
+
+
+class Partition(_PartitionFields):
     """A partition of an integer k, stored as a multiplicity vector.
 
     ``multiplicities[l-1]`` is the number of parts equal to l, so the
     partitioned integer is sum(l * pi_l) and the length is sum(pi_l).
     """
 
-    multiplicities: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(m < 0 for m in self.multiplicities):
+    def __new__(cls, multiplicities: Tuple[int, ...]) -> "Partition":
+        if any(m < 0 for m in multiplicities):
             raise ValueError("Partition: multiplicities must be non-negative")
-        if self.multiplicities and self.multiplicities[-1] == 0:
+        if multiplicities and multiplicities[-1] == 0:
             raise ValueError("Partition: trailing zero multiplicities not allowed")
+        return super().__new__(cls, multiplicities)
 
     @classmethod
     def from_parts(cls, parts: Sequence[int]) -> "Partition":
@@ -153,22 +156,26 @@ def cycle_count(p: Partition) -> Fraction:
 # formal power series over the rationals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalPowerSeries:
+class _SeriesFields(NamedTuple):
+    coefficients: Tuple[Fraction, ...]
+    order: int
+
+
+class RationalPowerSeries(_SeriesFields):
     """Truncated power series with exact rational coefficients.
 
     ``coefficients[i]`` is the coefficient of z^i, for 0 <= i <= order.
     Arithmetic is exact through the truncation order.
     """
 
-    coefficients: Tuple[Fraction, ...]
-    order: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.order < 0:
+    def __new__(cls, coefficients: Tuple[Fraction, ...], order: int) -> "RationalPowerSeries":
+        if order < 0:
             raise ValueError("RationalPowerSeries: order must be non-negative")
-        if len(self.coefficients) != self.order + 1:
+        if len(coefficients) != order + 1:
             raise ValueError("RationalPowerSeries: need exactly order+1 coefficients")
+        return super().__new__(cls, coefficients, order)
 
     def coefficient(self, i: int) -> Fraction:
         """Coefficient of z^i (0 beyond the truncation order)."""

@@ -60,9 +60,8 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
 from mpmath import mp, mpf
@@ -96,8 +95,7 @@ _eta_cache: Dict[Tuple[int, int], mpf] = {}
 _PRECISION_LOCK = threading.RLock()
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(NamedTuple):
     """One computed value: a moment by a route, or a series family's value.
 
     name is the route (``cfn-series``) or the family (``S_odd``), and index

@@ -325,11 +325,12 @@ _HALF = mpf(0.5)  # exact at any precision; built once, not per evaluation
 
 
 def _ci3(x, da, db):
-    # asin(sqrt x)^2 / x on [0, 1]; near 1 fold the arcsine through db
+    # asin(sqrt x)^2 / x on [0, 1], with asin sqrt x = atan sqrt(x/db), one
+    # square root; near 1 fold it through db as pi/2 - atan sqrt(db/x)
     if x > _HALF:
-        s = mp.pi / 2 - mp.asin(mp.sqrt(db))
+        s = mp.pi / 2 - mp.atan(mp.sqrt(db / x))
     else:
-        s = mp.asin(mp.sqrt(x))
+        s = mp.atan(mp.sqrt(x / db))
     return s * s / x
 
 
@@ -404,19 +405,21 @@ def _theta_kernels(P: int):
         return mpf((acc, -fb))
 
     def k1(z, dz):
-        # near 1, asin z = pi/2 - acos z = pi/2 - 2 asin(sqrt(dz/2))
+        # near 1, asin z = pi/2 - acos z = pi/2 - 2 asin sqrt(dz/2), and
+        # asin sqrt(dz/2) = atan sqrt(dz/(2 - dz)) takes one square root
         if z > _HALF:
-            theta = half_pi - 2 * mp.asin(mp.sqrt(dz / 2))
+            theta = half_pi - 2 * mp.atan(mp.sqrt(dz / (2 - dz)))
         else:
             theta = mp.asin(z)
         return theta * horner(c1, theta * theta) / z
 
     def k0(z, dz):
-        # near 1, fold the arcsine through dz as _ci3 does
+        # asin sqrt z = atan sqrt(z/dz), folded through dz near 1 as _ci3
+        # does, so z = 1 (dz = 0) divides by nothing
         if z > _HALF:
-            theta = half_pi - mp.asin(mp.sqrt(dz))
+            theta = half_pi - mp.atan(mp.sqrt(dz / z))
         else:
-            theta = mp.asin(mp.sqrt(z))
+            theta = mp.atan(mp.sqrt(z / dz))
         s = theta * theta
         return s * horner(c0, s)
 

@@ -9,8 +9,11 @@ Integrands are called as ``f(x, da, db)`` where ``da`` and ``db`` are the
 distances to the left and right endpoints.  These are computed *exactly*
 (node offsets are generated as 1 - tanh(u) = 2e/(1+e) with e = exp(-2u),
 never by subtracting x from the endpoint), so an integrand with a singular
-factor at an endpoint can evaluate it stably, e.g. ``tan(db/2)`` for
-cot(x/2) on [0, pi], or ``mp.log(da)`` for log(x) at 0.
+factor at an endpoint can evaluate it stably, e.g. ``cot(da/2)`` for
+cot(x/2) at 0, or ``mp.log(da)`` for log(x) at 0.  A node pair's two
+abscissas lie at the same distance from their own endpoints, and the rule
+evaluates them one after the other, so an integrand may reuse a function
+of that distance from the pair's first node for its mirror node.
 
 Each node costs one exponential.  With E = exp(t), u = (pi/2) sinh t is
 (pi/4)(E - 1/E), and the weight (pi/2) cosh t / cosh^2 u is
@@ -64,8 +67,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from mpmath import mp, mpf
 
@@ -80,6 +82,9 @@ __all__ = [
 
 # extra working digits on top of the requested P
 _WORK_GUARD = 15
+# guard bits of the moment integrand's cos_sin, so that c/s and s/c round
+# once at the working precision
+_TRIG_GUARD_BITS = 10
 # refinement levels are capped; hitting the cap raises QuadratureError
 _DEFAULT_LEVEL_CAP = 12
 # a level is split across two processes when the one before it took this
@@ -90,13 +95,12 @@ _SPLIT_AFTER_S = 0.008
 IntegrandFn = Callable[..., mpf]
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     value: mpf
     error_estimate: mpf
     levels: int
     evaluations: int
-    deltas: Tuple[mpf, ...] = field(default_factory=tuple)
+    deltas: Tuple[mpf, ...] = ()
 
 
 class QuadratureError(Exception):
@@ -341,9 +345,16 @@ def _moment_key(m: int, P: int, tol) -> Tuple[int, int, mpf]:
 
 def moment_quadrature(m: int, P: int, tol=None) -> mpf:
     """The m-th cotangent moment by direct quadrature: the integral over
-    [0, pi] of x^m/(2 m!) * cot(x/2), with the half-angle cotangent
-    evaluated as tan(db/2) from the exact distance to the right endpoint.
-    The value is cached per (m, P, tol); a failure is not.
+    [0, pi] of x^m/(2 m!) * cot(x/2).
+
+    The half-angle cotangent comes from the exact distance v = min(da, db)
+    to the nearer endpoint: cot(x/2) = cot(v/2) near 0 and tan(v/2) near
+    pi, from one cos_sin(v/2), taken _TRIG_GUARD_BITS above the working
+    precision.  A node pair's two abscissas share v, so its mirror node
+    reuses the last (v, cos, sin): one cos_sin per pair.  Any other v
+    recomputes them, so no value depends on the order of the calls or on
+    the process that makes them.  The value is cached per (m, P, tol); a
+    failure is not.
     """
     if m < 1:
         raise ValueError(f"moment_quadrature: need m >= 1, got {m}")
@@ -353,9 +364,17 @@ def moment_quadrature(m: int, P: int, tol=None) -> mpf:
         if hit is not None:
             return hit
         two_fact = 2 * mp.factorial(m)
+        # (v, cos(v/2), sin(v/2)) of the last node: a pair's mirror node,
+        # evaluated next, has the same v
+        last = [None, None, None]
 
         def f(x, da, db):
-            return x ** m / two_fact * mp.tan(db / 2)
+            v = min(da, db)
+            if v != last[0]:
+                with mp.extraprec(_TRIG_GUARD_BITS):
+                    last[:] = v, *mp.cos_sin(v / 2)
+            _, c, s = last
+            return x ** m / two_fact * (c / s if da <= db else s / c)
 
         value = _moment_cache[key] = integrate_1d(f, 0, mp.pi, P, key[2]).value
     return value

@@ -11,16 +11,15 @@ with any timestamp isolated in an optional metadata block.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from types import SimpleNamespace
+from typing import Dict, List, NamedTuple, Optional
 
 from mpmath import mp, mpf
 
 __all__ = ["CheckRecord", "VerificationReport"]
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One verified identity instance."""
 
     id: str
@@ -43,13 +42,17 @@ class CheckRecord:
         }
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(SimpleNamespace):
     """Outcome of one verification suite (or a merge of several)."""
 
     suite: str
-    config: Dict[str, object] = field(default_factory=dict)
-    checks: List[CheckRecord] = field(default_factory=list)
+    config: Dict[str, object]
+    checks: List[CheckRecord]
+
+    def __init__(self, suite: str, config: Optional[Dict[str, object]] = None,
+                 checks: Optional[List[CheckRecord]] = None) -> None:
+        super().__init__(suite=suite, config={} if config is None else config,
+                         checks=[] if checks is None else checks)
 
     def add_exact(self, id: str, anchor: str, lhs: object, rhs: object) -> bool:
         """Record an exact-equality check; diff is a 0/1 flag."""

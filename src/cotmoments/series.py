@@ -484,15 +484,26 @@ def _kernel_series(kind: str, z: mpf, P: int) -> mpf:
         term *= x * (2 * j - s) / (2 * j - 1 + s)
 
 
+def _fold_constants(P: int) -> Tuple[mpf, mpf]:
+    """The branch switch 0.3 and pi/2 of the kernel integrands, rounded at
+    the precision integrate_1d evaluates them in."""
+    with _working(P, _WORK_GUARD):
+        return mpf("0.3"), mp.pi / 2
+
+
+# The kernel integrands take asin sqrt(w) as atan sqrt(w/(1 - w)): one
+# square root, where mpmath's asin takes two.  Below the switch the fold
+# runs through u = 1 - y, so y = 1 (u = 0) divides by nothing.
+
 def _kernel_integral_k1(z: mpf, P: int) -> mpf:
     one_minus_z = 1 - z
-    # rounded at the precision integrate_1d evaluates f in
-    switch = mpf("0.3", dps=P + _WORK_GUARD)
+    switch, half_pi = _fold_constants(P)
 
     def f(y, da, db):
         u = db + one_minus_z  # 1 - y, exactly
         if u < switch:
-            val = mp.pi / 2 - 2 * mp.asin(mp.sqrt(u / 2))
+            # asin y = pi/2 - 2 asin sqrt(u/2) = pi/2 - 2 atan sqrt(u/(2 - u))
+            val = half_pi - 2 * mp.atan(mp.sqrt(u / (2 - u)))
         else:
             val = mp.asin(y)
         return val / y
@@ -502,15 +513,16 @@ def _kernel_integral_k1(z: mpf, P: int) -> mpf:
 
 def _kernel_integral_k0(z: mpf, P: int) -> mpf:
     one_minus_z = 1 - z
-    # rounded at the precision integrate_1d evaluates f in
-    switch = mpf("0.3", dps=P + _WORK_GUARD)
+    switch, half_pi = _fold_constants(P)
 
     def f(y, da, db):
         u = db + one_minus_z  # 1 - y, exactly
         if u < switch:
-            s = mp.pi / 2 - mp.asin(mp.sqrt(u))
+            # asin sqrt y = pi/2 - asin sqrt u = pi/2 - atan sqrt(u/y)
+            s = half_pi - mp.atan(mp.sqrt(u / y))
         else:
-            s = mp.asin(mp.sqrt(y))
+            # asin sqrt y = atan sqrt(y/u)
+            s = mp.atan(mp.sqrt(y / u))
         return s * s / y
 
     return integrate_1d(f, 0, z, P).value

@@ -292,6 +292,21 @@ def test_the_package_and_a_verify_run_leave_datetime_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_the_package_leaves_dataclasses_and_inspect_out():
+    # dataclasses imports inspect, ast, dis and tokenize, about 1 MB of peak
+    # RSS in every process; the package's records are NamedTuples and
+    # SimpleNamespaces instead
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cotmoments, cotmoments.cli;"
+         " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_verify_report_is_deterministic_modulo_meta(capsys):
     _, out1, _ = run_cli(["verify", "--suite", "gf", "--digits", "25"], capsys)
     _, out2, _ = run_cli(["verify", "--suite", "gf", "--digits", "25"], capsys)

@@ -32,6 +32,7 @@ from cotmoments.quadrature import (
 )
 from cotmoments.series import kernel_k0, kernel_k1
 
+from reference_kernels import _reference_theta_kernels
 from reference_quadrature import (
     _reference_2d,
     _reference_abscissas,
@@ -218,6 +219,34 @@ def test_cot_and_arcsin_forms_agree(m):
         a = moment_quadrature(m, P)
         b = _arcsin_moment(m, P)
         assert abs(a - b) < 2 * default_tolerance(P)
+
+
+@pytest.mark.parametrize("P", [150, 300])
+@pytest.mark.parametrize("m", [1, 2, 9])
+def test_moment_matches_the_eta_route_at_high_precision(m, P):
+    value = moment_quadrature(m, P)
+    closed = moments.c_eta_route(m, P).value
+    with mp.workdps(P + 10):
+        assert abs(value - closed) <= default_tolerance(P)
+
+
+@pytest.mark.parametrize("m", [1, 12, 40])
+def test_a_moment_takes_one_cos_sin_per_node_pair(m, monkeypatch):
+    # a pair's two nodes share v, the distance to the nearer endpoint, and
+    # the centre node is its own mirror image
+    calls = {"cos_sin": 0, "tan": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(mp, name, counted(name, getattr(mp, name)))
+    [res] = _results(monkeypatch, _NEVER, partial(moment_quadrature, m, 30))
+    assert calls == {"cos_sin": (res.evaluations + 1) // 2, "tan": 0}
+    assert res.evaluations % 2 == 1
 
 
 def test_moment_rejects_bad_arguments():
@@ -424,6 +453,80 @@ def test_mixed_precision_threads_evaluate_forced_splits_here(monkeypatch):
     # a level splits only in a process of one thread, so with other threads
     # running each evaluates every node pair itself
     _threads_at_mixed_precisions(monkeypatch, _ALWAYS)
+
+
+# ---------------------------------------------------------------------------
+# the arctangent folds against the arcsine forms at 20 more digits
+# ---------------------------------------------------------------------------
+
+_EXTRA = 20
+
+
+def _ulps(value, ref, prec):
+    """|value - ref| in units of the last place of ref at prec bits."""
+    return abs(value - ref) / mp.ldexp(1, mp.frexp(ref)[1] - prec)
+
+
+def _asin_sqrt(w, dw):
+    # asin sqrt w, folded through dw = 1 - w near 1
+    return mp.pi / 2 - mp.asin(mp.sqrt(dw)) if w > 0.5 else mp.asin(mp.sqrt(w))
+
+
+_ASIN_FORMS = {
+    "k1": lambda y, u: (mp.pi / 2 - 2 * mp.asin(mp.sqrt(u / 2)) if u < 0.5
+                        else mp.asin(y)) / y,
+    "k0": lambda y, u: _asin_sqrt(y, u) ** 2 / y,
+    "ci3": lambda x, dx: _asin_sqrt(x, dx) ** 2 / x,
+}
+
+
+def _integrand_of(integral, P, monkeypatch):
+    """The integrand that integral(1, P) hands to integrate_1d, for z = 1."""
+    seen = []
+
+    def capture(f, *args):
+        seen.append(f)
+        return QuadratureResult(mpf(1), mpf(0), 0, 0)
+
+    monkeypatch.setattr(series, "integrate_1d", capture)
+    with _working(P):
+        integral(mpf(1), P)
+    return seen[0]
+
+
+# distances to 1: y -> 0, both sides of the 0.3 and 1/2 switches, y -> 1
+# and y = 1 itself
+_FOLD_DISTANCES = ("0.9999999999999999999999", "0.7", "0.5000000001", "0.5",
+                   "0.4999999999", "0.3000000001", "0.3", "0.2999999999",
+                   "1e-6", "1e-40", "0")
+
+
+@pytest.mark.parametrize("P", [30, 100])
+def test_the_atan_folds_agree_with_the_asin_forms(P, monkeypatch):
+    integrands = {
+        "k1": _integrand_of(series._kernel_integral_k1, P, monkeypatch),
+        "k0": _integrand_of(series._kernel_integral_k0, P, monkeypatch),
+        "ci3": moments._ci3,
+    }
+    theta_k1, theta_k0 = moments._theta_kernels(P)
+    ref_k1, ref_k0 = _reference_theta_kernels(P + _EXTRA)
+    worst = {}
+    for text in _FOLD_DISTANCES:
+        with _working(P, _WORK_GUARD):
+            prec = mp.prec
+            # a node y and its distance u to 1, as integrate_1d passes them
+            y = 1 - mpf(text)
+            u = 1 - y
+            values = {name: f(y, y, u) for name, f in integrands.items()}
+            values["theta-k1"] = theta_k1(y, u)
+            values["theta-k0"] = theta_k0(y, u)
+        with _working(P + _EXTRA, _WORK_GUARD):
+            refs = {name: _ASIN_FORMS[name](y, u) for name in integrands}
+            refs["theta-k1"] = ref_k1(y, u)
+            refs["theta-k0"] = ref_k0(y, u)
+            for name, value in values.items():
+                worst[name, text] = float(_ulps(value, refs[name], prec))
+    assert max(worst.values()) <= 4, {k: v for k, v in worst.items() if v > 4}
 
 
 # ---------------------------------------------------------------------------
