@@ -6,9 +6,9 @@ independent routes compute it:
 * eta-closed-form — the finite linear combination of eta/zeta values at odd
   integers (exact modulo the constants' own precision);
 * cfn-series — the central-binomial series whose coefficients are the exact
-  H-triangles, summed in fixed-point integers with a calibrated tail bound;
-  one cached sweep per parity serves every m of it, and runs as blocked
-  column passes that form full-width products only once per block;
+  H-triangles, summed in fixed-point integers by one cached, blocked sweep
+  per parity; its bound is a proved tail plus an estimated fixed-point
+  allowance;
 * nested-series — pi-power combinations of the S_odd/S_even suffix-nested
   sums, each carrying a propagated tail bound;
 * quadrature — direct tanh-sinh integration of the defining integral.
@@ -127,8 +127,8 @@ def c_eta_route(m: int, P: int) -> Evaluation:
 # route 2: central-binomial series with exact H-triangle coefficients
 # ---------------------------------------------------------------------------
 
-# maps (parity, N, fbits) to (kmax, the sweep's result at depths <= kmax)
-_cfn_cache: Dict[Tuple[int, int, int], Tuple[int, Tuple[List[int], List[int]]]] = {}
+# maps (parity, N, fbits) to (kmax, the sweep's sums at depths <= kmax)
+_cfn_cache: Dict[Tuple[int, int, int], Tuple[int, List[int]]] = {}
 
 # The integers that tell the parities apart, per parity (j0, a, c, e, f, s,
 # r): the sum runs from j = j0; the H-row root a i + c steps the strict
@@ -147,11 +147,11 @@ _CFN_ROWS = {
 _CFN_FLOORS = {1: 2, 0: 3}
 
 
-def _cfn_sweep(parity: int, kmax: int, N: int, fbits: int) -> Tuple[List[int], List[int]]:
+def _cfn_sweep(parity: int, kmax: int, N: int, fbits: int) -> List[int]:
     """One fixed-point pass over j <= N for every depth k <= kmax of one parity.
 
-    Returns (sums, lasts): sums[k] is the partial sum and lasts[k] the last
-    term of the series for m = 2k + parity, both times 2^fbits.
+    Returns sums: sums[k] is the partial sum of the series for m = 2k +
+    parity, times 2^fbits.
 
     Per block [lo, hi) of _SWEEP_BLOCK_BITS // fbits values of j, sum_j b_j
     H(k,j) = sum_{d <= k-r} H(k-d, lo) F_d, F_d the sum of b_j w(i_1)...
@@ -163,10 +163,9 @@ def _cfn_sweep(parity: int, kmax: int, N: int, fbits: int) -> Tuple[List[int], L
     j0, a, c, e, f, s, r = _CFN_ROWS[parity]
     one = 1 << fbits
     sums = [0] * (kmax + 1)
-    lasts = [0] * (kmax + 1)
     carry = [0] * (kmax + 1)          # carry[i] = H(i, lo), i > r: the row at the block start
     if r > kmax:                      # every row is 0
-        return sums, lasts
+        return sums
     ratio = one
     for j in range(1, j0 + 1):        # ratio(j0)
         ratio = ratio * (2 * j - s) // (2 * j - 1 + s)
@@ -200,12 +199,7 @@ def _cfn_sweep(parity: int, kmax: int, N: int, fbits: int) -> Tuple[List[int], L
             inc = map(floordiv, col, q)
         if kmax > r:                    # the top row needs only its carry
             carry[kmax] += sum(inc)
-    h = one                             # H(i, N) = H(i, N + 1) - H(i - 1, N) // q(N)
-    for i in range(r, kmax + 1):
-        if i > r:
-            h = carry[i] - h // q[-1]
-        lasts[i] = (b[-1] * h) >> fbits
-    return sums, lasts
+    return sums
 
 
 def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> Evaluation:
@@ -216,18 +210,22 @@ def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> Evaluation:
 
     summed to N terms in fixed-point integers (the H-values are built by
     their strict-prefix recurrences in the same sweep, never as rationals).
-    One sweep serves every m of a parity: it is cached per (parity, N,
-    fbits) by ``hpreal._paired_sweep``, with the floors m <= 6 (depth 2 for
-    odd m, 3 for even m), so a miss at m <= 6 sweeps both parities to m <= 6
-    at once, the other one in a forked child: m = 1..6 cost one sweep per
-    parity and one wall-clock sweep in all.  The sweep is blocked (see
-    ``_cfn_sweep``): its value depends on the block rule, not on kmax or on
-    the process that ran it.
-    Terms decay like j^(-5/2); the returned bound is the integral-comparison
-    tail (2/3) N t_N with a 1.05 calibration factor, plus the fixed-point
-    allowance (k + 3) (N + 1) 2^-fbits, an estimate: one floor per term,
-    ratio step and chain step, and per block product, measure below 0.29 of
-    it (tests/test_sweeps.py).
+    One sweep per (parity, N, fbits), cached by ``hpreal._paired_sweep``
+    with the floors _CFN_FLOORS, serves every m of a parity.  The bound is
+    the proved tail below plus the fixed-point allowance (k + 3) (N + 1)
+    2^-fbits, an estimate that the sweep's floors measure below 0.29 of
+    (tests/test_sweeps.py).
+
+    The tail j > N.  H1(k, j) and H0(k, j) rise with j to the x^k and
+    x^(k-1) coefficients of cosh(pi sqrt(x)/2) = prod (1 + x/(2i+1)^2) and
+    sinh(pi sqrt x)/(pi sqrt x) = prod (1 + x/i^2): H1max = (pi/2)^(2k)/(2k)!
+    and H0max = pi^(2k-2)/(2k-1)!.  With Kazarinoff's Wallis bounds
+    1/sqrt(pi (j + 1/2)) < C(2j,j)/4^j <= 1/sqrt(pi (j + 1/4)), (2j+1)^2 >
+    4 j^2 and sqrt(j + 1/2) <= sqrt(j) + 1/(4 sqrt j), term j is at most
+    H1max j^(-5/2)/(4 sqrt pi) (odd) or (1/2) H0max sqrt(pi) (j^(-5/2) +
+    j^(-7/2)/4) (even), and sum_{j>N} j^-s <= N^(1-s)/(s-1).  So the odd
+    tail is at most H1max N^(-3/2)/(6 sqrt pi), times 2^(2k+1), and the even
+    one (1/2) H0max sqrt(pi) ((2/3) N^(-3/2) + N^(-5/2)/10).
     """
     if m < 1:
         raise ValueError(f"c_cfn_route: need m >= 1, got {m}")
@@ -236,12 +234,16 @@ def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> Evaluation:
     fbits = fixed_point_bits(P)
     k, parity = divmod(m, 2)          # m = 2k+1 or m = 2k
     with _working(P):
-        sums, lasts = _paired_sweep(_cfn_cache, _cfn_sweep, parity, k, N, fbits, _CFN_FLOORS)
-        total, last = sums[k], lasts[k]
+        total = _paired_sweep(_cfn_cache, _cfn_sweep, parity, k, N, fbits, _CFN_FLOORS)[k]
         unit = mpf(2) ** (-fbits)
         scale = mpf(2 ** (2 * k + 1) if parity else 1)
         value = +(total * unit * scale)
-        tail = mpf("1.05") * (mpf(2) / 3) * N * (last * unit)
+        n32 = 1 / (N * mp.sqrt(N))    # N^(-3/2)
+        if parity:                    # H1max N^(-3/2) / (6 sqrt pi)
+            tail = (mp.pi / 2) ** (2 * k) / mp.factorial(2 * k) * n32 / (6 * mp.sqrt(mp.pi))
+        else:                         # (1/2) H0max sqrt(pi) ((2/3) N^(-3/2) + N^(-5/2)/10)
+            tail = (mp.pi ** (2 * k - 2) / mp.factorial(2 * k - 1) * mp.sqrt(mp.pi) / 2
+                    * (2 * n32 / 3 + n32 / (10 * N)))
         fp_err = (k + 3) * (N + 1) * unit
         bound = +((tail + fp_err) * scale)
     return Evaluation("cfn-series", m, value, N, bound)
@@ -506,14 +508,13 @@ def verify_consequences(P: int, N: int = _DEFAULT_N, tol=None) -> VerificationRe
         tol10 = default_tolerance(P)
         for z in ("0.25", "0.5", "0.75"):
             x = mpf(z)
-            report.add_numeric(
-                f"consequence-2/kernel/z={z}",
-                "z K1(z) = int_0^asin(z) t cot t dt by its theta-series matches the K1 power series",
-                k1(x, 1 - x), kernel_k1(z, P, method="series"), tol=tol10, fmt=fmt)
-            report.add_numeric(
-                f"consequence-4/kernel/z={z}",
-                "K0(z) = int_0^asin(sqrt z) 2t^2 cot t dt by its theta-series matches the K0 power series",
-                k0(x, 1 - x), kernel_k0(z, P, method="series"), tol=tol10, fmt=fmt)
+            for i, theta_kernel, kernel, anchor in (
+                    (2, k1, kernel_k1, "z K1(z) = int_0^asin(z) t cot t dt by its theta-series"
+                                       " matches the K1 power series"),
+                    (4, k0, kernel_k0, "K0(z) = int_0^asin(sqrt z) 2t^2 cot t dt by its"
+                                       " theta-series matches the K0 power series")):
+                report.add_numeric(f"consequence-{i}/kernel/z={z}", anchor, theta_kernel(x, 1 - x),
+                                   kernel(z, P, method="series"), tol=tol10, fmt=fmt)
     return report
 
 
@@ -627,27 +628,21 @@ def _suite_closed_forms(P: int, N: int, tol) -> VerificationReport:
         tol8 = _closed_form_tolerance(P)
         report.config["tol"] = mp.nstr(tol8, 5)
         for k in range(1, 7):
-            report.add_numeric(
-                f"r-odd-partitions/k={k}",
-                "cycle-index sum over partitions = (pi/2)^(2k) E*_2k/(2k)!",
-                r_via_partitions(k, "odd", P).value, r_odd(k, P).value,
-                tol=tol8, fmt=fmt)
-            report.add_numeric(
-                f"r-even-partitions/k={k}",
-                "cycle-index sum over partitions = 2(2^(2k-1)-1)|B_2k| pi^(2k)/(2k)!",
-                r_via_partitions(k, "even", P).value, r_even(k, P).value,
-                tol=tol8, fmt=fmt)
+            for kind, r_closed, anchor in (
+                    ("odd", r_odd, "cycle-index sum over partitions = (pi/2)^(2k) E*_2k/(2k)!"),
+                    ("even", r_even,
+                     "cycle-index sum over partitions = 2(2^(2k-1)-1)|B_2k| pi^(2k)/(2k)!")):
+                report.add_numeric(f"r-{kind}-partitions/k={k}", anchor,
+                                   r_via_partitions(k, kind, P).value, r_closed(k, P).value,
+                                   tol=tol8, fmt=fmt)
         for k in range(7):
-            report.add_numeric(
-                f"a1-recurrence/k={k}",
-                "alternating R_odd recurrence rebuilds (pi/2)^(2k)/(2k)!",
-                a1_via_recurrence(k, P).value, a1(k, P).value,
-                tol=tol8, fmt=fmt)
-            report.add_numeric(
-                f"a0-recurrence/k={k}",
-                "alternating R_even recurrence rebuilds pi^(2k)/(2k+1)!",
-                a0_via_recurrence(k, P).value, a0(k, P).value,
-                tol=tol8, fmt=fmt)
+            for name, rebuilt, closed, anchor in (
+                    ("a1", a1_via_recurrence, a1,
+                     "alternating R_odd recurrence rebuilds (pi/2)^(2k)/(2k)!"),
+                    ("a0", a0_via_recurrence, a0,
+                     "alternating R_even recurrence rebuilds pi^(2k)/(2k+1)!")):
+                report.add_numeric(f"{name}-recurrence/k={k}", anchor,
+                                   rebuilt(k, P).value, closed(k, P).value, tol=tol8, fmt=fmt)
         for k in range(1, 11):
             report.add_exact(
                 f"euler-vanishing/k={k}",
@@ -692,6 +687,10 @@ def _suite_routes(P: int, N: int, tol) -> VerificationReport:
     16 are kept in this process's value caches."""
     report = VerificationReport("routes", config={"digits": P, "N": N})
     fmt = _fmt(P)
+    # the kernels' odd and even rows: the check name, the kernel, the series
+    # layer's kind and the anchor of the check at z < 1
+    kernels = (("k1", kernel_k1, "odd", "K1 power series matches (1/z) int_0^z asin(y)/y dy"),
+               ("k0", kernel_k0, "even", "K0 power series matches int_0^z asin^2(sqrt y)/y dy"))
     with _working(P):
         tol_q = _tolerance(P, tol)
         report.config["tol"] = mp.nstr(tol_q, 5)
@@ -703,16 +702,16 @@ def _suite_routes(P: int, N: int, tol) -> VerificationReport:
             for m in ms:
                 works[m] = partial(moment_quadrature, m, P, tol)
             for z in zs:
-                works["k1", z] = partial(kernel_k1, z, P, method="integral")
-                works["k0", z] = partial(kernel_k0, z, P, method="integral")
+                for name, kernel, _, _ in kernels:
+                    works[name, z] = partial(kernel, z, P, method="integral")
         value = dict(zip(works, _in_halves(list(works.values()))))
         # the child's values join this process's caches, under the keys that
         # their lookups build
         for m in range(1, 9):
             quadrature._moment_cache.setdefault(_moment_key(m, P, tol), value[m])
         for z in ("0.25", "0.5", "0.75", 1):
-            series._kernel_cache.setdefault(_kernel_key("odd", z, P), value["k1", z])
-            series._kernel_cache.setdefault(_kernel_key("even", z, P), value["k0", z])
+            for name, _, kind, _ in kernels:
+                series._kernel_cache.setdefault(_kernel_key(kind, z, P), value[name, z])
         for m in range(1, 9):
             ref = c_eta_route(m, P).value
             report.add_numeric(
@@ -733,14 +732,9 @@ def _suite_routes(P: int, N: int, tol) -> VerificationReport:
                 mv.value, ref, tol=mv.error_bound, fmt=fmt)
         tol10 = default_tolerance(P)
         for z in ("0.25", "0.5", "0.75"):
-            report.add_numeric(
-                f"kernel-k1/z={z}",
-                "K1 power series matches (1/z) int_0^z asin(y)/y dy",
-                kernel_k1(z, P, method="series"), value["k1", z], tol=tol10, fmt=fmt)
-            report.add_numeric(
-                f"kernel-k0/z={z}",
-                "K0 power series matches int_0^z asin^2(sqrt y)/y dy",
-                kernel_k0(z, P, method="series"), value["k0", z], tol=tol10, fmt=fmt)
+            for name, kernel, _, anchor in kernels:
+                report.add_numeric(f"kernel-{name}/z={z}", anchor, kernel(z, P, method="series"),
+                                   value[name, z], tol=tol10, fmt=fmt)
         lg2 = eta(1, P + 5)
         report.add_numeric(
             "kernel-k1/z=1",

@@ -48,7 +48,7 @@ fbits >= 140.  ``r_truncated_nested`` proves the allowance 2^(d+2) (N + 1)
 that allowance, so their bounds are rigorous.  The S values add
 (l + 3) (N + 1) 2^-fbits.  Their error measures below 0.17 of it at depths
 0..6 (tests/test_sweeps.py), but the tails' proof gives the forward sums
-only a constant geometric in l: like their calibrated outer tail, it is an
+only a constant geometric in l: unlike their proved outer tail, it is an
 estimate.
 """
 
@@ -280,16 +280,15 @@ _TAIL_RECORD_MAX = 24  # suffix tails T_d(j) are kept for j up to here
 _S_FLOORS = {"odd": 2, "even": 2}
 
 # each maps (kind, N, fbits) to (lmax, the sweep's result at depths <= lmax)
-_sums_cache: Dict[Tuple[str, int, int], Tuple[int, Tuple[List[int], int]]] = {}
+_sums_cache: Dict[Tuple[str, int, int], Tuple[int, List[int]]] = {}
 _tails_cache: Dict[Tuple[str, int, int], Tuple[int, Dict[int, List[int]]]] = {}
 
 
-def _sums_sweep(kind: str, lmax: int, N: int, fbits: int) -> Tuple[List[int], int]:
+def _sums_sweep(kind: str, lmax: int, N: int, fbits: int) -> List[int]:
     """One forward fixed-point pass over j = j0..N for every depth l <= lmax.
 
-    Returns (sums, b_last): sums[l] is S_l truncated at N and b_last is
-    b(N), both times 2^fbits.  Over the tuples j <= i_1 <= ... <= i_l <= N,
-    S_l is B_l(N), where
+    Returns sums: sums[l] is S_l truncated at N, times 2^fbits.  Over the
+    tuples j <= i_1 <= ... <= i_l <= N, S_l is B_l(N), where
 
         B_0(i) = sum_{j <= i} b(j),   B_d(i) = B_d(i - 1) + B_{d-1}(i) w(i),
 
@@ -328,7 +327,7 @@ def _sums_sweep(kind: str, lmax: int, N: int, fbits: int) -> Tuple[List[int], in
             sums[d] = col[-1]
             inc = map(floordiv, col, q)
         sums[lmax] += sum(inc)
-    return sums, b[-1]
+    return sums
 
 
 def _tails_sweep(kind: str, lmax: int, N: int, fbits: int) -> Dict[int, List[int]]:
@@ -383,21 +382,24 @@ def _s_value(kind: str, l: int, P: int, N: int) -> Evaluation:
         raise ValueError(f"s_{kind}: need N >= 1, got {N}")
     fbits = fixed_point_bits(P)
     with _working(P):
-        sums, b_last = _paired_sweep(_sums_cache, _sums_sweep, kind, l, N, fbits, _S_FLOORS)
+        sums = _paired_sweep(_sums_cache, _sums_sweep, kind, l, N, fbits, _S_FLOORS)
         unit, inner_full, w_tail = _nested_family(kind, N, fbits)
         value = sums[l] * unit
         b_sum = sums[0] * unit                            # sum of b(j), j <= N
-        b_last = b_last * unit
         # truncation of each inner tail: l slots, each missing <= w_tail of
         # an inner sum bounded by inner_full, weighted by sum of b
         inner_err = b_sum * l * inner_full ** (l - 1) * w_tail if l else mpf(0)
-        # dropped outer terms: b(j) ~ j^(-5/2), so sum_{j>N} b <= (2/3) N b(N)
-        # (integral comparison; the 1.05 safety factor absorbs the calibrated
-        # prefactor drift — heuristic, checked against closed forms in tests)
-        outer_err = mpf("1.05") * (mpf(2) / 3) * N * b_last * inner_full ** l
+        # dropped outer terms j > N, proved: each inner tail is at most
+        # inner_full^l, and Kazarinoff's Wallis bounds on C(2j,j)/4^j give
+        # b(j) <= j^(-5/2)/(4 sqrt pi) (odd) or (sqrt(pi)/2)(j^(-5/2) +
+        # j^(-7/2)/4) (even); sum_{j>N} j^-s <= N^(1-s)/(s-1)
+        n32 = 1 / (N * mp.sqrt(N))                         # N^(-3/2)
+        b_tail = (n32 / (6 * mp.sqrt(mp.pi)) if _FAMILIES[kind].s
+                  else mp.sqrt(mp.pi) / 2 * (2 * n32 / 3 + n32 / (10 * N)))
+        outer_err = b_tail * inner_full ** l
         # fixed-point rounding of the forward sums, (l + 3) (N + 1) 2^-fbits:
         # one floor per step and depth, measured to hold (see the module
-        # docstring), not proved, so an estimate like outer_err
+        # docstring), not proved, so an estimate, unlike outer_err
         fp_err = (l + 3) * (N + 1) * unit
         bound = +(inner_err + outer_err + fp_err)
     return Evaluation(f"S_{kind}", l, value, N, bound)

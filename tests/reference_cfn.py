@@ -1,8 +1,8 @@
 """Reference cfn-layer loops for the tests, each written once per parity.
 
 * ``_reference_cfn``: one blocked fixed-point sweep per m, written apart
-  from the package's shared sweep, with a branch per parity;
-  ``c_cfn_route`` must reproduce its value and bound exactly.
+  from the package's shared sweep, with a branch per parity, and the proved
+  tail bound; ``c_cfn_route`` must reproduce its value and bound exactly.
 * ``_reference_t0`` .. ``_reference_h1``: the four triangle recurrences as
   twin loops; ``cfn.build_*`` must reproduce their rows exactly.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction as Fr
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from cotmoments.exact import double_factorial_odd
 from cotmoments.hpreal import _working, fixed_point_bits
@@ -36,7 +36,6 @@ def _reference_cfn(m, P, N):
         ratio = 2 * one               # 4^j / C(2j,j) at j = 1
         j0 = 1
     total = 0
-    last = 0
     for lo in range(j0, N + 1, block):
         start = list(h)               # H(i, lo)
         terms = []                    # (b_j, q(j)), q(j) the step to H(., j+1)
@@ -51,7 +50,6 @@ def _reference_cfn(m, P, N):
                     ratio = ratio * (2 * j) // (2 * j - 1)
                 q = j * j
                 b = ratio // (2 * j ** 3)  # the 1/2 is folded into 2 j^3
-            last = (b * h[k]) >> fbits
             terms.append((b, q))
             for i in range(k, j0, -1):
                 h[i] += h[i - 1] // q
@@ -65,7 +63,14 @@ def _reference_cfn(m, P, N):
         unit = mpf(2) ** (-fbits)
         scale = mpf(2 ** (2 * k + 1) if m % 2 else 1)
         value = +(total * unit * scale)
-        tail = mpf("1.05") * (mpf(2) / 3) * N * (last * unit)
+        # the H row's limit times the Wallis majorant summed over j > N
+        n32 = 1 / (N * mp.sqrt(N))
+        if m % 2:  # H1(k, j) <= (pi/2)^(2k)/(2k)!
+            h_max = (mp.pi / 2) ** (2 * k) / mp.factorial(2 * k)
+            tail = h_max * n32 / (6 * mp.sqrt(mp.pi))
+        else:      # H0(k, j) <= pi^(2k-2)/(2k-1)!
+            h_max = mp.pi ** (2 * k - 2) / mp.factorial(2 * k - 1)
+            tail = h_max * mp.sqrt(mp.pi) / 2 * (2 * n32 / 3 + n32 / (10 * N))
         fp_err = (k + 3) * (N + 1) * unit
         bound = +((tail + fp_err) * scale)
     return value, bound

@@ -3,9 +3,9 @@
 * ``_reference_cfn_sweep``: the central-binomial sweep of the cfn route,
   one j at a time, with the H-rows and the chain sums as lists updated in
   place;
-  ``moments._cfn_sweep`` must return the same ``(sums, lasts)``.
+  ``moments._cfn_sweep`` must return the same sums.
 * ``_reference_sums_sweep``: the forward sums of the S families, one j at a
-  time; ``series._sums_sweep`` must return the same ``(sums, b_last)``.
+  time; ``series._sums_sweep`` must return the same sums.
 * ``_reference_tails_sweep``: the backward suffix tails of the series layer,
   one j at a time; ``series._tails_sweep`` must return the same recorded
   tails.
@@ -32,7 +32,7 @@ _CFN_ROWS = {
 
 
 def _reference_cfn_sweep(parity, kmax, N, fbits):
-    """(sums, lasts) of the cfn series for every depth k <= kmax, times 2^fbits.
+    """The sums of the cfn series for every depth k <= kmax, times 2^fbits.
 
     Per block [lo, hi) of (1 << 17) // fbits values of j: forward over j the
     H-rows step, H(i, j+1) = H(i, j) + H(i-1, j) // q(j); backward over j
@@ -56,7 +56,6 @@ def _reference_cfn_sweep(parity, kmax, N, fbits):
                 ratio = ratio * (2 * j - s) // (2 * j - 1 + s)
             q = (a * j + c) ** 2      # root a j + c
             b = ratio // (q * (e * j + f))  # outer factor e j + f
-            lasts = [(b * hk) >> fbits for hk in h]
             terms.append((b, q))
             for i in range(kmax, fixed, -1):
                 h[i] += h[i - 1] // q
@@ -67,11 +66,11 @@ def _reference_cfn_sweep(parity, kmax, N, fbits):
             chains[0] += b
         for k in range(kmax + 1):
             sums[k] += sum((start[k - d] * chains[d]) >> fbits for d in range(k + 1))
-    return sums, lasts
+    return sums
 
 
 def _reference_sums_sweep(kind, lmax, N, fbits):
-    """The S family's sums for every depth l <= lmax and b(N), times 2^fbits.
+    """The S family's sums for every depth l <= lmax, times 2^fbits.
 
     Forward over j: B_0 sums b(j) and B_d adds B_{d-1}(j) w(j), so B_l(N)
     sums b(j) w(i_1) ... w(i_l) over j <= i_1 <= ... <= i_l <= N."""
@@ -90,7 +89,7 @@ def _reference_sums_sweep(kind, lmax, N, fbits):
         B[0] += bj
         for d in range(1, lmax + 1):
             B[d] += B[d - 1] // q
-    return B, bj
+    return B
 
 
 def _reference_tails_sweep(kind, lmax, N, fbits):

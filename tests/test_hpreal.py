@@ -357,8 +357,8 @@ def _no_child_left():
 
 @needs_fork
 def test_from_child_returns_the_serial_values():
-    # a cfn pair (a tuple of lists), an S-sums pair (a list and an int) and
-    # an S-tails pair (a dict of lists)
+    # a cfn pair and an S-sums pair (lists of ints) and an S-tails pair (a
+    # dict of lists)
     for sweep, own, other in ((moments._cfn_sweep, (1, 2), (0, 3)),
                               (series._sums_sweep, ("odd", 2), ("even", 2)),
                               (series._tails_sweep, ("even", 2), ("odd", 2))):
@@ -512,6 +512,61 @@ def test_in_halves_evaluates_a_failed_childs_half_here():
         # a work that fails in both processes raises here
         with pytest.raises(RuntimeError, match="the sibling failed"):
             _in_halves([partial(_reciprocal, 3), _raise])
+    _no_child_left()
+
+
+def _fd_paths():
+    """name -> a call that takes the fork helper down one of its paths."""
+    def caller_raises():
+        with pytest.raises(KeyError):
+            with _from_child(lambda: 1):
+                raise KeyError("own failed")
+
+    def in_halves_failed_child():
+        parent = os.getpid()
+
+        def here_only():
+            if os.getpid() != parent:
+                raise RuntimeError("the child failed")
+            return _reciprocal(5)
+
+        assert len(_in_halves([partial(_reciprocal, 3), here_only])) == 2
+
+    def level_split():
+        assert quadrature.integrate_1d(lambda x, da, db: mp.cos(x), 0, 1, 30).levels > 2
+
+    def fetched(work, want):
+        def run():
+            with _from_child(work) as fetch:
+                assert fetch() == want
+        return run
+
+    return {
+        "value": fetched(lambda: 42, 42),
+        "child-raises": fetched(_raise, None),
+        "child-killed": fetched(lambda: os.kill(os.getpid(), signal.SIGKILL), None),
+        "caller-raises": caller_raises,
+        "in-halves-failed-child": in_halves_failed_child,
+        "level-split": level_split,
+        "fork-raises": fetched(lambda: 42, None),
+    }
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd here")
+@pytest.mark.parametrize("path", list(_fd_paths()))
+def test_the_fork_helper_leaves_no_descriptor_open(path, monkeypatch):
+    # a raw os.pipe descriptor left open raises no ResourceWarning, so count
+    # this process's descriptors around each path
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", 0.0)  # split every level
+    if path == "fork-raises":
+        monkeypatch.setattr(os, "fork", _fork_fails)
+    run = _fd_paths()[path]
+    run()  # the first run may open what stays open, such as a lazy import
+    before = len(os.listdir("/proc/self/fd"))
+    with _deadline(60):
+        run()
+    assert len(os.listdir("/proc/self/fd")) == before
     _no_child_left()
 
 

@@ -98,6 +98,16 @@ def test_cfn_route_within_bound(m):
         assert abs(v.value - ref) <= v.error_bound, m
 
 
+@pytest.mark.parametrize("m,N", [(12, 12), (9, 20)])
+def test_cfn_route_within_its_proved_bound_at_small_n(m, N):
+    # a tail estimated from the last term missed here, by 1.618 and 1.074
+    # times its bound; the proved tail leaves gaps of 0.52 and 0.79 of it
+    ref = c_eta_route(m, 40).value
+    v = c_cfn_route(m, 30, N=N)
+    with mp.workdps(50):
+        assert abs(v.value - ref) <= v.error_bound, (m, N)
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_nested_route_within_bound(m):
     ref = c_eta_route(m, 40).value
@@ -109,8 +119,8 @@ def test_nested_route_within_bound(m):
 @pytest.mark.parametrize("P", [90, 150, 300])
 def test_series_routes_within_bound_at_high_precision(P):
     # the session-mixed workload's series keys above P = 60, where the
-    # sweeps run at 338 to 1036 bits; each cfn gap is about 0.95 of its
-    # bound, the room that the 1.05 calibration leaves
+    # sweeps run at 338 to 1036 bits; each cfn gap is 0.9996 to 0.9998 of
+    # its proved bound, which grows tight as N grows
     for route, fn, ms in (("cfn", c_cfn_route, (8, 9, 12)),
                           ("nested", c_nested_route, (7, 10, 11))):
         for m in ms:

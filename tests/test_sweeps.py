@@ -73,9 +73,9 @@ def _sweep_values(route, family, depth, N, fbits):
     """[(depth, value)] of one sweep: the cfn sums, the S sums, or every
     recorded suffix tail."""
     if route == "cfn":
-        return list(enumerate(moments._cfn_sweep(family, depth, N, fbits)[0]))
+        return list(enumerate(moments._cfn_sweep(family, depth, N, fbits)))
     if route == "S":
-        return list(enumerate(series._sums_sweep(family, depth, N, fbits)[0]))
+        return list(enumerate(series._sums_sweep(family, depth, N, fbits)))
     tails = series._tails_sweep(family, depth, N, fbits)
     return [pair for j in sorted(tails) for pair in enumerate(tails[j])]
 
@@ -137,6 +137,5 @@ def test_cfn_sweep_stays_inside_its_allowance_of_the_exact_sums(parity, fbits):
     exact = _exact_cfn_sums(parity, depth_max, nmax, fbits)
     for N in range(1, nmax + 1):
         for depth in range(depth_max + 1):
-            sums, _ = moments._cfn_sweep(parity, depth, N, fbits)
-            for k, value in enumerate(sums):
+            for k, value in enumerate(moments._cfn_sweep(parity, depth, N, fbits)):
                 assert abs(exact[k][N] - value) <= _ALLOWANCE["cfn"](k) * (N + 1), (k, N, depth)
