@@ -6,8 +6,9 @@ report), ``constants`` (print pi/log2/eta/zeta values).
 
 Configuration precedence: flags > COTMOMENTS_DIGITS environment variable >
 --config JSON file > built-in defaults (50 digits, N = 10^5, tol =
-10^-(digits-10)).  Reports go to --out or stdout; progress and failures go
-to stderr so stdout stays machine-clean.
+10^-(digits-10)).  A command checks only the settings it reads.  Reports
+go to --out or stdout; progress and failures go to stderr so stdout stays
+machine-clean.
 
 Exit codes: 0 all good, 1 identity/route disagreement, 2 usage error
 (an --out path that cannot be written is one; it is opened before the
@@ -54,6 +55,7 @@ _ETA_M_MAX = 40
 _SERIES_M_MAX = 12
 _TABLE_MAX = 200
 _FORMATS = ("json", "csv", "text")
+_SETTINGS = ("digits", "n", "tol", "format")  # each command checks those it reads
 
 
 class UsageError(Exception):
@@ -74,18 +76,20 @@ class RunConfig(SimpleNamespace):
                  out: Optional[str] = None) -> None:
         super().__init__(digits=digits, n=n, tol=tol, format=format, out=out)
 
-    def validate(self) -> None:
-        if self.digits < MIN_DIGITS:
+    def validate(self, reads: Sequence[str]) -> None:
+        """Refuse a bad value of each setting in reads, those the command
+        reads; out is checked by opening it."""
+        if "digits" in reads and self.digits < MIN_DIGITS:
             raise UsageError(f"--digits must be >= {MIN_DIGITS}, got {self.digits}")
-        if self.n < 10:
+        if "n" in reads and self.n < 10:
             raise UsageError(f"--n must be >= 10, got {self.n}")
-        if self.tol is not None:
+        if "tol" in reads and self.tol is not None:
             try:
                 _tolerance(self.digits, self.tol)  # the library's own rule
             except (TypeError, ValueError) as exc:
                 raise UsageError(
                     f"--tol must be a positive finite number, got {self.tol!r}") from exc
-        if self.format is not None and self.format not in _FORMATS:
+        if "format" in reads and self.format is not None and self.format not in _FORMATS:
             raise UsageError(f"--format must be one of {', '.join(_FORMATS)},"
                              f" got {self.format!r}")
 
@@ -131,7 +135,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     for key in ("digits", "n", "tol", "format", "out"):
         if getattr(args, key, None) is not None:
             setattr(cfg, key, getattr(args, key))
-    cfg.validate()
+    cfg.validate(args.reads)
     return cfg
 
 
@@ -367,14 +371,7 @@ def _constant_value(name: str, P: int) -> mpf:
         return log2(P)
     match = _CONST_RE.match(name)
     if match:
-        s = int(match.group(2))
-        if match.group(1) == "eta":
-            if s < 1:
-                raise UsageError("eta requires s >= 1")
-            return eta(s, P)
-        if s < 2:
-            raise UsageError("zeta requires s >= 2")
-        return zeta(s, P)
+        return (eta if match.group(1) == "eta" else zeta)(int(match.group(2)), P)
     raise UsageError(
         f"unknown constant {name!r}; use pi, log2, eta<s> or zeta<s>")
 
@@ -422,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="moment selection: 3, 1..4, or 1,2,5")
     p_m.add_argument("--route", default="eta",
                      help="comma-separated routes: eta, cfn, nested, quadrature")
-    p_m.set_defaults(func=cmd_moments)
+    p_m.set_defaults(func=cmd_moments, reads=_SETTINGS)
 
     p_t = sub.add_parser("tables", parents=[common],
                          help="dump an exact triangle as CSV/JSON/text")
@@ -430,18 +427,18 @@ def build_parser() -> argparse.ArgumentParser:
                      help="which triangle: t0, t1, h0, h1")
     p_t.add_argument("--kmax", type=int, default=5)
     p_t.add_argument("--nmax", type=int, default=5)
-    p_t.set_defaults(func=cmd_tables)
+    p_t.set_defaults(func=cmd_tables, reads=("format",))
 
     p_v = sub.add_parser("verify", parents=[common],
                          help="run a verification suite and emit a JSON report")
     p_v.add_argument("--suite", default="all", choices=SUITES)
-    p_v.set_defaults(func=cmd_verify)
+    p_v.set_defaults(func=cmd_verify, reads=_SETTINGS)
 
     p_c = sub.add_parser("constants", parents=[common],
                          help="print constants (pi, log2, eta<s>, zeta<s>)")
     p_c.add_argument("names", nargs="+",
                      help="constant names, e.g. pi log2 eta3 zeta5")
-    p_c.set_defaults(func=cmd_constants)
+    p_c.set_defaults(func=cmd_constants, reads=("digits",))
     return parser
 
 

@@ -9,7 +9,10 @@ mpmath's working precision is process-global, so the package has one rule:
 every computation at a precision runs inside ``_working(P)``, which refuses
 P < MIN_DIGITS, then holds a single re-entrant module lock while it sets the
 precision.  Scopes nest (a moment route calls eta), and the package's caches
-are read and filled only inside a scope, so the lock guards them too.  Calls
+are read and filled only inside a scope, so the lock guards them too.  The
+finished values of eta, the moment integrals and the kernel integrals share
+one store, ``_values``, each under a tagged key that ``marshal`` can write
+(``_value``).  Calls
 from several threads at any mix of precisions return the values of a serial
 run; the work itself is serialised.  The tolerance rules live here too, and
 read the caller's precision under the same lock.
@@ -35,7 +38,7 @@ It has three users:
 * ``_in_halves(works)`` evaluates the back half of a list of independent
   mpf computations in the child and the front half here; the consequences
   and routes suites get their quadrature values through it.  The child's
-  values come back exactly, so each is bit-identical to a serial run's.
+  values, and the store entries it added, come back exactly.
 
 The two series routes share no maths, but they share this layer's
 plumbing: the value record ``Evaluation`` that every route returns, the
@@ -61,6 +64,7 @@ import os
 import threading
 from contextlib import contextmanager
 from functools import partial
+from itertools import islice
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath
@@ -90,7 +94,9 @@ _SWEEP_BLOCK_BITS = 1 << 17  # a sweep block holds _SWEEP_BLOCK_BITS // fbits va
 
 _ACCEL_RATE = math.log(3 + math.sqrt(8))  # ~1.7627
 
-_eta_cache: Dict[Tuple[int, int], mpf] = {}
+# the finished values: ("eta", s, P), ("moment", m, P, tol._mpf_) and
+# ("kernel", kind, z._mpf_, P)
+_values: Dict[tuple, mpf] = {}
 
 _PRECISION_LOCK = threading.RLock()
 
@@ -109,6 +115,15 @@ class Evaluation(NamedTuple):
     value: mpf
     truncation: Optional[int] = None
     error_bound: Optional[mpf] = None
+
+
+def _value(key: tuple, compute: Callable[[], mpf]) -> mpf:
+    """The stored value under key, or compute()'s, which is stored; one
+    that raises stores nothing.  Callers hold the precision scope."""
+    hit = _values.get(key)
+    if hit is None:
+        hit = _values[key] = compute()
+    return hit
 
 
 def _require_digits(P: int) -> None:
@@ -203,28 +218,27 @@ def eta(s: int, P: int) -> mpf:
         raise ValueError(f"eta: need an integer s, got s={s!r}")
     if s < 1:
         raise ValueError(f"eta: need s >= 1, got {s}")
-    key = (s, P)
+    with _working(P):
+        return _value(("eta", s, P), partial(_eta_sum, s, P))
+
+
+def _eta_sum(s: int, P: int) -> mpf:
     n = int(math.ceil((P + 8) * math.log(10) / _ACCEL_RATE)) + 3
     fb = n.bit_length() + 5
-    with _working(P):
-        hit = _eta_cache.get(key)
-        if hit is not None:
-            return hit
-        d, e = 1, 0                    # (3 + sqrt 8)^k = d + e sqrt 8
-        for _ in range(n):
-            d, e = 3 * d + 8 * e, d + 3 * e
-        b = -1
-        c = -d << fb                   # c_(k-1) 2^fb
-        acc = 0
-        for k in range(n):
-            c = (b << fb) - c
-            if ((k + 1).bit_length() - 1) * s < c.bit_length():
-                acc += c // (k + 1) ** s
-            elif c < 0:  # (k + 1)^s > |c|, so the floor is -1 (0 for c >= 0)
-                acc -= 1
-            b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
-        value = _eta_cache[key] = mp.fdiv(acc, d << fb)
-    return value
+    d, e = 1, 0                    # (3 + sqrt 8)^k = d + e sqrt 8
+    for _ in range(n):
+        d, e = 3 * d + 8 * e, d + 3 * e
+    b = -1
+    c = -d << fb                   # c_(k-1) 2^fb
+    acc = 0
+    for k in range(n):
+        c = (b << fb) - c
+        if ((k + 1).bit_length() - 1) * s < c.bit_length():
+            acc += c // (k + 1) ** s
+        elif c < 0:  # (k + 1)^s > |c|, so the floor is -1 (0 for c >= 0)
+            acc -= 1
+        b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
+    return mp.fdiv(acc, d << fb)
 
 
 def zeta(s: int, P: int) -> mpf:
@@ -329,19 +343,29 @@ def _in_halves(works: Sequence[Callable[[], mpf]]) -> List[mpf]:
     """[work() for work in works], for independent works that each return an
     mpf: the back half, works[len(works) // 2:], is evaluated in a child
     (``_from_child``) while this process evaluates the front half.  The
-    child sends its values back exactly, as one list of ``_mpf_`` tuples;
-    when none come back, this process evaluates the back half itself, after
-    the front half.  So the values are those of a serial run, and a work
-    that raises raises here, the front half's first.  A work's caches are
-    filled only in the process that evaluates it: the child's are lost with
-    it.  Callers order works so that the two halves cost about the same."""
+    child sends its values back exactly, as ``_mpf_`` tuples, in one record
+    with the ``_values`` entries it added (those past the store's length at
+    the fork); they join this store unless it has the key.  When no record
+    comes back, this process evaluates the back half itself, after the
+    front half.  So the values are those of a serial run, and a work that
+    raises raises here, the front half's first.  Callers hold the precision
+    scope, and order works so that the two halves cost about the same."""
     half = len(works) // 2
     back = works[half:]
-    with _from_child(lambda: [work()._mpf_ for work in back]) as fetch:
+
+    def child():
+        start = len(_values)
+        sent = [work()._mpf_ for work in back]
+        return sent, [(key, value._mpf_) for key, value in islice(_values.items(), start, None)]
+
+    with _from_child(child) as fetch:
         values = [work() for work in works[:half]]
-        sent = fetch()
-    if sent is None:
+        record = fetch()
+    if record is None:
         return values + [work() for work in back]
+    sent, added = record
+    for key, value in added:
+        _values.setdefault(key, mp.make_mpf(value))
     return values + [mp.make_mpf(value) for value in sent]
 
 

@@ -43,15 +43,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from mpmath import mp, mpf
 
-from . import cfn, quadrature, series
+from . import cfn
 from .hpreal import (_DEFAULT_DIGITS, _DEFAULT_N, _SWEEP_BLOCK_BITS, GUARD_DIGITS, Evaluation,
                      _closed_form_tolerance, _in_halves, _paired_sweep, _require_digits,
                      _tolerance, _working, _zeta_even_tolerance, default_tolerance, eta,
                      fixed_point_bits, zeta, zeta_even_closed)
-from .quadrature import _WORK_GUARD, _moment_key, integrate_1d, moment_quadrature
+from .quadrature import _WORK_GUARD, integrate_1d, moment_quadrature
 from .report import VerificationReport
 from .series import (
-    _kernel_key,
     a0,
     a0_via_recurrence,
     a1,
@@ -682,15 +681,15 @@ def _suite_routes(P: int, N: int, tol) -> VerificationReport:
 
     The 8 moment integrals and the 8 kernel integrals are independent, so
     they come from two processes (``hpreal._in_halves``): half here and
-    half in a forked child, which sends its values back exactly.  Every
-    value, and so the report, is bit-identical to a serial run's, and all
-    16 are kept in this process's value caches."""
+    half in a forked child, which sends its values and store entries back
+    exactly.  So the report is bit-identical to a serial run's, and all
+    16 values stay in this process's store."""
     report = VerificationReport("routes", config={"digits": P, "N": N})
     fmt = _fmt(P)
-    # the kernels' odd and even rows: the check name, the kernel, the series
-    # layer's kind and the anchor of the check at z < 1
-    kernels = (("k1", kernel_k1, "odd", "K1 power series matches (1/z) int_0^z asin(y)/y dy"),
-               ("k0", kernel_k0, "even", "K0 power series matches int_0^z asin^2(sqrt y)/y dy"))
+    # the kernels' odd and even rows: the check name, the kernel and the
+    # anchor of the check at z < 1
+    kernels = (("k1", kernel_k1, "K1 power series matches (1/z) int_0^z asin(y)/y dy"),
+               ("k0", kernel_k0, "K0 power series matches int_0^z asin^2(sqrt y)/y dy"))
     with _working(P):
         tol_q = _tolerance(P, tol)
         report.config["tol"] = mp.nstr(tol_q, 5)
@@ -702,37 +701,29 @@ def _suite_routes(P: int, N: int, tol) -> VerificationReport:
             for m in ms:
                 works[m] = partial(moment_quadrature, m, P, tol)
             for z in zs:
-                for name, kernel, _, _ in kernels:
+                for name, kernel, _ in kernels:
                     works[name, z] = partial(kernel, z, P, method="integral")
         value = dict(zip(works, _in_halves(list(works.values()))))
-        # the child's values join this process's caches, under the keys that
-        # their lookups build
+        ref = {m: c_eta_route(m, P).value for m in range(1, 9)}
         for m in range(1, 9):
-            quadrature._moment_cache.setdefault(_moment_key(m, P, tol), value[m])
-        for z in ("0.25", "0.5", "0.75", 1):
-            for name, _, kind, _ in kernels:
-                series._kernel_cache.setdefault(_kernel_key(kind, z, P), value[name, z])
-        for m in range(1, 9):
-            ref = c_eta_route(m, P).value
             report.add_numeric(
                 f"route-quadrature/m={m}",
                 "tanh-sinh moment integral matches the eta closed form",
-                value[m], ref, tol=10 * tol_q, fmt=fmt)
+                value[m], ref[m], tol=10 * tol_q, fmt=fmt)
         for m in range(1, 7):
-            ref = c_eta_route(m, P).value
             mv = c_cfn_route(m, P, N)
             report.add_numeric(
                 f"route-cfn/m={m}",
                 "central-binomial series within its own tail bound of the closed form",
-                mv.value, ref, tol=mv.error_bound, fmt=fmt)
+                mv.value, ref[m], tol=mv.error_bound, fmt=fmt)
             mv = c_nested_route(m, P, N)
             report.add_numeric(
                 f"route-nested/m={m}",
                 "nested S-series combination within its propagated tail bound",
-                mv.value, ref, tol=mv.error_bound, fmt=fmt)
+                mv.value, ref[m], tol=mv.error_bound, fmt=fmt)
         tol10 = default_tolerance(P)
         for z in ("0.25", "0.5", "0.75"):
-            for name, kernel, _, anchor in kernels:
+            for name, kernel, anchor in kernels:
                 report.add_numeric(f"kernel-{name}/z={z}", anchor, kernel(z, P, method="series"),
                                    value[name, z], tol=tol10, fmt=fmt)
         lg2 = eta(1, P + 5)
@@ -743,7 +734,7 @@ def _suite_routes(P: int, N: int, tol) -> VerificationReport:
         report.add_numeric(
             "kernel-k0/z=1",
             "K0(1) equals the second moment C(2)",
-            value["k0", 1], c_eta_route(2, P).value, tol=tol10, fmt=fmt)
+            value["k0", 1], ref[2], tol=tol10, fmt=fmt)
     return report
 
 

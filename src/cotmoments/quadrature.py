@@ -52,14 +52,13 @@ The rule is one-dimensional; the consequence identities' double integrals
 reach it already reduced to 1-D integrals of theta-series kernels
 (moments.py).
 
-``moment_quadrature`` caches its finished value, one mpf per (m, P, tol),
-with tol the mpf that the tolerance rule makes of the caller's tol (or the
-default for P) at the working precision.  So a repeated moment costs one
-lookup, and returns the value of the first call.  The cache is read and
-filled inside the precision scope, under the package lock.  A call that
-raises (``QuadratureError``, ``ValueError``) caches nothing, so its repeat
-runs the rule again and raises again.  ``integrate_1d`` itself caches only
-its node tables.
+``moment_quadrature`` keeps its finished value in the package's one store
+(``hpreal._value``) per (m, P, tol), with tol the mpf that the tolerance
+rule makes of the caller's tol (or the default for P) at the working
+precision.  So a repeated moment costs one lookup, and returns the value
+of the first call.  A call that raises (``QuadratureError``,
+``ValueError``) keeps nothing, so its repeat runs the rule again and
+raises again.  ``integrate_1d`` itself caches only its node tables.
 """
 
 from __future__ import annotations
@@ -67,11 +66,12 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from mpmath import mp, mpf
 
-from .hpreal import _from_child, _tolerance, _working
+from .hpreal import _from_child, _tolerance, _value, _working
 
 __all__ = [
     "QuadratureResult",
@@ -335,16 +335,6 @@ def integrate_1d(f: IntegrandFn, a, b, P: int, tol=None) -> QuadratureResult:
 # the moment integrals
 # ---------------------------------------------------------------------------
 
-# the finished values per (m, P, tol), tol as an mpf at the working precision
-_moment_cache: Dict[Tuple[int, int, mpf], mpf] = {}
-
-
-def _moment_key(m: int, P: int, tol) -> Tuple[int, int, mpf]:
-    """The _moment_cache key of moment_quadrature(m, P, tol)."""
-    with _working(P, _WORK_GUARD):
-        return m, P, _tolerance(P, tol)
-
-
 def moment_quadrature(m: int, P: int, tol=None) -> mpf:
     """The m-th cotangent moment by direct quadrature: the integral over
     [0, pi] of x^m/(2 m!) * cot(x/2).
@@ -355,28 +345,28 @@ def moment_quadrature(m: int, P: int, tol=None) -> mpf:
     precision.  A node pair's two abscissas share v, so its mirror node
     reuses the last (v, cos, sin): one cos_sin per pair.  Any other v
     recomputes them, so no value depends on the order of the calls or on
-    the process that makes them.  The value is cached per (m, P, tol); a
+    the process that makes them.  The value is stored per (m, P, tol); a
     failure is not.
     """
     if m < 1:
         raise ValueError(f"moment_quadrature: need m >= 1, got {m}")
-    key = _moment_key(m, P, tol)
     with _working(P, _WORK_GUARD):
-        hit = _moment_cache.get(key)
-        if hit is not None:
-            return hit
-        two_fact = 2 * mp.factorial(m)
-        # (v, cos(v/2), sin(v/2)) of the last node: a pair's mirror node,
-        # evaluated next, has the same v
-        last = [None, None, None]
+        tol = _tolerance(P, tol)
+        return _value(("moment", m, P, tol._mpf_), partial(_moment_integral, m, P, tol))
 
-        def f(x, da, db):
-            v = min(da, db)
-            if v != last[0]:
-                with mp.extraprec(_TRIG_GUARD_BITS):
-                    last[:] = v, *mp.cos_sin(v / 2)
-            _, c, s = last
-            return x ** m / two_fact * (c / s if da <= db else s / c)
 
-        value = _moment_cache[key] = integrate_1d(f, 0, mp.pi, P, key[2]).value
-    return value
+def _moment_integral(m: int, P: int, tol: mpf) -> mpf:
+    two_fact = 2 * mp.factorial(m)
+    # (v, cos(v/2), sin(v/2)) of the last node: a pair's mirror node,
+    # evaluated next, has the same v
+    last = [None, None, None]
+
+    def f(x, da, db):
+        v = min(da, db)
+        if v != last[0]:
+            with mp.extraprec(_TRIG_GUARD_BITS):
+                last[:] = v, *mp.cos_sin(v / 2)
+        _, c, s = last
+        return x ** m / two_fact * (c / s if da <= db else s / c)
+
+    return integrate_1d(f, 0, mp.pi, P, tol).value

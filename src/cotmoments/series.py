@@ -13,9 +13,9 @@ Three layers live here:
   the S families' outer terms against powers of z, one loop for both:
   K1(z) = sum_j b_odd(j) z^(2j) and K0(z) = sum_j b_even(j) z^j, so
   K1(1) = S_odd(0) and K0(1) = S_even(0).  An integral's finished value is
-  cached, one mpf per (kind, z, P), with z the mpf that the working
-  precision makes of the caller's z, so a repeat costs one lookup; the
-  power series are not cached, and an integral that raises caches nothing.
+  kept in the package's one store (``hpreal._value``) per (kind, z, P), with
+  z the mpf that the working precision makes of the caller's z, so a repeat
+  costs one lookup; the power series and a failed integral keep nothing.
 
 The S families and their inner tails are evaluated in fixed-point integer
 arithmetic: a value v is carried as the integer v * 2^fbits, floored.  The
@@ -62,8 +62,8 @@ from typing import Dict, List, NamedTuple, Tuple
 from mpmath import mp, mpf
 
 from .exact import bernoulli, cycle_count, euler_zigzag, partitions
-from .hpreal import (_DEFAULT_N, _SWEEP_BLOCK_BITS, Evaluation, _paired_sweep, _working,
-                     fixed_point_bits, zeta)
+from .hpreal import (_DEFAULT_N, _SWEEP_BLOCK_BITS, Evaluation, _paired_sweep, _value,
+                     _working, fixed_point_bits, zeta)
 from .quadrature import _WORK_GUARD, integrate_1d
 
 __all__ = [
@@ -453,17 +453,6 @@ def nested_tail_sums(kind: str, dmax: int, jmax: int, N: int, P: int):
 
 _SERIES_Z_MAX = 0.9  # beyond this the power series converge too slowly
 
-# the integrals' finished values per (kind, z, P), z as an mpf at the working
-# precision
-_kernel_cache: Dict[Tuple[str, mpf, int], mpf] = {}
-
-
-def _kernel_key(kind: str, z, P: int) -> Tuple[str, mpf, int]:
-    """The _kernel_cache key of the kind's kernel integral at (z, P)."""
-    with _working(P):
-        return kind, mpf(z), P
-
-
 def _kernel_series(kind: str, z: mpf, P: int) -> mpf:
     """K(z) = sum_{j >= j0} b(j) z^(a j), with b(j) the S family's outer term:
     the power of z steps with the inner root a j + c, so K1 runs over z^(2j)
@@ -547,11 +536,7 @@ def _kernel(kind: str, z, P: int, method: str, integral_fn, at_zero: mpf) -> mpf
                     f"kernel series: need z <= {_SERIES_Z_MAX} (got {mp.nstr(z, 8)});"
                     " use the integral method near 1")
             return +_kernel_series(kind, z, P)
-        key = _kernel_key(kind, z, P)
-        hit = _kernel_cache.get(key)
-        if hit is None:
-            hit = _kernel_cache[key] = +integral_fn(z, P)
-        return hit
+        return _value(("kernel", kind, z._mpf_, P), lambda: +integral_fn(z, P))
 
 
 def kernel_k1(z, P: int, method: str = "auto") -> mpf:

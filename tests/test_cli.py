@@ -78,6 +78,18 @@ def test_constants_zeta_one_rejected(capsys):
     assert code == 2
 
 
+def test_constants_eta_zero_rejected(capsys):
+    code, _, err = run_cli(["constants", "eta0"], capsys)
+    assert code == 2
+    assert "need s >= 1" in err
+
+
+def test_constants_ignore_the_tol(capsys):
+    plain = run_cli(["constants", "pi"], capsys)
+    assert plain[0] == 0
+    assert run_cli(["constants", "pi", "--tol", "-1"], capsys) == plain
+
+
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
@@ -440,8 +452,9 @@ def test_invalid_env_digits(monkeypatch, capsys):
 def test_config_validation(capsys):
     assert run_cli(["constants", "pi", "--digits", "5"], capsys)[0] == 2
     assert run_cli(["moments", "--m", "1", "--n", "3"], capsys)[0] == 2
-    assert run_cli(["constants", "pi", "--tol=-1e-5"], capsys)[0] == 2
-    assert run_cli(["constants", "pi", "--tol", "soon"], capsys)[0] == 2
+    # moments reads the tol; constants does not (test_constants_ignore_the_tol)
+    assert run_cli(["moments", "--m", "1", "--tol=-1e-5"], capsys)[0] == 2
+    assert run_cli(["moments", "--m", "1", "--tol", "soon"], capsys)[0] == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -486,6 +499,22 @@ def test_config_file_format_is_validated_like_the_flag(tmp_path, capsys):
     assert "--format must be one of json, csv, text, got 'xml'" in err
     # the flag still overrides the file
     assert run_cli(argv + ["--config", str(cfgfile), "--format", "csv"], capsys)[0] == 0
+
+
+_T0 = ["tables", "--which", "t0", "--kmax", "1", "--nmax", "2"]
+
+
+def test_tables_ignore_the_digits(monkeypatch, capsys):
+    plain = run_cli(_T0, capsys)
+    assert plain[0] == 0 and plain[1]
+    monkeypatch.setenv("COTMOMENTS_DIGITS", "5")
+    assert run_cli(_T0, capsys) == plain
+
+
+def test_tables_ignore_the_n(capsys):
+    plain = run_cli(_T0, capsys)
+    assert plain[0] == 0 and plain[1]
+    assert run_cli(_T0 + ["--n", "3"], capsys) == plain
 
 
 @pytest.mark.parametrize("value", [20.0, "20"])

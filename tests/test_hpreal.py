@@ -27,12 +27,13 @@ import pytest
 from mpmath import mp, mpf
 
 import cotmoments
-from cotmoments import moments, quadrature, series
+from cotmoments import hpreal, moments, quadrature, series
 from cotmoments.hpreal import (
     _ACCEL_RATE,
     MIN_DIGITS,
     _from_child,
     _in_halves,
+    _value,
     _working,
     eta,
     log2,
@@ -512,6 +513,68 @@ def test_in_halves_evaluates_a_failed_childs_half_here():
         # a work that fails in both processes raises here
         with pytest.raises(RuntimeError, match="the sibling failed"):
             _in_halves([partial(_reciprocal, 3), _raise])
+    _no_child_left()
+
+
+def _stored_pid(key):
+    # the pid of the process that first computes key, kept in the store
+    with _working(30):
+        return _value(("test", key), _pid)
+
+
+@needs_fork
+def test_in_halves_merges_the_entries_that_the_child_added(monkeypatch):
+    monkeypatch.setattr(hpreal, "_values", {})
+    works = [partial(_stored_pid, "here"), partial(eta, 3, 30),
+             partial(_stored_pid, "there"), partial(eta, 5, 30)]
+    with _deadline(60):
+        got = _in_halves(works)
+    assert got[0] == os.getpid() != got[2]
+    stored = hpreal._values
+    assert list(stored) == [("test", "here"), ("eta", 3, 30), ("test", "there"), ("eta", 5, 30)]
+    assert stored["test", "there"] == got[2]  # the child's own entry
+    with _working(30):
+        assert stored["eta", 5, 30]._mpf_ == hpreal._eta_sum(5, 30)._mpf_
+    _no_child_left()
+
+
+@needs_fork
+def test_in_halves_sends_back_no_entry_that_the_child_only_read(monkeypatch):
+    read = ("test", "read")
+    monkeypatch.setattr(hpreal, "_values", {read: mpf(1)})
+
+    def unread():  # here, after the fork: the entry leaves this store only
+        return hpreal._values.pop(read)
+
+    def reads():
+        with _working(30):
+            return _value(read, partial(mpf, 3))
+
+    with _deadline(60):
+        assert _in_halves([unread, reads, partial(_stored_pid, "there")])[:2] == [1, 1]
+    assert list(hpreal._values) == [("test", "there")]
+    assert hpreal._values["test", "there"] != os.getpid()
+    _no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("fails", ["raises", "killed"])
+def test_a_failed_child_merges_nothing_and_its_half_is_stored_here(fails, monkeypatch):
+    parent = os.getpid()
+    monkeypatch.setattr(hpreal, "_values", {})
+
+    def child_fails():
+        if os.getpid() != parent:
+            if fails == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("the child failed")
+        return mpf(0)
+
+    with _deadline(60):
+        got = _in_halves([partial(_stored_pid, "here"), partial(_stored_pid, "there"),
+                          child_fails])
+    assert got == [parent, parent, 0]
+    assert hpreal._values == {("test", "here"): parent, ("test", "there"): parent}
     _no_child_left()
 
 

@@ -481,9 +481,9 @@ def _constants_at(P):
 
 def test_fixed_point_constants_in_mixed_precision_threads_return_serial_values(monkeypatch):
     # both loops read their fixed-point bits from the precision of their scope
-    monkeypatch.setattr(hpreal, "_eta_cache", {})
+    monkeypatch.setattr(hpreal, "_values", {})
     serial = {P: _constants_at(P) for P in (15, 300)}
-    monkeypatch.setattr(hpreal, "_eta_cache", {})
+    monkeypatch.setattr(hpreal, "_values", {})
     precisions = (15, 300, 15, 300)
     results = {}
 
@@ -603,22 +603,22 @@ def test_run_suite_all_body_matches_the_frozen_copy():
 def test_suite_body_is_the_same_with_and_without_fork(suite, monkeypatch):
     # with os.fork a child evaluates half of the suite's integrals
     # (hpreal._in_halves); without it every integral runs here
-    bodies, cached = [], []
+    bodies, stores = [], []
     for fork in (True, False):
-        monkeypatch.setattr(quadrature, "_moment_cache", {})
-        monkeypatch.setattr(series, "_kernel_cache", {})
+        monkeypatch.setattr(hpreal, "_values", {})
         if not fork:
             monkeypatch.delattr(os, "fork")
         bodies.append(run_suite(suite, 30).to_json())
-        cached.append(len(quadrature._moment_cache) + len(series._kernel_cache))
+        stores.append({key: value._mpf_ for key, value in hpreal._values.items()})
     assert bodies[0] == bodies[1]
-    # the routes suite keeps the child's values here too
-    assert cached == ([0, 0] if suite == "consequences" else [16, 16])
+    # the routes suite keeps the child's store entries here too
+    assert stores[0] == stores[1]
+    integrals = sum(key[0] in ("moment", "kernel") for key in stores[0])
+    assert integrals == (0 if suite == "consequences" else 16)
 
 
 def test_a_second_routes_suite_integrates_nothing(monkeypatch):
-    monkeypatch.setattr(quadrature, "_moment_cache", {})
-    monkeypatch.setattr(series, "_kernel_cache", {})
+    monkeypatch.setattr(hpreal, "_values", {})
     first = run_suite("routes", 30).to_json()  # half of its integrals in a child
     calls = []
     for module in (quadrature, series):

@@ -17,7 +17,7 @@ import pytest
 from mpmath import mp, mpf
 
 import cotmoments
-from cotmoments import moments, quadrature, series
+from cotmoments import hpreal, moments, quadrature, series
 from cotmoments.hpreal import (_closed_form_tolerance, _working, _zeta_even_tolerance,
                                default_tolerance, eta, log2, pi)
 from cotmoments.quadrature import (
@@ -558,10 +558,15 @@ _SPLIT_CASES = {
 }
 
 
+def _stored(tag):
+    """How many values the package's store holds under keys tagged tag."""
+    return sum(key[0] == tag for key in hpreal._values)
+
+
 def _recording(monkeypatch):
-    """Empties the caches of finished moment and kernel values, and returns
-    a list that gets every QuadratureResult that integrate_1d returns from
-    then on, or the QuadratureError that it raises."""
+    """Empties the store of finished values, and returns a list that gets
+    every QuadratureResult that integrate_1d returns from then on, or the
+    QuadratureError that it raises."""
     results = []
 
     def recorded(*args):
@@ -572,8 +577,7 @@ def _recording(monkeypatch):
             raise
         return results[-1]
 
-    monkeypatch.setattr(quadrature, "_moment_cache", {})
-    monkeypatch.setattr(series, "_kernel_cache", {})
+    monkeypatch.setattr(hpreal, "_values", {})
     for module in (quadrature, series):
         monkeypatch.setattr(module, "integrate_1d", recorded)
     return results
@@ -581,7 +585,7 @@ def _recording(monkeypatch):
 
 def _results(monkeypatch, split_after, run):
     """Every QuadratureResult that run() gets from integrate_1d, with the
-    levels split after split_after seconds, from empty value caches."""
+    levels split after split_after seconds, from an empty value store."""
     monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", split_after)
     results = _recording(monkeypatch)
     run()
@@ -791,7 +795,7 @@ def test_a_kernel_integral_misses_on_any_other_kind_z_or_p(monkeypatch):
     assert _rule_runs(results, kernel_k1, "0.875", 31) == 1
     # the series branch neither reads nor fills the cache
     assert _rule_runs(results, kernel_k1, "0.5", 30) == 0
-    assert len(series._kernel_cache) == 6
+    assert _stored("kernel") == 6
 
 
 @pytest.mark.parametrize("case", sorted(_CACHED_CASES))
@@ -803,7 +807,7 @@ def test_a_failure_is_not_cached(case, monkeypatch):
             _CACHED_CASES[case](30)
     assert len(results) == 2
     assert all(isinstance(res, QuadratureError) for res in results)
-    assert quadrature._moment_cache == {} and series._kernel_cache == {}
+    assert _stored("moment") == _stored("kernel") == 0
 
 
 def test_threads_at_mixed_precisions_fill_the_caches_with_the_serial_values(monkeypatch):
