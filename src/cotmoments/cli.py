@@ -6,9 +6,9 @@ report), ``constants`` (print pi/log2/eta/zeta values).
 
 Configuration precedence: flags > COTMOMENTS_DIGITS environment variable >
 --config JSON file > built-in defaults (50 digits, N = 10^5, tol =
-10^-(digits-10)).  A command checks only the settings it reads.  Reports
-go to --out or stdout; progress and failures go to stderr so stdout stays
-machine-clean.
+10^-(digits-10)).  A command parses and checks only the settings it reads,
+from any source.  Reports go to --out or stdout; progress and failures go
+to stderr so stdout stays machine-clean.
 
 Exit codes: 0 all good, 1 identity/route disagreement, 2 usage error
 (an --out path that cannot be written is one; it is opened before the
@@ -112,7 +112,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         data = _load_config_file(args.config)
         for key in ("digits", "n"):
-            if key in data:
+            if key in data and key in args.reads:
                 value = data[key]
                 try:
                     # int() would read true as 1 and cut 30.7 to 30; 1e5 loads
@@ -127,7 +127,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             if key in data and data[key] is not None:
                 setattr(cfg, key, str(data[key]))
     env_digits = os.environ.get(ENV_DIGITS)
-    if env_digits:
+    if env_digits and "digits" in args.reads:
         try:
             cfg.digits = int(env_digits)
         except ValueError:

@@ -10,12 +10,13 @@ every computation at a precision runs inside ``_working(P)``, which refuses
 P < MIN_DIGITS, then holds a single re-entrant module lock while it sets the
 precision.  Scopes nest (a moment route calls eta), and the package's caches
 are read and filled only inside a scope, so the lock guards them too.  The
-finished values of eta, the moment integrals and the kernel integrals share
-one store, ``_values``, each under a tagged key that ``marshal`` can write
-(``_value``).  Calls
-from several threads at any mix of precisions return the values of a serial
-run; the work itself is serialised.  The tolerance rules live here too, and
-read the caller's precision under the same lock.
+costly results share one store, ``_values``, under tagged keys, in forms
+that ``marshal`` can write: eta and the moment, kernel and consequence
+integrals as ``_mpf_`` tuples (``_value``), the series sweeps as (depth,
+integers) (``_paired_sweep``).  Calls from several threads at any mix of
+precisions return the values of a serial run; the work itself is
+serialised.  The tolerance rules live here too, and read the caller's
+precision under the same lock.
 
 Work that can run on a second core goes through one helper,
 ``_from_child(work)``: the function ``work`` runs in a child made by
@@ -28,17 +29,16 @@ process's only thread.  When no value comes back (the child failed, or
 there is no ``os.fork``, or it failed, or other threads run) the caller
 does that work itself, so every value is the same either way.  A traced
 run sees only the parent's spans: what the child records is lost with it.
-It has three users:
+It has two users:
 
-* ``_paired_sweep``, the series routes' sweep cache, sweeps the odd/even
-  sibling of the asked-for kind in the child.
 * ``quadrature.integrate_1d`` evaluates the second half of a costly
   tanh-sinh level's node pairs in the child, and sums every contribution
   here, in the serial order.
-* ``_in_halves(works)`` evaluates the back half of a list of independent
-  mpf computations in the child and the front half here; the consequences
-  and routes suites get their quadrature values through it.  The child's
-  values, and the store entries it added, come back exactly.
+* ``_in_halves(works)`` runs the back half of a list of independent works
+  that fill the store in the child and the front half here, and the store
+  entries that the child added come back exactly.  The consequences and
+  routes suites fill their integrals through it, and ``_paired_sweep``
+  sweeps the odd/even sibling of the asked-for kind through it.
 
 The two series routes share no maths, but they share this layer's
 plumbing: the value record ``Evaluation`` that every route returns, the
@@ -65,7 +65,7 @@ import threading
 from contextlib import contextmanager
 from functools import partial
 from itertools import islice
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, NamedTuple, Optional, Sequence
 
 import mpmath
 from mpmath import mp, mpf
@@ -94,9 +94,11 @@ _SWEEP_BLOCK_BITS = 1 << 17  # a sweep block holds _SWEEP_BLOCK_BITS // fbits va
 
 _ACCEL_RATE = math.log(3 + math.sqrt(8))  # ~1.7627
 
-# the finished values: ("eta", s, P), ("moment", m, P, tol._mpf_) and
-# ("kernel", kind, z._mpf_, P)
-_values: Dict[tuple, mpf] = {}
+# the finished results, in forms that marshal can write: an _mpf_ tuple
+# under ("eta", s, P), ("moment", m, P, tol._mpf_), ("kernel", kind,
+# z._mpf_, P) or ("consequence", i, P, tol._mpf_); a sweep's (depth,
+# integers) under ("cfn" | "sums" | "tails", kind, N, fbits)
+_values: Dict[tuple, tuple] = {}
 
 _PRECISION_LOCK = threading.RLock()
 
@@ -118,12 +120,13 @@ class Evaluation(NamedTuple):
 
 
 def _value(key: tuple, compute: Callable[[], mpf]) -> mpf:
-    """The stored value under key, or compute()'s, which is stored; one
-    that raises stores nothing.  Callers hold the precision scope."""
+    """The stored value under key, or compute()'s, which is stored as its
+    ``_mpf_`` tuple; one that raises stores nothing.  Callers hold the
+    precision scope."""
     hit = _values.get(key)
     if hit is None:
-        hit = _values[key] = compute()
-    return hit
+        hit = _values[key] = compute()._mpf_
+    return mp.make_mpf(hit)
 
 
 def _require_digits(P: int) -> None:
@@ -339,66 +342,61 @@ def _from_child(work: Callable[[], object]) -> Iterator[Callable[[], object]]:
         os.waitpid(pid, 0)
 
 
-def _in_halves(works: Sequence[Callable[[], mpf]]) -> List[mpf]:
-    """[work() for work in works], for independent works that each return an
-    mpf: the back half, works[len(works) // 2:], is evaluated in a child
-    (``_from_child``) while this process evaluates the front half.  The
-    child sends its values back exactly, as ``_mpf_`` tuples, in one record
-    with the ``_values`` entries it added (those past the store's length at
-    the fork); they join this store unless it has the key.  When no record
-    comes back, this process evaluates the back half itself, after the
-    front half.  So the values are those of a serial run, and a work that
-    raises raises here, the front half's first.  Callers hold the precision
-    scope, and order works so that the two halves cost about the same."""
+def _in_halves(works: Sequence[Callable[[], object]]) -> None:
+    """Run works, independent calls that each fill the store: the back
+    half, works[len(works) // 2:], in a child (``_from_child``) while this
+    process runs the front half.  The child's one record holds the entries
+    it added, past the store's length at the fork (a deeper sweep that
+    replaces an entry keeps its dict position, so only keys new at the fork
+    are sent; ``_paired_sweep`` forks only when both its keys are missing).
+    They join this store unless it has the key.  With no record (no fork,
+    or the child failed) nothing joins, and a read of a back-half value
+    computes it here on its miss.  So the store holds a serial run's values,
+    and a front-half work that raises raises here.  Callers hold the
+    precision scope, read their values through the store, and order works
+    so that the two halves cost about the same."""
     half = len(works) // 2
-    back = works[half:]
 
     def child():
         start = len(_values)
-        sent = [work()._mpf_ for work in back]
-        return sent, [(key, value._mpf_) for key, value in islice(_values.items(), start, None)]
+        for work in works[half:]:
+            work()
+        return dict(islice(_values.items(), start, None))
 
     with _from_child(child) as fetch:
-        values = [work() for work in works[:half]]
-        record = fetch()
-    if record is None:
-        return values + [work() for work in back]
-    sent, added = record
-    for key, value in added:
-        _values.setdefault(key, mp.make_mpf(value))
-    return values + [mp.make_mpf(value) for value in sent]
+        for work in works[:half]:
+            work()
+        added = fetch() or {}
+    for key, value in added.items():
+        _values.setdefault(key, value)
 
 
-def _paired_sweep(cache: dict, sweep: Callable[..., object], kind, depth: int,
+def _paired_sweep(tag: str, sweep: Callable[..., object], kind, depth: int,
                   N: int, fbits: int, floors: dict) -> object:
-    """sweep(kind, d, N, fbits) for some d >= depth, cached in cache as
-    (d, result) per (kind, N, fbits): the series routes' one sweep cache.
+    """sweep(kind, d, N, fbits) for some d >= depth, kept in the store as
+    (d, result) under (tag, kind, N, fbits): the series routes' sweep cache.
 
     floors has two keys, kind and its odd/even sibling, and the suites ask
     for both at the same (N, fbits), each up to its floor depth.  So a miss
     at depth <= floors[kind], with the sibling's entry missing, sweeps kind
-    to its floor here and the sibling to its own floor at once in a forked
-    child (``_from_child``); if that child fails, or there is no fork, the
-    sibling stays uncached and is swept here when it is asked for.  Every
-    other miss sweeps kind alone, to max(depth, floors[kind]).  A sweep's
-    integers at a depth do not depend on how deep it ran, or where.  The
-    sweeps are plain integer code, which takes no lock.  Callers hold the
-    precision scope, whose lock guards the cache."""
-    key = (kind, N, fbits)
-    hit = cache.get(key)
+    to its floor here and the sibling to its own floor in a forked child
+    (``_in_halves``); if that child fails, or there is no fork, the sibling
+    stays unstored and is swept here when it is asked for.  Every other
+    miss sweeps kind alone, to max(depth, floors[kind]).  A sweep's integers at a depth do not depend on how deep
+    it ran, or where.  The sweeps are plain integer code, which takes no
+    lock.  Callers hold the precision scope, whose lock guards the store."""
+    key = (tag, kind, N, fbits)
+    hit = _values.get(key)
     if hit is not None and hit[0] >= depth:
         return hit[1]
+
+    def fill(kind, depth):
+        _values[tag, kind, N, fbits] = (depth, sweep(kind, depth, N, fbits))
+
     floor = floors[kind]
     sibling = next(other for other in floors if other != kind)
-    pair = (sibling, N, fbits)
-    if depth > floor or pair in cache:
-        depth = max(depth, floor)
-        cache[key] = (depth, sweep(kind, depth, N, fbits))
-        return cache[key][1]
-    with _from_child(partial(sweep, sibling, floors[sibling], N, fbits)) as fetch:
-        swept = sweep(kind, floor, N, fbits)
-        other = fetch()
-    cache[key] = (floor, swept)
-    if other is not None:
-        cache[pair] = (floors[sibling], other)
-    return swept
+    if depth > floor or (tag, sibling, N, fbits) in _values:
+        fill(kind, max(depth, floor))
+    else:
+        _in_halves([partial(fill, kind, floor), partial(fill, sibling, floors[sibling])])
+    return _values[key][1]

@@ -6,7 +6,7 @@ independent routes compute it:
 * eta-closed-form — the finite linear combination of eta/zeta values at odd
   integers (exact modulo the constants' own precision);
 * cfn-series — the central-binomial series whose coefficients are the exact
-  H-triangles, summed in fixed-point integers by one cached, blocked sweep
+  H-triangles, summed in fixed-point integers by one stored, blocked sweep
   per parity; its bound is a proved tail plus an estimated fixed-point
   allowance;
 * nested-series — pi-power combinations of the S_odd/S_even suffix-nested
@@ -16,10 +16,10 @@ independent routes compute it:
 No route shares code with another past the constants layer, which is what
 makes the cross-route agreement checks in `run_suite` meaningful.  That
 layer (``hpreal``) holds the plumbing the routes do share: every route
-returns an ``hpreal.Evaluation``, both series routes cache their
-odd/even sweeps through ``hpreal._paired_sweep``, and the consequences and
-routes suites evaluate their independent integrals half in a forked child
-through ``hpreal._in_halves``, with bit-identical values.
+returns an ``hpreal.Evaluation``, both series routes keep their odd/even
+sweeps in the one store through ``hpreal._paired_sweep``, and the
+consequences and routes suites fill it with their independent integrals,
+half in a forked child, through ``hpreal._in_halves``, bit for bit.
 
 The consequence identities 2 and 4 are double integrals over the unit
 square, and their inner integral is one of the central-binomial kernels
@@ -39,15 +39,15 @@ import math
 from functools import partial
 from itertools import accumulate, count, repeat
 from operator import floordiv, mul
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from mpmath import mp, mpf
 
 from . import cfn
 from .hpreal import (_DEFAULT_DIGITS, _DEFAULT_N, _SWEEP_BLOCK_BITS, GUARD_DIGITS, Evaluation,
                      _closed_form_tolerance, _in_halves, _paired_sweep, _require_digits,
-                     _tolerance, _working, _zeta_even_tolerance, default_tolerance, eta,
-                     fixed_point_bits, zeta, zeta_even_closed)
+                     _tolerance, _value, _working, _zeta_even_tolerance, default_tolerance,
+                     eta, fixed_point_bits, zeta, zeta_even_closed)
 from .quadrature import _WORK_GUARD, integrate_1d, moment_quadrature
 from .report import VerificationReport
 from .series import (
@@ -125,9 +125,6 @@ def c_eta_route(m: int, P: int) -> Evaluation:
 # ---------------------------------------------------------------------------
 # route 2: central-binomial series with exact H-triangle coefficients
 # ---------------------------------------------------------------------------
-
-# maps (parity, N, fbits) to (kmax, the sweep's sums at depths <= kmax)
-_cfn_cache: Dict[Tuple[int, int, int], Tuple[int, List[int]]] = {}
 
 # The integers that tell the parities apart, per parity (j0, a, c, e, f, s,
 # r): the sum runs from j = j0; the H-row root a i + c steps the strict
@@ -209,7 +206,7 @@ def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> Evaluation:
 
     summed to N terms in fixed-point integers (the H-values are built by
     their strict-prefix recurrences in the same sweep, never as rationals).
-    One sweep per (parity, N, fbits), cached by ``hpreal._paired_sweep``
+    One sweep per (parity, N, fbits), stored by ``hpreal._paired_sweep``
     with the floors _CFN_FLOORS, serves every m of a parity.  The bound is
     the proved tail below plus the fixed-point allowance (k + 3) (N + 1)
     2^-fbits, an estimate that the sweep's floors measure below 0.29 of
@@ -233,7 +230,7 @@ def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> Evaluation:
     fbits = fixed_point_bits(P)
     k, parity = divmod(m, 2)          # m = 2k+1 or m = 2k
     with _working(P):
-        total = _paired_sweep(_cfn_cache, _cfn_sweep, parity, k, N, fbits, _CFN_FLOORS)[k]
+        total = _paired_sweep("cfn", _cfn_sweep, parity, k, N, fbits, _CFN_FLOORS)[k]
         unit = mpf(2) ** (-fbits)
         scale = mpf(2 ** (2 * k + 1) if parity else 1)
         value = +(total * unit * scale)
@@ -458,10 +455,12 @@ def verify_consequences(P: int, N: int = _DEFAULT_N, tol=None) -> VerificationRe
     consequence-{2,4}/kernel checks hold that series against the series
     layer's K1/K0 power series.
 
-    The four 1-D integrals are independent, so they come from two
-    processes (``hpreal._in_halves``): _ci2 and _ci3 here, _ci1 and _ci4
-    in a forked child, which sends its values back exactly.  Every value,
-    and so the report, is bit-identical to a serial run's."""
+    The four 1-D integrals are independent, so they fill the package's
+    store, under ("consequence", i, P, tol), from two processes
+    (``hpreal._in_halves``): _ci2 and _ci3 here, _ci1 and _ci4 in a forked
+    child, which sends its entries back exactly.  The checks read them from
+    the store, so every value, and so the report, is bit-identical to a
+    serial run's, and a repeat of the suite integrates nothing."""
     if N < 1:
         raise ValueError(f"verify_consequences: need N >= 1, got {N}")
     report = VerificationReport("consequences", config={"digits": P, "N": N})
@@ -486,16 +485,17 @@ def verify_consequences(P: int, N: int = _DEFAULT_N, tol=None) -> VerificationRe
         def quadrature_value(integrand):
             return integrate_1d(integrand, 0, 1, P, tol_q).value
 
+        quads = [partial(_value, ("consequence", i, P, tol_q._mpf_),
+                         partial(quadrature_value, row[4]))
+                 for i, row in enumerate(rows, start=1)]
         # _ci2 and _ci3 here, _ci1 and _ci4 in a child: about the same cost
-        order = (1, 2, 0, 3)
-        quads = dict(zip(order, _in_halves([partial(quadrature_value, rows[i][4])
-                                            for i in order])))
+        _in_halves([quads[i] for i in (1, 2, 0, 3)])
         for i, (closed, s_fn, l, sign, _) in enumerate(rows, start=1):
             anchor = _CONSEQUENCE_ANCHORS[i]
             sv = s_fn(l, P, N)
             report.add_numeric(f"consequence-{i}/nested-vs-closed", anchor,
                                sign * sv.value, closed, tol=sv.error_bound, fmt=fmt)
-            quad = quads[i - 1]
+            quad = quads[i - 1]()
             report.add_numeric(f"consequence-{i}/quadrature-vs-closed", anchor,
                                quad, closed, tol=tol_q, fmt=fmt)
             if i == 1:
@@ -680,10 +680,10 @@ def _suite_routes(P: int, N: int, tol) -> VerificationReport:
     their integrals at z = 0.25, 0.5, 0.75 and their values at z = 1.
 
     The 8 moment integrals and the 8 kernel integrals are independent, so
-    they come from two processes (``hpreal._in_halves``): half here and
-    half in a forked child, which sends its values and store entries back
-    exactly.  So the report is bit-identical to a serial run's, and all
-    16 values stay in this process's store."""
+    they fill the package's store from two processes (``hpreal._in_halves``):
+    half here and half in a forked child, which sends its store entries
+    back exactly.  The checks read all 16 from the store, so the report is
+    bit-identical to a serial run's."""
     report = VerificationReport("routes", config={"digits": P, "N": N})
     fmt = _fmt(P)
     # the kernels' odd and even rows: the check name, the kernel and the
@@ -703,7 +703,8 @@ def _suite_routes(P: int, N: int, tol) -> VerificationReport:
             for z in zs:
                 for name, kernel, _ in kernels:
                     works[name, z] = partial(kernel, z, P, method="integral")
-        value = dict(zip(works, _in_halves(list(works.values()))))
+        _in_halves(list(works.values()))
+        value = {name: work() for name, work in works.items()}
         ref = {m: c_eta_route(m, P).value for m in range(1, 9)}
         for m in range(1, 9):
             report.add_numeric(

@@ -34,11 +34,11 @@ B_l(N) of B_0(i) = sum_{j<=i} b(j), B_d(i) = B_d(i-1) + B_{d-1}(i) w(i).  So
 one forward sweep streams b(j) by its term ratio and updates all depths at
 once, with no tails and no per-depth dot product.  Both sweeps run over
 blocks of j, each depth a C-level column pass, and return the same integers
-as per-j loops.  Each is cached per (kind, N, fbits) by
-``hpreal._paired_sweep``, with the floor depth 2 for both kinds, as the S
-values are asked for at depths 0, 1 and 2: a miss at depth <= 2 sweeps
-both kinds to depth 2 at once, the other kind in a forked child.  Every
-value here is an ``hpreal.Evaluation``.
+as per-j loops.  Each is kept in the package's one store under ("sums" |
+"tails", kind, N, fbits) by ``hpreal._paired_sweep``, with the floor depth
+2 for both kinds, as the S values are asked for at depths 0, 1 and 2: a
+miss at depth <= 2 sweeps both kinds to depth 2 at once, the other kind in
+a forked child.  Every value here is an ``hpreal.Evaluation``.
 
 A depth step times w = 1/q, q = (a i + c)^2, is the one exact floor x // q
 by the small integer q, losing < 2^-fbits, so the fixed-point error grows
@@ -257,7 +257,7 @@ def r_truncated_nested(k: int, kind: str, P: int, N: int = 10000) -> Evaluation:
         raise ValueError(f"r_truncated_nested: need N >= 1, got {N}")
     fbits = fixed_point_bits(P)
     with _working(P):
-        tails = _paired_sweep(_tails_cache, _tails_sweep, kind, k, N, fbits, _S_FLOORS)
+        tails = _paired_sweep("tails", _tails_sweep, kind, k, N, fbits, _S_FLOORS)
         unit, _, w_tail = _nested_family(kind, N, fbits)
         V = [v * unit for v in tails[_FAMILIES[kind].j0]]
         U = mpf(1)
@@ -278,10 +278,6 @@ _TAIL_RECORD_MAX = 24  # suffix tails T_d(j) are kept for j up to here
 # the S values are asked for at depths 0, 1 and 2, so a sweep covers depth 2;
 # the two keys are the odd/even pair (``hpreal._paired_sweep``)
 _S_FLOORS = {"odd": 2, "even": 2}
-
-# each maps (kind, N, fbits) to (lmax, the sweep's result at depths <= lmax)
-_sums_cache: Dict[Tuple[str, int, int], Tuple[int, List[int]]] = {}
-_tails_cache: Dict[Tuple[str, int, int], Tuple[int, Dict[int, List[int]]]] = {}
 
 
 def _sums_sweep(kind: str, lmax: int, N: int, fbits: int) -> List[int]:
@@ -382,7 +378,7 @@ def _s_value(kind: str, l: int, P: int, N: int) -> Evaluation:
         raise ValueError(f"s_{kind}: need N >= 1, got {N}")
     fbits = fixed_point_bits(P)
     with _working(P):
-        sums = _paired_sweep(_sums_cache, _sums_sweep, kind, l, N, fbits, _S_FLOORS)
+        sums = _paired_sweep("sums", _sums_sweep, kind, l, N, fbits, _S_FLOORS)
         unit, inner_full, w_tail = _nested_family(kind, N, fbits)
         value = sums[l] * unit
         b_sum = sums[0] * unit                            # sum of b(j), j <= N
@@ -420,7 +416,7 @@ def s_even(l: int, P: int, N: int = _DEFAULT_N) -> Evaluation:
 def nested_tail_sums(kind: str, dmax: int, jmax: int, N: int, P: int):
     """Suffix tails T_d(j) for d <= dmax, j <= jmax, truncated at N.
 
-    The tails come from the backward tails sweep, cached per (kind, N,
+    The tails come from the backward tails sweep, kept per (kind, N,
     fbits) with ``r_truncated_nested``'s; no S sum is computed for them.
     Returns (table, bounds): table[j][d] is the truncated T_d(j) as an mpf
     (j starts at 0 for the odd family, 1 for the even one), and bounds[d] is
@@ -438,7 +434,7 @@ def nested_tail_sums(kind: str, dmax: int, jmax: int, N: int, P: int):
         raise ValueError(f"nested_tail_sums: need N > jmax, got N={N}")
     fbits = fixed_point_bits(P)
     with _working(P):
-        tails = _paired_sweep(_tails_cache, _tails_sweep, kind, dmax, N, fbits, _S_FLOORS)
+        tails = _paired_sweep("tails", _tails_sweep, kind, dmax, N, fbits, _S_FLOORS)
         unit, inner_full, w_tail = _nested_family(kind, N, fbits)
         table = {j: [v * unit for v in tails[j][: dmax + 1]]
                  for j in range(_FAMILIES[kind].j0, jmax + 1)}

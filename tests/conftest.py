@@ -9,10 +9,10 @@ import pytest
 
 @pytest.fixture(autouse=True)
 def no_child_outlives_a_test():
-    """The series routes' sweep cache (``hpreal._paired_sweep``) may sweep a
-    sibling in a forked child, ``quadrature.integrate_1d`` may evaluate
-    half of a level in one, and ``hpreal._in_halves`` half of a suite's
-    integrals; all go through ``hpreal._from_child``.  Every
+    """``hpreal._in_halves`` may run half of a suite's integrals, or the
+    sibling of a series sweep, in a forked child, and
+    ``quadrature.integrate_1d`` half of a level in one; both go through
+    ``hpreal._from_child``.  Every
     such child must be reaped by the call that made it, so none is left,
     running or finished, when a test ends."""
     yield

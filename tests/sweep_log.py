@@ -7,9 +7,11 @@ from __future__ import annotations
 import json
 import os
 
+from cotmoments import hpreal
 
-def _log_sweeps(monkeypatch, module, name, cache, path):
-    """Route module.<name> through a counter on an empty cache that appends
+
+def _log_sweeps(monkeypatch, module, name, path):
+    """Route module.<name> through a counter on an empty store that appends
     [pid, first two arguments] to the file path, one line per call, so a
     sweep run in a forked child is counted too.  Returns a reader of the
     calls, this process's first, each side in call order."""
@@ -20,7 +22,7 @@ def _log_sweeps(monkeypatch, module, name, cache, path):
             fh.write(json.dumps([os.getpid(), *args[:2]]) + "\n")
         return sweep(*args)
 
-    monkeypatch.setattr(module, cache, {})
+    monkeypatch.setattr(hpreal, "_values", {})
     monkeypatch.setattr(module, name, counted)
 
     def calls():

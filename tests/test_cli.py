@@ -90,6 +90,16 @@ def test_constants_ignore_the_tol(capsys):
     assert run_cli(["constants", "pi", "--tol", "-1"], capsys) == plain
 
 
+def test_constants_ignore_the_n(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": "x"}))
+    plain = run_cli(["constants", "pi"], capsys)
+    assert plain[0] == 0
+    assert run_cli(["constants", "pi", "--config", str(bad)], capsys) == plain
+    # moments reads the n, so the same file still fails there
+    assert run_cli(["moments", "--m", "1", "--config", str(bad)], capsys)[0] == 2
+
+
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
@@ -154,8 +164,8 @@ def test_moments_sweeps_once_per_parity(monkeypatch, capsys, tmp_path):
     # the deepest m is computed first, so each route's cached sweep of a
     # parity serves every shallower m of it; those misses are deeper than
     # the suites' range, so no sibling is swept in a child
-    cfn_calls = _log_sweeps(monkeypatch, moments, "_cfn_sweep", "_cfn_cache", tmp_path / "cfn")
-    s_calls = _log_sweeps(monkeypatch, series, "_sums_sweep", "_sums_cache", tmp_path / "sums")
+    cfn_calls = _log_sweeps(monkeypatch, moments, "_cfn_sweep", tmp_path / "cfn")
+    s_calls = _log_sweeps(monkeypatch, series, "_sums_sweep", tmp_path / "sums")
     code, out, _ = run_cli(["moments", "--m", "1..12", "--route", "cfn,nested",
                             "--digits", "30", "--n", "2000"], capsys)
     assert code == 0
@@ -504,11 +514,18 @@ def test_config_file_format_is_validated_like_the_flag(tmp_path, capsys):
 _T0 = ["tables", "--which", "t0", "--kmax", "1", "--nmax", "2"]
 
 
-def test_tables_ignore_the_digits(monkeypatch, capsys):
+def test_tables_ignore_the_digits(monkeypatch, tmp_path, capsys):
     plain = run_cli(_T0, capsys)
     assert plain[0] == 0 and plain[1]
-    monkeypatch.setenv("COTMOMENTS_DIGITS", "5")
-    assert run_cli(_T0, capsys) == plain
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"digits": "abc"}))
+    assert run_cli(_T0 + ["--config", str(bad)], capsys) == plain
+    # moments reads the digits, so the same file and variable still fail there
+    assert run_cli(["moments", "--m", "1", "--config", str(bad)], capsys)[0] == 2
+    for digits in ("5", "abc"):
+        monkeypatch.setenv("COTMOMENTS_DIGITS", digits)
+        assert run_cli(_T0, capsys) == plain
+        assert run_cli(["moments", "--m", "1"], capsys)[0] == 2
 
 
 def test_tables_ignore_the_n(capsys):

@@ -400,12 +400,12 @@ def test_a_failed_sibling_sweep_stays_uncached(monkeypatch):
             raise RuntimeError("the sibling failed")
         return sweep(parity, *args)
 
-    monkeypatch.setattr(moments, "_cfn_cache", {})
+    monkeypatch.setattr(hpreal, "_values", {})
     expected = moments.c_cfn_route(1, 30, 2000)
-    monkeypatch.setattr(moments, "_cfn_cache", {})
+    monkeypatch.setattr(hpreal, "_values", {})
     monkeypatch.setattr(moments, "_cfn_sweep", odd_only)
     assert moments.c_cfn_route(1, 30, 2000) == expected
-    assert sorted(moments._cfn_cache) == [(1, 2000, 140)]
+    assert list(hpreal._values) == [("cfn", 1, 2000, 140)]
 
 
 @needs_fork
@@ -451,8 +451,7 @@ def _fork_fails():
 @pytest.mark.parametrize("no_fork", ["raises", "missing"])
 def test_without_fork_only_the_asked_for_sweep_runs_here(no_fork, monkeypatch):
     cfn_sweep, sums_sweep = moments._cfn_sweep, series._sums_sweep
-    monkeypatch.setattr(moments, "_cfn_cache", {})
-    monkeypatch.setattr(series, "_sums_cache", {})
+    monkeypatch.setattr(hpreal, "_values", {})
     expected = moments.c_cfn_route(1, 30, 2000), series.s_even(0, 30, 2000)
     if no_fork == "raises":
         monkeypatch.setattr(os, "fork", _fork_fails)
@@ -466,14 +465,13 @@ def test_without_fork_only_the_asked_for_sweep_runs_here(no_fork, monkeypatch):
         calls.append((os.getpid(), *args[:2]))
         return sweep(*args)
 
-    monkeypatch.setattr(moments, "_cfn_cache", {})
-    monkeypatch.setattr(series, "_sums_cache", {})
+    monkeypatch.setattr(hpreal, "_values", {})
     monkeypatch.setattr(moments, "_cfn_sweep", partial(counted, cfn_sweep))
     monkeypatch.setattr(series, "_sums_sweep", partial(counted, sums_sweep))
     assert (moments.c_cfn_route(1, 30, 2000), series.s_even(0, 30, 2000)) == expected
     assert calls == [(os.getpid(), 1, 2), (os.getpid(), "even", 2)]
-    assert moments._cfn_cache == {(1, 2000, 140): (2, cfn_sweep(1, 2, 2000, 140))}
-    assert series._sums_cache == {("even", 2000, 140): (2, sums_sweep("even", 2, 2000, 140))}
+    assert hpreal._values == {("cfn", 1, 2000, 140): (2, cfn_sweep(1, 2, 2000, 140)),
+                              ("sums", "even", 2000, 140): (2, sums_sweep("even", 2, 2000, 140))}
 
 
 def _reciprocal(k):
@@ -486,40 +484,61 @@ def _pid():
     return mpf(os.getpid())
 
 
+def _kept(key, compute):
+    # compute()'s value, kept in the store under ("test", key)
+    with _working(30):
+        return _value(("test", key), compute)
+
+
+def _stored_pid(key):
+    # the pid of the process that first computes key, kept in the store
+    return _kept(key, _pid)
+
+
+def _stored(key):
+    return mp.make_mpf(hpreal._values["test", key])
+
+
 @needs_fork
-def test_in_halves_returns_the_serial_values_in_order():
-    works = [partial(_reciprocal, k) for k in range(3, 10)]  # the child takes 4 of 7
-    serial = [work()._mpf_ for work in works]
+def test_in_halves_returns_the_serial_values_in_order(monkeypatch):
+    monkeypatch.setattr(hpreal, "_values", {})
+    serial = [_reciprocal(k)._mpf_ for k in range(3, 10)]
     with _deadline(60):
-        assert [value._mpf_ for value in _in_halves(works)] == serial
-        here, *there = _in_halves([_pid, _pid, _pid])
-    assert here == os.getpid()
-    assert there[0] == there[1] != os.getpid()
+        # the child takes 4 of 7
+        assert _in_halves([partial(_kept, k, partial(_reciprocal, k)) for k in range(3, 10)]) is None
+        _in_halves([partial(_stored_pid, "a"), partial(_stored_pid, "b"),
+                    partial(_stored_pid, "c")])
+    keys = [("test", k) for k in range(3, 10)]
+    assert list(hpreal._values)[:7] == keys
+    assert [hpreal._values[key] for key in keys] == serial
+    assert _stored("a") == os.getpid()
+    assert _stored("b") == _stored("c") != os.getpid()
     _no_child_left()
 
 
 @needs_fork
-def test_in_halves_evaluates_a_failed_childs_half_here():
+def test_in_halves_evaluates_a_failed_childs_half_here(monkeypatch):
     parent = os.getpid()
+    monkeypatch.setattr(hpreal, "_values", {})
 
     def here_only(k):
         if os.getpid() != parent:
             raise RuntimeError("the child failed")
         return _reciprocal(k)
 
+    reads = [partial(_kept, k, partial(here_only, k)) for k in range(3, 7)]
     with _deadline(60):
-        got = _in_halves([partial(here_only, k) for k in range(3, 7)])
-        assert [value._mpf_ for value in got] == [_reciprocal(k)._mpf_ for k in range(3, 7)]
-        # a work that fails in both processes raises here
+        _in_halves(reads)
+        assert list(hpreal._values) == [("test", 3), ("test", 4)]
+        # the reads compute the failed child's half here
+        assert [read()._mpf_ for read in reads] == [_reciprocal(k)._mpf_ for k in range(3, 7)]
+        # a work that fails in both processes raises here, when it is read
+        reads = [partial(_kept, "three", partial(_reciprocal, 3)), partial(_kept, "fails", _raise)]
+        _in_halves(reads)
         with pytest.raises(RuntimeError, match="the sibling failed"):
-            _in_halves([partial(_reciprocal, 3), _raise])
+            reads[1]()
+    assert ("test", "fails") not in hpreal._values
     _no_child_left()
-
-
-def _stored_pid(key):
-    # the pid of the process that first computes key, kept in the store
-    with _working(30):
-        return _value(("test", key), _pid)
 
 
 @needs_fork
@@ -528,32 +547,32 @@ def test_in_halves_merges_the_entries_that_the_child_added(monkeypatch):
     works = [partial(_stored_pid, "here"), partial(eta, 3, 30),
              partial(_stored_pid, "there"), partial(eta, 5, 30)]
     with _deadline(60):
-        got = _in_halves(works)
-    assert got[0] == os.getpid() != got[2]
+        _in_halves(works)
     stored = hpreal._values
     assert list(stored) == [("test", "here"), ("eta", 3, 30), ("test", "there"), ("eta", 5, 30)]
-    assert stored["test", "there"] == got[2]  # the child's own entry
+    assert _stored("here") == os.getpid() != _stored("there")  # the child's own entry
     with _working(30):
-        assert stored["eta", 5, 30]._mpf_ == hpreal._eta_sum(5, 30)._mpf_
+        assert stored["eta", 5, 30] == hpreal._eta_sum(5, 30)._mpf_
     _no_child_left()
 
 
 @needs_fork
 def test_in_halves_sends_back_no_entry_that_the_child_only_read(monkeypatch):
     read = ("test", "read")
-    monkeypatch.setattr(hpreal, "_values", {read: mpf(1)})
+    monkeypatch.setattr(hpreal, "_values", {read: mpf(1)._mpf_})
+    popped = []
 
     def unread():  # here, after the fork: the entry leaves this store only
-        return hpreal._values.pop(read)
+        popped.append(hpreal._values.pop(read))
 
     def reads():
-        with _working(30):
-            return _value(read, partial(mpf, 3))
+        return _value(read, partial(mpf, 3))
 
     with _deadline(60):
-        assert _in_halves([unread, reads, partial(_stored_pid, "there")])[:2] == [1, 1]
-    assert list(hpreal._values) == [("test", "there")]
-    assert hpreal._values["test", "there"] != os.getpid()
+        _in_halves([unread, partial(_kept, "there", reads)])
+    assert popped == [mpf(1)._mpf_]
+    # the child read 1, stored it under a key of its own and sent only that
+    assert hpreal._values == {("test", "there"): mpf(1)._mpf_}
     _no_child_left()
 
 
@@ -570,11 +589,13 @@ def test_a_failed_child_merges_nothing_and_its_half_is_stored_here(fails, monkey
             raise RuntimeError("the child failed")
         return mpf(0)
 
+    works = [partial(_stored_pid, "here"), partial(_stored_pid, "there"), child_fails]
     with _deadline(60):
-        got = _in_halves([partial(_stored_pid, "here"), partial(_stored_pid, "there"),
-                          child_fails])
-    assert got == [parent, parent, 0]
-    assert hpreal._values == {("test", "here"): parent, ("test", "there"): parent}
+        _in_halves(works)
+    assert list(hpreal._values) == [("test", "here")]
+    assert [work() for work in works] == [parent, parent, 0]
+    assert hpreal._values == {("test", "here"): mpf(parent)._mpf_,
+                              ("test", "there"): mpf(parent)._mpf_}
     _no_child_left()
 
 
@@ -593,7 +614,8 @@ def _fd_paths():
                 raise RuntimeError("the child failed")
             return _reciprocal(5)
 
-        assert len(_in_halves([partial(_reciprocal, 3), here_only])) == 2
+        _in_halves([partial(_reciprocal, 3), here_only])
+        assert here_only() == _reciprocal(5)
 
     def level_split():
         assert quadrature.integrate_1d(lambda x, da, db: mp.cos(x), 0, 1, 30).levels > 2
@@ -637,20 +659,24 @@ def test_in_halves_with_a_second_thread_runs_every_work_here(monkeypatch):
     def no_fork():
         raise AssertionError("forked while another thread runs")
 
-    works = [partial(_reciprocal, k) for k in range(3, 7)]
-    serial = [work()._mpf_ for work in works]
+    serial = [_reciprocal(k)._mpf_ for k in range(3, 7)]
+    monkeypatch.setattr(hpreal, "_values", {})
     monkeypatch.setattr(os, "fork", no_fork, raising=False)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
+    reads = [partial(_kept, k, partial(_reciprocal, k)) for k in range(3, 7)]
+    pids = [partial(_stored_pid, "a"), partial(_stored_pid, "b")]
     try:
-        got = _in_halves(works)
-        pids = _in_halves([_pid, _pid])
+        _in_halves(reads)
+        _in_halves(pids)
+        # no child: the back halves are left to the reads, which run here
+        assert list(hpreal._values) == [("test", 3), ("test", 4), ("test", "a")]
+        assert [read()._mpf_ for read in reads] == serial
+        assert [pid() for pid in pids] == [os.getpid()] * 2
     finally:
         release.set()
         other.join()
-    assert [value._mpf_ for value in got] == serial
-    assert pids == [os.getpid()] * 2
 
 
 @needs_fork
@@ -670,18 +696,23 @@ def test_in_halves_reraises_the_front_halfs_error_and_reaps_the_child():
 
 
 def test_one_function_forks_pipes_kills_and_reaps():
-    # the sweep cache and the quadrature level split share one process path,
-    # and the wire format has one home
+    # the suite halves (and through them the sibling sweep) and the
+    # quadrature level split share one process path, and the wire format
+    # has one home
     package = pathlib.Path(cotmoments.__file__).parent
     process_calls = {"fork", "pipe", "kill", "waitpid", "_exit"}
-    users = set()
+    users, callers = set(), set()
     for path in sorted(package.glob("*.py")):
         # each top-level statement, so a function nested in one counts as it
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.name}:{getattr(stmt, 'name', '<module>')}"
             for node in ast.walk(stmt):
                 named = (node.attr if isinstance(node, ast.Attribute)
                          and getattr(node.value, "id", None) == "os"
                          else node.value if isinstance(node, ast.Constant) else None)
                 if named in process_calls or getattr(node, "id", None) == "marshal":
-                    users.add(f"{path.name}:{getattr(stmt, 'name', '<module>')}")
+                    users.add(where)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_from_child":
+                    callers.add(where)
     assert users == {"hpreal.py:_from_child"}
+    assert callers == {"hpreal.py:_in_halves", "quadrature.py:_level_contributions"}

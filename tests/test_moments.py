@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import inspect
 import json
+import marshal
 import os
 import pathlib
 import random
@@ -148,7 +149,7 @@ def test_cfn_route_rejects_tiny_truncation():
 
 
 def _count_cfn_sweeps(monkeypatch):
-    """Empty the cfn sweep cache and record the arguments of every sweep."""
+    """Empty the store and record the arguments of every cfn sweep."""
     calls = []
     sweep = moments._cfn_sweep
 
@@ -156,7 +157,7 @@ def _count_cfn_sweeps(monkeypatch):
         calls.append(args)
         return sweep(*args)
 
-    monkeypatch.setattr(moments, "_cfn_cache", {})
+    monkeypatch.setattr(hpreal, "_values", {})
     monkeypatch.setattr(moments, "_cfn_sweep", counted)
     return calls
 
@@ -186,7 +187,7 @@ def test_cfn_deeper_m_resweeps_a_shallow_entry(monkeypatch, shallow, deep):
 
 
 def test_routes_suite_runs_one_cfn_sweep_per_parity(monkeypatch, tmp_path):
-    calls = _log_sweeps(monkeypatch, moments, "_cfn_sweep", "_cfn_cache", tmp_path / "cfn")
+    calls = _log_sweeps(monkeypatch, moments, "_cfn_sweep", tmp_path / "cfn")
     assert run_suite("routes", 30).all_passed
     assert [(parity, kmax) for _, parity, kmax in calls()] == [(1, 2), (0, 3)]
     # the even sweep ran beside the odd one, in a child
@@ -195,8 +196,8 @@ def test_routes_suite_runs_one_cfn_sweep_per_parity(monkeypatch, tmp_path):
 
 def test_ascending_series_routes_sweep_once_per_parity_and_kind(monkeypatch, tmp_path):
     # the series routes for m = 1..6 in ascending order, one m at a time
-    cfn_calls = _log_sweeps(monkeypatch, moments, "_cfn_sweep", "_cfn_cache", tmp_path / "cfn")
-    s_calls = _log_sweeps(monkeypatch, series, "_sums_sweep", "_sums_cache", tmp_path / "sums")
+    cfn_calls = _log_sweeps(monkeypatch, moments, "_cfn_sweep", tmp_path / "cfn")
+    s_calls = _log_sweeps(monkeypatch, series, "_sums_sweep", tmp_path / "sums")
     for m in range(1, 7):
         c_cfn_route(m, 30, 2000)
         c_nested_route(m, 30, 2000)
@@ -207,20 +208,21 @@ def test_ascending_series_routes_sweep_once_per_parity_and_kind(monkeypatch, tmp
 
 
 def test_a_shallow_miss_fills_both_parities_and_kinds_with_the_serial_integers(monkeypatch):
-    for module, cache in ((moments, "_cfn_cache"), (series, "_sums_cache"),
-                          (series, "_tails_cache")):
-        monkeypatch.setattr(module, cache, {})
+    monkeypatch.setattr(hpreal, "_values", {})
     series.s_odd(0, 30, 2000)
     series.nested_tail_sums("odd", 2, 10, 2000, 30)
     c_cfn_route(1, 30, 2000)
-    for cache, sweep in ((series._sums_cache, series._sums_sweep),
-                         (series._tails_cache, series._tails_sweep)):
-        assert sorted(cache) == [("even", 2000, 140), ("odd", 2000, 140)]
-        for (kind, N, fbits), (lmax, swept) in cache.items():
+
+    def entries(tag):
+        return {key[1:]: entry for key, entry in hpreal._values.items() if key[0] == tag}
+
+    for tag, sweep in (("sums", series._sums_sweep), ("tails", series._tails_sweep)):
+        assert sorted(entries(tag)) == [("even", 2000, 140), ("odd", 2000, 140)]
+        for (kind, N, fbits), (lmax, swept) in entries(tag).items():
             assert lmax == 2
             assert swept == sweep(kind, 2, N, fbits), kind
-    assert sorted(moments._cfn_cache) == [(0, 2000, 140), (1, 2000, 140)]
-    for (parity, N, fbits), (kmax, swept) in moments._cfn_cache.items():
+    assert sorted(entries("cfn")) == [(0, 2000, 140), (1, 2000, 140)]
+    for (parity, N, fbits), (kmax, swept) in entries("cfn").items():
         assert kmax == (6 - parity) // 2
         assert swept == moments._cfn_sweep(parity, kmax, N, fbits), parity
 
@@ -443,6 +445,7 @@ def test_consequences_use_no_2d_rule(monkeypatch):
         return res
 
     monkeypatch.setattr(moments, "integrate_1d", counted)
+    monkeypatch.setattr(hpreal, "_values", {})  # the suite keeps its integrals
     # without os.fork every integral runs here, where the counts are kept
     monkeypatch.delattr(os, "fork", raising=False)
     rep = verify_consequences(30)
@@ -599,35 +602,45 @@ def test_run_suite_all_body_matches_the_frozen_copy():
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
-@pytest.mark.parametrize("suite", ["consequences", "routes"])
+@pytest.mark.parametrize("suite", ["consequences", "routes", "all"])
 def test_suite_body_is_the_same_with_and_without_fork(suite, monkeypatch):
     # with os.fork a child evaluates half of the suite's integrals
-    # (hpreal._in_halves); without it every integral runs here
+    # (hpreal._in_halves), and a sibling sweep; without it all runs here
     bodies, stores = [], []
     for fork in (True, False):
         monkeypatch.setattr(hpreal, "_values", {})
         if not fork:
             monkeypatch.delattr(os, "fork")
         bodies.append(run_suite(suite, 30).to_json())
-        stores.append({key: value._mpf_ for key, value in hpreal._values.items()})
+        stores.append(hpreal._values)
     assert bodies[0] == bodies[1]
-    # the routes suite keeps the child's store entries here too
+    # the store keeps the child's entries here too, sweeps included
     assert stores[0] == stores[1]
-    integrals = sum(key[0] in ("moment", "kernel") for key in stores[0])
-    assert integrals == (0 if suite == "consequences" else 16)
+    integrals = {tag: sum(key[0] == tag for key in stores[0])
+                 for tag in ("moment", "kernel", "consequence")}
+    assert integrals == {"consequences": {"moment": 0, "kernel": 0, "consequence": 4},
+                         "routes": {"moment": 8, "kernel": 8, "consequence": 0},
+                         "all": {"moment": 8, "kernel": 8, "consequence": 4}}[suite]
+    if suite == "all":
+        # every entry is one that marshal writes, under one of seven tags
+        assert marshal.loads(marshal.dumps(stores[0])) == stores[0]
+        assert {key[0] for key in stores[0]} == {"eta", "moment", "kernel", "consequence",
+                                                "cfn", "sums", "tails"}
 
 
 def test_a_second_routes_suite_integrates_nothing(monkeypatch):
+    # nor does a second consequences suite
     monkeypatch.setattr(hpreal, "_values", {})
-    first = run_suite("routes", 30).to_json()  # half of its integrals in a child
+    suites = ("routes", "consequences")
+    first = [run_suite(suite, 30).to_json() for suite in suites]  # half of the integrals in a child
     calls = []
-    for module in (quadrature, series):
+    for module in (quadrature, series, moments):
         def counted(*args, integrate=module.integrate_1d, **kwargs):
             calls.append(args)
             return integrate(*args, **kwargs)
         monkeypatch.setattr(module, "integrate_1d", counted)
     monkeypatch.delattr(os, "fork")  # so every lookup of the second run is counted here
-    assert run_suite("routes", 30).to_json() == first
+    assert [run_suite(suite, 30).to_json() for suite in suites] == first
     assert calls == []
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction as Fr
 import pytest
 from mpmath import mp, mpf
 
-from cotmoments import series
+from cotmoments import hpreal, series
 from cotmoments.hpreal import _working, eta, fixed_point_bits, log2, pi
 from cotmoments.moments import _suite_closed_forms
 from cotmoments.series import (
@@ -179,8 +179,8 @@ def test_truncated_nested_small_n(kind, closed, N):
             assert abs(t.value - closed(k, P).value) <= t.error_bound, (kind, k, N)
 
 
-def _count_sweeps(monkeypatch, name, cache):
-    """Route series.<name> through a counter on an empty cache; returns its calls."""
+def _count_sweeps(monkeypatch, name):
+    """Route series.<name> through a counter on an empty store; returns its calls."""
     calls = []
     sweep = getattr(series, name)
 
@@ -188,15 +188,15 @@ def _count_sweeps(monkeypatch, name, cache):
         calls.append(args)
         return sweep(*args)
 
-    monkeypatch.setattr(series, cache, {})
+    monkeypatch.setattr(hpreal, "_values", {})
     monkeypatch.setattr(series, name, counted)
     return calls
 
 
 def test_closed_forms_suite_costs_one_sweep_per_kind(monkeypatch):
     # its R values read the tails only: one tails sweep per kind, no sums
-    tail_calls = _count_sweeps(monkeypatch, "_tails_sweep", "_tails_cache")
-    sum_calls = _count_sweeps(monkeypatch, "_sums_sweep", "_sums_cache")
+    tail_calls = _count_sweeps(monkeypatch, "_tails_sweep")
+    sum_calls = _count_sweeps(monkeypatch, "_sums_sweep")
     _suite_closed_forms(30, 10000, None)
     assert len(tail_calls) == 2
     assert sum_calls == []
@@ -286,7 +286,7 @@ def test_mixed_precision_threads_return_serial_values():
 def test_rising_depths_cost_one_sweep(monkeypatch, tmp_path):
     # the miss at depth 0 sweeps odd to depth 2 here and even beside it, in
     # a child; depths 1 and 2 then hit
-    calls = _log_sweeps(monkeypatch, series, "_sums_sweep", "_sums_cache", tmp_path / "sums")
+    calls = _log_sweeps(monkeypatch, series, "_sums_sweep", tmp_path / "sums")
     for l in range(3):
         s_odd(l, 30, N=4000)
     here, child = os.getpid(), calls()[-1][0]
