@@ -29,8 +29,9 @@ theta = asin z gives them, with terms falling by 4x each.  The quadrature
 evidence for both identities is therefore a 1-D tanh-sinh integral of the
 kernel-reduced integrand, the kernel summed by Horner's rule in fixed-point
 integers in x = (theta/pi)^2; the package has no 2-D rule.  The
-theta-series shares nothing with the series layer's K1/K0, and the suite
-checks the two against each other.
+theta-series expands the same incomplete moment that the series layer's
+K1/K0 integrals evaluate by quadrature, but shares no code with them, and
+the suite checks the two against each other.
 """
 
 from __future__ import annotations

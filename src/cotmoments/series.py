@@ -12,7 +12,10 @@ Three layers live here:
   integral, which must agree wherever both converge.  The power series are
   the S families' outer terms against powers of z, one loop for both:
   K1(z) = sum_j b_odd(j) z^(2j) and K0(z) = sum_j b_even(j) z^j, so
-  K1(1) = S_odd(0) and K0(1) = S_even(0).  An integral's finished value is
+  K1(1) = S_odd(0) and K0(1) = S_even(0).  The integrals are incomplete
+  moments of cot, int_0^b g(t) cot t dt with b = asin z, g = t (divided by
+  z) for K1 and b = asin sqrt z, g = 2 t^2 for K0, by tanh-sinh at one
+  cos_sin per node pair (``_cot_moment``).  An integral's finished value is
   kept in the package's one store (``hpreal._value``) per (kind, z, P), with
   z the mpf that the working precision makes of the caller's z, so a repeat
   costs one lookup; the power series and a failed integral keep nothing.
@@ -63,8 +66,8 @@ from mpmath import mp, mpf
 
 from .exact import bernoulli, cycle_count, euler_zigzag, partitions
 from .hpreal import (_DEFAULT_N, _SWEEP_BLOCK_BITS, Evaluation, _paired_sweep, _value,
-                     _working, fixed_point_bits, zeta)
-from .quadrature import _WORK_GUARD, integrate_1d
+                     _working, default_tolerance, fixed_point_bits, zeta)
+from .quadrature import _TRIG_GUARD_BITS, _WORK_GUARD, integrate_1d
 
 __all__ = [
     "r_odd",
@@ -471,48 +474,63 @@ def _kernel_series(kind: str, z: mpf, P: int) -> mpf:
         term *= x * (2 * j - s) / (2 * j - 1 + s)
 
 
-def _fold_constants(P: int) -> Tuple[mpf, mpf]:
-    """The branch switch 0.3 and pi/2 of the kernel integrands, rounded at
-    the precision integrate_1d evaluates them in."""
-    with _working(P, _WORK_GUARD):
-        return mpf("0.3"), mp.pi / 2
+def _cot_moment(g, b: mpf, P: int, tol=None) -> mpf:
+    """int_0^b g(t) cot t dt for 0 < b <= pi/2, to tol, at one cos_sin per
+    node pair.
+
+    A pair's two nodes lie at the same exact distance v = min(da, db) from
+    their own endpoints.  The near node t = v takes cot v = c/s from
+    (c, s) = cos_sin(v); the far node t = b - v takes
+
+        cot(b - v) = (cos b c + sin b s) / (sin b c - cos b s)
+
+    from the same (c, s), with cos b and sin b taken once.  The numerator
+    adds two terms >= 0, and the denominator sin(b - v) >= sin(b/2) loses at
+    most a bit, so neither cancels.  The mirror node, evaluated next, reuses
+    the last (v, c, s); any other v recomputes them, so no value depends on
+    the order of the calls or on the process that makes them.  b is the
+    mpf of the working precision, and the rule integrates over that b;
+    every cos_sin, b's included, is taken _TRIG_GUARD_BITS above it.
+    """
+    with _working(P, _WORK_GUARD), mp.extraprec(_TRIG_GUARD_BITS):
+        cb, sb = mp.cos_sin(b)
+    # (v, cos v, sin v) of the last node: a pair's mirror node, evaluated
+    # next, has the same v
+    last = [None, None, None]
+
+    def f(t, da, db):
+        v = min(da, db)
+        if v != last[0]:
+            with mp.extraprec(_TRIG_GUARD_BITS):
+                last[:] = v, *mp.cos_sin(v)
+        _, c, s = last
+        if da <= db:
+            return g(t) * c / s
+        return g(t) * (cb * c + sb * s) / (sb * c - cb * s)
+
+    return integrate_1d(f, 0, b, P, tol).value
 
 
-# The kernel integrands take asin sqrt(w) as atan sqrt(w/(1 - w)): one
-# square root, where mpmath's asin takes two.  Below the switch the fold
-# runs through u = 1 - y, so y = 1 (u = 0) divides by nothing.
+# With y = sin t the kernels are incomplete moments of cot:
+#
+#     z K1(z) = int_0^asin z t cot t dt,   K0(z) = int_0^asin sqrt z 2 t^2 cot t dt.
+#
+# t cot t is analytic for |t| < pi, so nothing singular lies within pi/2 of
+# [0, b]; asin(y)/y has a branch point at y = 1, just past z, which costs a
+# double-exponential rule levels near z = 1.
 
 def _kernel_integral_k1(z: mpf, P: int) -> mpf:
-    one_minus_z = 1 - z
-    switch, half_pi = _fold_constants(P)
-
-    def f(y, da, db):
-        u = db + one_minus_z  # 1 - y, exactly
-        if u < switch:
-            # asin y = pi/2 - 2 asin sqrt(u/2) = pi/2 - 2 atan sqrt(u/(2 - u))
-            val = half_pi - 2 * mp.atan(mp.sqrt(u / (2 - u)))
-        else:
-            val = mp.asin(y)
-        return val / y
-
-    return integrate_1d(f, 0, z, P).value / z
+    # the integral is divided by z, so it is held to tol z
+    with _working(P, _WORK_GUARD):
+        b = mp.asin(z)
+        tol = default_tolerance(P) * z
+    return _cot_moment(lambda t: t, b, P, tol) / z
 
 
 def _kernel_integral_k0(z: mpf, P: int) -> mpf:
-    one_minus_z = 1 - z
-    switch, half_pi = _fold_constants(P)
-
-    def f(y, da, db):
-        u = db + one_minus_z  # 1 - y, exactly
-        if u < switch:
-            # asin sqrt y = pi/2 - asin sqrt u = pi/2 - atan sqrt(u/y)
-            s = half_pi - mp.atan(mp.sqrt(u / y))
-        else:
-            # asin sqrt y = atan sqrt(y/u)
-            s = mp.atan(mp.sqrt(y / u))
-        return s * s / y
-
-    return integrate_1d(f, 0, z, P).value
+    with _working(P, _WORK_GUARD):
+        b = mp.asin(mp.sqrt(z))
+    return _cot_moment(lambda t: 2 * t * t, b, P)
 
 
 def _kernel(kind: str, z, P: int, method: str, integral_fn, at_zero: mpf) -> mpf:
@@ -538,7 +556,9 @@ def _kernel(kind: str, z, P: int, method: str, integral_fn, at_zero: mpf) -> mpf
 def kernel_k1(z, P: int, method: str = "auto") -> mpf:
     """K1(z) = sum_j C(2j,j) (z/2)^(2j) / (2j+1)^2  =  (1/z) int_0^z asin(y)/y dy.
 
-    K1(0) = 1, K1(1) = (pi/2) log 2.  Series for z <= 0.75, integral near 1.
+    K1(0) = 1, K1(1) = (pi/2) log 2.  Series for z <= 0.75, integral near 1,
+    taken with y = sin t as (1/z) int_0^asin z t cot t dt, to 10^-(P-10) z
+    before the division by z.
     """
     return _kernel("odd", z, P, method, _kernel_integral_k1, mpf(1))
 
@@ -546,6 +566,8 @@ def kernel_k1(z, P: int, method: str = "auto") -> mpf:
 def kernel_k0(z, P: int, method: str = "auto") -> mpf:
     """K0(z) = (1/2) sum_{j>=1} (4z)^j / (j^3 C(2j,j))  =  int_0^z asin^2(sqrt y)/y dy.
 
-    K0(0) = 0; K0(1) equals the second cotangent moment.
+    K0(0) = 0; K0(1) equals the second cotangent moment.  Series for
+    z <= 0.75, integral near 1, taken with y = sin^2 t as
+    int_0^asin sqrt z 2 t^2 cot t dt.
     """
     return _kernel("even", z, P, method, _kernel_integral_k0, mpf(0))

@@ -3,9 +3,11 @@ from sinh and cosh, the 1-D level loop with its geometry derived per node,
 and an iterated 2-D rule over it.
 
 The node levels are what ``_build_level`` must reproduce to within a few
-ulps; the 1-D loop is what ``integrate_1d`` must reproduce exactly; the 2-D
-rule evaluates the consequence identities' double integrals, against which
-the package's kernel-reduced 1-D integrals are checked.
+ulps, and ``_mpf_build_level`` is its own formulas in ``mpf`` arithmetic,
+which it must reproduce bit for bit; the 1-D loop is what ``integrate_1d``
+must reproduce exactly; the 2-D rule evaluates the consequence identities'
+double integrals, against which the package's kernel-reduced 1-D integrals
+are checked.
 """
 
 from __future__ import annotations
@@ -54,6 +56,35 @@ def _reference_build_level(level, tmax):
         offset = 2 * e / (1 + e)
         weight = (mp.pi / 2) * mp.cosh(t) / mp.cosh(u) ** 2
         pairs.append((offset, weight))
+    return pairs
+
+
+def _mpf_build_level(level, tmax):
+    """``_build_level``'s formulas in ``mpf`` arithmetic: one exponential per
+    node, 30 bits above the working precision, each value rounded once."""
+    pairs = []
+    if level == 0:
+        pairs.append((mpf(1), mp.pi / 2))
+        t = step = mpf(1)
+    else:
+        step = mpf(2) ** (1 - level)
+        t = step / 2
+    prec = mp.prec
+    with mp.extraprec(30):
+        one, two = mpf(1), mpf(2)
+        half_pi = mp.pi / 2
+        quarter_pi = half_pi / 2
+        grow = mp.exp(step)
+        et = mp.exp(t)
+        while t <= tmax:
+            inv = one / et
+            e = mp.exp(half_pi * (inv - et))
+            d = two / (one + e)
+            offset = e * d
+            weight = quarter_pi * (et + inv) * offset * d
+            pairs.append((mpf(offset, prec=prec), mpf(weight, prec=prec)))
+            et *= grow
+            t += step
     return pairs
 
 

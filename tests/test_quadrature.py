@@ -34,6 +34,7 @@ from cotmoments.series import kernel_k0, kernel_k1
 
 from reference_kernels import _reference_theta_kernels
 from reference_quadrature import (
+    _mpf_build_level,
     _reference_2d,
     _reference_abscissas,
     _reference_build_level,
@@ -382,6 +383,18 @@ def test_nodes_match_the_reference_within_a_few_ulps(P):
             assert all((+g)._mpf_ == g._mpf_ for pair in nodes for g in pair)
 
 
+@pytest.mark.parametrize("dps", [25, 45, 115, 315])
+def test_nodes_equal_the_mpf_formulas_bit_for_bit(dps):
+    # the libmp loop rounds each operation as mpf arithmetic does
+    with mp.workdps(dps):
+        for tmax_q4 in (12, 19, 26):
+            tmax = mpf(tmax_q4) / 4
+            for level in range(6):
+                got = [(o._mpf_, w._mpf_) for o, w in _build_level(level, tmax)]
+                want = [(o._mpf_, w._mpf_) for o, w in _mpf_build_level(level, tmax)]
+                assert got == want, (tmax_q4, level)
+
+
 def test_build_level_restores_the_precision():
     with mp.workdps(45):
         prec = mp.prec
@@ -472,61 +485,130 @@ def _asin_sqrt(w, dw):
     return mp.pi / 2 - mp.asin(mp.sqrt(dw)) if w > 0.5 else mp.asin(mp.sqrt(w))
 
 
-_ASIN_FORMS = {
-    "k1": lambda y, u: (mp.pi / 2 - 2 * mp.asin(mp.sqrt(u / 2)) if u < 0.5
-                        else mp.asin(y)) / y,
-    "k0": lambda y, u: _asin_sqrt(y, u) ** 2 / y,
-    "ci3": lambda x, dx: _asin_sqrt(x, dx) ** 2 / x,
-}
-
-
-def _integrand_of(integral, P, monkeypatch):
-    """The integrand that integral(1, P) hands to integrate_1d, for z = 1."""
-    seen = []
-
-    def capture(f, *args):
-        seen.append(f)
-        return QuadratureResult(mpf(1), mpf(0), 0, 0)
-
-    monkeypatch.setattr(series, "integrate_1d", capture)
-    with _working(P):
-        integral(mpf(1), P)
-    return seen[0]
-
-
-# distances to 1: y -> 0, both sides of the 0.3 and 1/2 switches, y -> 1
-# and y = 1 itself
+# distances to 1: x -> 0, both sides of the 1/2 switch and of 0.3, x -> 1
+# and x = 1 itself
 _FOLD_DISTANCES = ("0.9999999999999999999999", "0.7", "0.5000000001", "0.5",
                    "0.4999999999", "0.3000000001", "0.3", "0.2999999999",
                    "1e-6", "1e-40", "0")
 
 
 @pytest.mark.parametrize("P", [30, 100])
-def test_the_atan_folds_agree_with_the_asin_forms(P, monkeypatch):
-    integrands = {
-        "k1": _integrand_of(series._kernel_integral_k1, P, monkeypatch),
-        "k0": _integrand_of(series._kernel_integral_k0, P, monkeypatch),
-        "ci3": moments._ci3,
-    }
+def test_the_atan_folds_agree_with_the_asin_forms(P):
     theta_k1, theta_k0 = moments._theta_kernels(P)
     ref_k1, ref_k0 = _reference_theta_kernels(P + _EXTRA)
     worst = {}
     for text in _FOLD_DISTANCES:
         with _working(P, _WORK_GUARD):
             prec = mp.prec
-            # a node y and its distance u to 1, as integrate_1d passes them
-            y = 1 - mpf(text)
-            u = 1 - y
-            values = {name: f(y, y, u) for name, f in integrands.items()}
-            values["theta-k1"] = theta_k1(y, u)
-            values["theta-k0"] = theta_k0(y, u)
+            # a node x and its distance u to 1, as integrate_1d passes them
+            x = 1 - mpf(text)
+            u = 1 - x
+            values = {"ci3": moments._ci3(x, x, u), "theta-k1": theta_k1(x, u),
+                      "theta-k0": theta_k0(x, u)}
         with _working(P + _EXTRA, _WORK_GUARD):
-            refs = {name: _ASIN_FORMS[name](y, u) for name in integrands}
-            refs["theta-k1"] = ref_k1(y, u)
-            refs["theta-k0"] = ref_k0(y, u)
+            refs = {"ci3": _asin_sqrt(x, u) ** 2 / x, "theta-k1": ref_k1(x, u),
+                    "theta-k0": ref_k0(x, u)}
             for name, value in values.items():
                 worst[name, text] = float(_ulps(value, refs[name], prec))
     assert max(worst.values()) <= 4, {k: v for k, v in worst.items() if v > 4}
+
+
+# ---------------------------------------------------------------------------
+# the kernel integrals: incomplete moments of cot
+# ---------------------------------------------------------------------------
+
+# g(t) of z K1(z) = int_0^asin z t cot t dt and K0(z) = int_0^asin sqrt z
+# 2 t^2 cot t dt
+_KERNEL_INTEGRALS = {
+    "k1": (series._kernel_integral_k1, lambda t: t),
+    "k0": (series._kernel_integral_k0, lambda t: 2 * t * t),
+}
+
+
+def _integrand_of(integral, z, P, monkeypatch):
+    """The integrand and the upper limit b that integral(z, P) hands to
+    integrate_1d."""
+    seen = []
+
+    def capture(f, a, b, *args):
+        seen.append((f, b))
+        return QuadratureResult(mpf(1), mpf(0), 0, 0)
+
+    monkeypatch.setattr(series, "integrate_1d", capture)
+    with _working(P):
+        integral(mpf(z), P)
+    return seen[0]
+
+
+@pytest.mark.parametrize("P", [30, 100])
+@pytest.mark.parametrize("z", ["0.3", "1"])
+@pytest.mark.parametrize("kind", sorted(_KERNEL_INTEGRALS))
+def test_a_kernel_node_pair_is_within_a_few_ulps_of_cot(kind, z, P, monkeypatch):
+    # both nodes of the pair at distance v from their own endpoints, as
+    # integrate_1d calls them: t = v near 0, then t = b - v near b
+    integral, g = _KERNEL_INTEGRALS[kind]
+    f, b = _integrand_of(integral, z, P, monkeypatch)
+    worst = {}
+    with _working(P, _WORK_GUARD):
+        prec = mp.prec
+        vs = {"1e-40": mpf("1e-40") * b, "1e-6": mpf("1e-6") * b, "b/4": b / 4,
+              "b/2 - ulp": b / 2 - mp.ldexp(b, -prec), "b/2": b / 2}
+        nodes = {}
+        for name, v in vs.items():
+            far = b - v
+            nodes["near", name] = (v, f(v, v, far))
+            nodes["far", name] = (far, f(far, far, v))
+    with _working(P + _EXTRA, _WORK_GUARD):
+        for (side, name), (t, value) in nodes.items():
+            # b - v exactly: near b = pi/2 its cot is about v, far below b
+            angle = t if side == "near" else mp.fsub(b, vs[name], exact=True)
+            ref = g(t) * mp.cot(angle)
+            worst[side, name] = float(_ulps(value, ref, prec))
+    assert max(worst.values()) <= 4, worst
+
+
+@pytest.mark.parametrize("z", ["0.5", "0.95", "1"])
+@pytest.mark.parametrize("kind", sorted(_KERNEL_INTEGRALS))
+def test_a_kernel_integral_takes_one_cos_sin_per_node_pair(kind, z, monkeypatch):
+    # one for b, then one per pair: the centre node is its own mirror image
+    calls = {"cos_sin": 0, "asin": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(mp, name, counted(name, getattr(mp, name)))
+    integral, _ = _KERNEL_INTEGRALS[kind]
+    [res] = _results(monkeypatch, _NEVER, partial(integral, mpf(z), 30))
+    assert calls == {"cos_sin": 1 + (res.evaluations + 1) // 2, "asin": 1}
+    assert res.evaluations % 2 == 1
+
+
+def _mp_quad_kernel(kind, z, P):
+    """K1 or K0 at z by mpmath's own tanh-sinh rule on the cot form, at 2P
+    digits."""
+    with mp.workdps(2 * P):
+        z = mpf(z)
+        if kind == "k1":
+            return mp.quad(lambda t: t * mp.cot(t), [0, mp.asin(z)]) / z
+        return mp.quad(lambda t: 2 * t * t * mp.cot(t), [0, mp.asin(mp.sqrt(z))])
+
+
+@pytest.mark.parametrize("P", [30, 100])
+@pytest.mark.parametrize("z", ["0.95", "0.99"])
+@pytest.mark.parametrize("kind", sorted(_KERNEL_INTEGRALS))
+def test_a_kernel_integral_near_1_keeps_p_plus_2_digits(kind, z, P):
+    # an arcsine integrand's branch point at y = 1, just past z, would cost
+    # the rule digits here.  Its tolerance is 10^-(P-10), and its tail cut
+    # leaves about 10^-(P+2), so the bound is on significant digits
+    kernel = {"k1": kernel_k1, "k0": kernel_k0}[kind]
+    value = kernel(z, P, method="integral")
+    ref = _mp_quad_kernel(kind, z, P)
+    with mp.workdps(2 * P):
+        assert abs(value - ref) <= mpf(10) ** -(P + 2) * ref
 
 
 # ---------------------------------------------------------------------------
