@@ -32,8 +32,9 @@ run sees only the parent's spans: what the child records is lost with it.
 It has two users:
 
 * ``quadrature.integrate_1d`` evaluates the second half of a costly
-  tanh-sinh level's node pairs in the child, and sums every contribution
-  here, in the serial order.
+  tanh-sinh level's node pairs in the child (building them there first if
+  the node table lacks the level), and sums every contribution here, in
+  the serial order.
 * ``_in_halves(works)`` runs the back half of a list of independent works
   that fill the store in the child and the front half here, and the store
   entries that the child added come back exactly.  The consequences and
@@ -329,8 +330,10 @@ def _from_child(work: Callable[[], object]) -> Iterator[Callable[[], object]]:
     reader = open(r, "rb")
 
     def fetch():
+        # read to the end, then parse: marshal.load on the pipe's file
+        # object makes one readinto call per 15-bit digit of every int
         try:
-            return marshal.load(reader)
+            return marshal.loads(reader.read())
         except (EOFError, ValueError):
             return None
 

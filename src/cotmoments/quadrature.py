@@ -48,6 +48,19 @@ and the evaluation count (the pairs the loop used) are bit-for-bit those
 of the serial rule, and an integrand that raises or returns a non-finite
 value fails at the same node and level.  No child outlives its level.
 
+At high precision a level's nodes cost about as much to build as to
+evaluate, so a split level that the node table lacks is built in the same
+two halves: the front half here, the back half in the child, which sends
+its nodes (``_mpf_`` pairs) in the record that carries its contributions.
+``_build_level`` steps to the back half's first node with one
+multiplication and one addition per node, so each half is bit for bit the
+slice of the level built whole.  The level joins the table only once it
+is whole: with no record (the child failed, or there is no fork) this
+process builds the back half itself, and when the tail cut falls in the
+front half it still reads the record.  A level that is not split is built
+here before its evaluation is timed, so building a table does not by
+itself make the next level split.
+
 The rule is one-dimensional; the consequence identities' double integrals
 reach it already reduced to 1-D integrals of theta-series kernels
 (moments.py).
@@ -66,7 +79,7 @@ from __future__ import annotations
 import math
 import time
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from mpmath import mp, mpf
@@ -122,14 +135,19 @@ class QuadratureError(Exception):
 # Cached per (working dps, truncation range) and built at that dps: callers
 # hold the precision scope.  Entry [L] is the list of (offset, weight) pairs
 # new at level L, offset = 1 - tanh((pi/2) sinh t), one exponential each.
+# ``integrate_1d`` appends each level, whole, when it first reaches it; a
+# split level is built in halves, one in a forked child.
 # ---------------------------------------------------------------------------
 
 _NODE_CACHE: Dict[Tuple[int, int], List[List[Tuple[mpf, mpf]]]] = {}
 
 
-def _build_level(level: int, tmax: mpf) -> List[Tuple[mpf, mpf]]:
-    """The (offset, weight) pairs new at ``level``, for t up to tmax, at one
-    exponential per node.
+def _build_level(level: int, tmax: mpf, start: int = 0,
+                 stop: Optional[int] = None) -> List[Tuple[mpf, mpf]]:
+    """The (offset, weight) pairs new at ``level`` with index in [start,
+    stop) (to the last node, t <= tmax, if stop is None), at one exponential
+    per node.  Index 0 is the first node: t = 0, the centre, at level 0, and
+    t = 2^-L at level L >= 1; ``_level_size`` counts a level's nodes.
 
     With E = exp(t), sinh t = (E - 1/E)/2 and cosh t = (E + 1/E)/2.  With
     e = exp(-2u), u = (pi/2) sinh t, and cosh^2 u = (1+e)^2/(4e):
@@ -148,18 +166,28 @@ def _build_level(level: int, tmax: mpf) -> List[Tuple[mpf, mpf]]:
     (1 + 2u)*2^-15 ulps, and offsets and weights are within
     1/2 + (1 + 2u)*2^-14 ulps of the exact values.
 
+    E and t always step from index 0, also over the nodes before start,
+    with the same multiplication and addition and no exponential.  So a
+    node's E and t, and with them its offset and weight, are bit for bit
+    the same whatever range it is built in, and a level built in pieces
+    equals the level built whole.
+
     The loop runs on ``_mpf_`` tuples with ``mpmath.libmp``, each operation
     rounded to nearest as ``mpf`` arithmetic rounds it, so every value is
     bit for bit what the same formulas give in ``mpf``s, at a fraction of
     their overhead.
     """
     pairs: List[Tuple[mpf, mpf]] = []
+    stop = math.inf if stop is None else stop
     if level == 0:
         # integer abscissas, starting at the center node t = 0 where the
         # offset is exactly 1 (x is the midpoint)
-        pairs.append((mpf(1), mp.pi / 2))
+        if start == 0 < stop:
+            pairs.append((mpf(1), mp.pi / 2))
+        index = 1
         t = step = mpf(1)
     else:
+        index = 0
         step = mpf(2) ** (1 - level)
         t = step / 2
     prec = mp.prec
@@ -171,7 +199,11 @@ def _build_level(level: int, tmax: mpf) -> List[Tuple[mpf, mpf]]:
     grow = mpf_exp(step._mpf_, wp, rnd)
     et = mpf_exp(t._mpf_, wp, rnd)
     t, step, tmax = t._mpf_, step._mpf_, tmax._mpf_
-    while mpf_le(t, tmax):
+    for _ in range(index, start):
+        et = mpf_mul(et, grow, wp, rnd)
+        t = mpf_add(t, step, wp, rnd)
+    index = max(index, start)
+    while index < stop and mpf_le(t, tmax):
         inv = mpf_div(fone, et, wp, rnd)
         e = mpf_exp(mpf_mul(half_pi, mpf_sub(inv, et, wp, rnd), wp, rnd), wp, rnd)
         d = mpf_div(ftwo, mpf_add(fone, e, wp, rnd), wp, rnd)
@@ -181,16 +213,17 @@ def _build_level(level: int, tmax: mpf) -> List[Tuple[mpf, mpf]]:
         pairs.append((make(mpf_pos(offset, prec, rnd)), make(mpf_pos(weight, prec, rnd))))
         et = mpf_mul(et, grow, wp, rnd)
         t = mpf_add(t, step, wp, rnd)
+        index += 1
     return pairs
 
 
-def _node_levels(dps: int, tmax_q4: int, upto: int) -> List[List[Tuple[mpf, mpf]]]:
-    table = _NODE_CACHE.setdefault((dps, tmax_q4), [])
-    if len(table) <= upto:
-        tmax = mpf(tmax_q4) / 4
-        for level in range(len(table), upto + 1):
-            table.append(_build_level(level, tmax))
-    return table
+def _level_size(level: int, tmax_q4: int) -> int:
+    """How many nodes level ``level`` has for tmax = tmax_q4/4, without
+    building it: t = 0, 1, ..., floor(tmax) at level 0, and the odd
+    multiples (2k+1)*2^-L <= tmax at level L >= 1."""
+    if level == 0:
+        return 1 + tmax_q4 // 4
+    return ((tmax_q4 << level) - 4) // 8 + 1
 
 
 def _truncation_range(P: int, tol: mpf) -> int:
@@ -235,31 +268,65 @@ def _until_cut(contribs, hr, cutoff, seen_large):
 
 
 @contextmanager
-def _level_contributions(f, nodes, geometry, half, hr, cutoff):
-    """A level's contributions in node order.  With half set, the pairs from
-    half on are evaluated at the same time in a forked child
-    (``hpreal._from_child``), up to its own tail cut; it sends them back
-    exactly, as one list of ``_mpf_`` tuples.  The pairs before half are
-    evaluated here, lazily, then the child's list is read, and the pairs it
-    does not cover (all of them, if the child failed) are evaluated here.
-    The front half stays lazy to save memory (held as a list, it raised the
-    session workload's peak RSS by about 250 KB), not for the tail cut."""
-    if half is None:
-        yield _contributions(f, nodes, *geometry)
+def _level_contributions(f, table, level, tmax_q4, geometry, split, hr, cutoff):
+    """Level ``level``'s contributions in node order, from table, the node
+    table of tmax_q4 at the working precision; at level 0 they start after
+    the centre node, which the caller evaluates.  Unless split is set, the
+    level is in table already.
+
+    With split set, the pairs from half on are evaluated at the same time
+    in a forked child (``hpreal._from_child``), up to its own tail cut; it
+    sends them back exactly, as one list of ``_mpf_`` tuples.  The pairs
+    before half are evaluated here, lazily, then the child's list is read,
+    and the pairs it does not cover (all of them, if the child failed) are
+    evaluated here.  The front half stays lazy to save memory (held as a
+    list, it raised the session workload's peak RSS by about 250 KB), not
+    for the tail cut.
+
+    A split level that table lacks is built in the same two halves: the
+    front here, the back in the child, which sends its nodes as ``_mpf_``
+    pairs in the same record.  With no record this process builds the back
+    half itself.  The level joins table only whole, once its contributions
+    are done, so the child's record is read even when the tail cut comes
+    before it; an integrand that raises leaves the level out."""
+    nodes = table[level] if level < len(table) else None
+    if not split:
+        yield _contributions(f, nodes[1:] if level == 0 else nodes, *geometry)
         return
+    cold = nodes is None
+    tmax = mpf(tmax_q4) / 4
+    size = _level_size(level, tmax_q4) if cold else len(nodes)
+    half = size // 2
+    make = mp.make_mpf
+
+    def piece(start, stop):
+        return _build_level(level, tmax, start, stop) if cold else nodes[start:stop]
 
     def work():
-        return [contrib._mpf_ for contrib in
-                _until_cut(_contributions(f, nodes[half:], *geometry), hr, cutoff, False)]
-
-    def merged(fetch):
-        yield from _contributions(f, nodes[:half], *geometry)
-        sent = fetch() or []
-        yield from map(mp.make_mpf, sent)
-        yield from _contributions(f, nodes[half + len(sent):], *geometry)
+        back = piece(half, size)
+        sent = [contrib._mpf_ for contrib in
+                _until_cut(_contributions(f, back, *geometry), hr, cutoff, False)]
+        return sent, [(o._mpf_, w._mpf_) for o, w in back] if cold else None
 
     with _from_child(work) as fetch:
-        yield merged(fetch)
+        front = piece(0, half)
+
+        @cache
+        def record():
+            # the child's contributions and the back half's nodes
+            sent, built = fetch() or ([], None)
+            return sent, piece(half, size) if built is None else [
+                (make(o), make(w)) for o, w in built]
+
+        def merged():
+            yield from _contributions(f, front, *geometry)
+            sent, back = record()
+            yield from map(make, sent)
+            yield from _contributions(f, back[len(sent):], *geometry)
+
+        yield merged()
+        if cold and len(table) == level:
+            table.append(front + record()[1])
 
 
 def integrate_1d(f: IntegrandFn, a, b, P: int, tol=None) -> QuadratureResult:
@@ -279,6 +346,7 @@ def integrate_1d(f: IntegrandFn, a, b, P: int, tol=None) -> QuadratureResult:
         r = width / 2
         geometry = (a, b, r, width)
         tmax_q4 = _truncation_range(P, tol)
+        table = _NODE_CACHE.setdefault((dps, tmax_q4), [])
         # per-node contributions below this are treated as converged tail
         cutoff = tol * mpf(10) ** -4
 
@@ -291,23 +359,25 @@ def integrate_1d(f: IntegrandFn, a, b, P: int, tol=None) -> QuadratureResult:
             h = mpf(2) ** (-level)
             # h is a power of two, so |c|*hr rounds exactly as (|c|*h)*r
             hr = h * r
-            nodes = _node_levels(dps, tmax_q4, level)[level]
+            # a costly level's second half runs in a child, on another core;
+            # a level that the table lacks is built where it is evaluated
+            split = level > 0 and took >= _SPLIT_AFTER_S
+            if level == len(table) and not split:
+                table.append(_build_level(level, mpf(tmax_q4) / 4))
             part = mpf(0)
             seen_large = False
             if level == 0:
                 # the centre node, t = 0 (offset 1), is its own mirror image;
                 # a cut needs two tiny pairs after a large contribution, which
                 # resets the run, so only its size counts
-                weight = nodes[0][1]
-                nodes = nodes[1:]
+                weight = table[0][0][1]
                 contrib = weight * f(a + r, r, r)
                 evaluations += 1
                 part += contrib
                 seen_large = abs(contrib) * hr >= cutoff
-            # a costly level's second half runs in a child, on another core
-            half = len(nodes) // 2 if level and took >= _SPLIT_AFTER_S else None
             start = time.perf_counter()
-            with _level_contributions(f, nodes, geometry, half, hr, cutoff) as contribs:
+            with _level_contributions(f, table, level, tmax_q4, geometry, split, hr,
+                                      cutoff) as contribs:
                 for contrib in _until_cut(contribs, hr, cutoff, seen_large):
                     evaluations += 2
                     part += contrib

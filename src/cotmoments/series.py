@@ -528,9 +528,11 @@ def _kernel_integral_k1(z: mpf, P: int) -> mpf:
 
 
 def _kernel_integral_k0(z: mpf, P: int) -> mpf:
+    # K0(z) = z + O(z^2), so it is held to tol z, like K1
     with _working(P, _WORK_GUARD):
         b = mp.asin(mp.sqrt(z))
-    return _cot_moment(lambda t: 2 * t * t, b, P)
+        tol = default_tolerance(P) * z
+    return _cot_moment(lambda t: 2 * t * t, b, P, tol)
 
 
 def _kernel(kind: str, z, P: int, method: str, integral_fn, at_zero: mpf) -> mpf:
@@ -568,6 +570,6 @@ def kernel_k0(z, P: int, method: str = "auto") -> mpf:
 
     K0(0) = 0; K0(1) equals the second cotangent moment.  Series for
     z <= 0.75, integral near 1, taken with y = sin^2 t as
-    int_0^asin sqrt z 2 t^2 cot t dt.
+    int_0^asin sqrt z 2 t^2 cot t dt, to 10^-(P-10) z.
     """
     return _kernel("even", z, P, method, _kernel_integral_k0, mpf(0))

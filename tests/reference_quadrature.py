@@ -12,6 +12,8 @@ are checked.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from mpmath import mp, mpf
 
 from cotmoments.hpreal import _working, default_tolerance
@@ -19,7 +21,7 @@ from cotmoments.quadrature import (
     _WORK_GUARD,
     QuadratureError,
     QuadratureResult,
-    _node_levels,
+    _build_level,
     _truncation_range,
 )
 
@@ -88,6 +90,14 @@ def _mpf_build_level(level, tmax):
     return pairs
 
 
+@lru_cache(maxsize=None)
+def _reference_nodes(dps, tmax_q4, level):
+    """Level ``level`` of the node table for tmax_q4 at dps digits, built
+    once per argument tuple and kept here, apart from the engine's tables."""
+    with mp.workdps(dps):
+        return _build_level(level, mpf(tmax_q4) / 4)
+
+
 def _reference_tanh_sinh(f, a, b, P, tol=None, level_cap=12):
     """The level loop as it was before each level's geometry was derived
     once: offsets scaled, endpoint distances and h*r recomputed and
@@ -105,7 +115,7 @@ def _reference_tanh_sinh(f, a, b, P, tol=None, level_cap=12):
         evaluations = 0
         for level in range(level_cap + 1):
             h = mpf(2) ** (-level)
-            nodes = _node_levels(P + _WORK_GUARD, tmax_q4, level)[level]
+            nodes = _reference_nodes(P + _WORK_GUARD, tmax_q4, level)
             part = mpf(0)
             tiny_run = 0
             seen_large = False

@@ -25,7 +25,7 @@ from cotmoments.quadrature import (
     QuadratureError,
     QuadratureResult,
     _build_level,
-    _node_levels,
+    _level_size,
     _truncation_range,
     integrate_1d,
     moment_quadrature,
@@ -320,7 +320,7 @@ def test_nan_from_one_pair_raises_at_its_level():
     P = 30
     with _working(P, _WORK_GUARD):
         tmax_q4 = _truncation_range(P, default_tolerance(P))
-        near = _node_levels(P + _WORK_GUARD, tmax_q4, 1)[1][0][0] / 2
+        near = _build_level(1, mpf(tmax_q4) / 4)[0][0] / 2
 
     def f(x, da, db):
         if da == near:
@@ -351,13 +351,15 @@ def _tmax(P):
 
 def test_node_counts_match_the_reference():
     # a level's node count depends only on tmax and the level, so a low
-    # precision shows it for every level up to the cap
+    # precision shows it for every level up to the cap; _level_size gives
+    # it from the integers alone
     for P in (10, 30, 100, 300, 1000):
         tmax = _tmax(P)
         with mp.workdps(15):
             for level in range(13):
                 expected = sum(1 for _ in _reference_abscissas(level, tmax))
                 assert len(_build_level(level, tmax)) == expected, (P, level)
+                assert _level_size(level, int(tmax * 4)) == expected, (P, level)
 
 
 @pytest.mark.parametrize("P", [30, 100, 300])
@@ -621,6 +623,42 @@ _ALWAYS, _NEVER = 0.0, math.inf
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
 
 
+def _bits(nodes):
+    return [(offset._mpf_, weight._mpf_) for offset, weight in nodes]
+
+
+def _assert_serial_tables():
+    """Every node table in the cache holds, _mpf_ for _mpf_, the levels that
+    _build_level builds whole."""
+    assert quadrature._NODE_CACHE
+    for (dps, tmax_q4), table in quadrature._NODE_CACHE.items():
+        with mp.workdps(dps):
+            tmax = mpf(tmax_q4) / 4
+            assert [_bits(nodes) for nodes in table] == [
+                _bits(_build_level(level, tmax)) for level in range(len(table))]
+
+
+def _logged_builds(monkeypatch):
+    """The (level, start, stop) of every _build_level call that this process
+    makes from now on; a forked child's calls are not seen."""
+    calls = []
+    build = quadrature._build_level
+
+    def logged(level, tmax, start=0, stop=None):
+        calls.append((level, start, stop))
+        return build(level, tmax, start, stop)
+
+    monkeypatch.setattr(quadrature, "_build_level", logged)
+    return calls
+
+
+def _front_halves(table):
+    """The _build_level calls of a table whose levels L >= 1 were all split
+    while the table lacked them, with every back half built in a child."""
+    return [(0, 0, None)] + [(level, 0, len(table[level]) // 2)
+                             for level in range(1, len(table))]
+
+
 def _consequence_integrals(P):
     k1, k0 = moments._theta_kernels(P)
     for integrand in (moments._ci1, partial(moments._ci2, k1),
@@ -684,6 +722,107 @@ def test_split_levels_give_the_serial_results(case, P, monkeypatch):
     assert _results(monkeypatch, _ALWAYS, run) == serial
 
 
+@pytest.mark.parametrize("case, P", [
+    ("moment-12", 30), ("k1-0.8", 30), ("moment-12", 100), ("k1-0.8", 100),
+    ("moment-12", 300),
+])
+def test_cold_split_levels_give_the_serial_results_and_tables(case, P, monkeypatch):
+    # every level L >= 1 is split while the table lacks it, so it is built in
+    # two halves; the result and each level are the serial ones, bit for bit
+    run = partial(_SPLIT_CASES[case], P)
+    serial = _results(monkeypatch, _NEVER, run)
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    assert _results(monkeypatch, _ALWAYS, run) == serial
+    assert max(len(table) for table in quadrature._NODE_CACHE.values()) >= serial[0].levels
+    _assert_serial_tables()
+
+
+@pytest.mark.parametrize("level", [0, 1, 5])
+def test_a_level_built_in_pieces_equals_the_level_built_whole(level):
+    # E and t step from index 0 over the skipped nodes, so each piece is bit
+    # for bit its slice; at level 0 index 0 is the centre node
+    with mp.workdps(45):
+        tmax = mpf(19) / 4
+        whole = _bits(_build_level(level, tmax))
+        size = len(whole)
+        assert size == _level_size(level, 19)
+        for start, stop in [(0, 1), (0, size // 2), (size // 2, size), (size // 2, None),
+                            (1, size), (size - 1, size + 5), (3, 3), (size, None)]:
+            assert _bits(_build_level(level, tmax, start, stop)) == whole[start:stop], \
+                (start, stop)
+
+
+@needs_fork
+def test_a_cold_split_level_builds_its_back_half_in_the_child(monkeypatch):
+    def f(x, da, db):
+        return mp.sqrt(da) * mp.log(1 + x)
+
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _NEVER)
+    serial = integrate_1d(f, 0, 1, 30)
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _ALWAYS)
+    calls = _logged_builds(monkeypatch)
+    assert integrate_1d(f, 0, 1, 30) == serial
+    (table,) = quadrature._NODE_CACHE.values()
+    assert len(table) == serial.levels
+    assert calls == _front_halves(table)
+    _assert_serial_tables()
+
+
+def test_a_tail_cut_in_the_front_half_leaves_the_level_whole(monkeypatch):
+    # exp(-1/(da db)) * weight * h r is below the cutoff 1e-24 once da < 1/60,
+    # so from level 2 on the tail cut falls before the level's split half
+    def f(x, da, db):
+        return mp.exp(-1 / (da * db))
+
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _NEVER)
+    serial = integrate_1d(f, 0, 1, 30)
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _ALWAYS)
+    calls = _logged_builds(monkeypatch)
+    assert integrate_1d(f, 0, 1, 30) == serial
+    (table,) = quadrature._NODE_CACHE.values()
+    assert len(table) == serial.levels > 3
+    for nodes in table[2:]:
+        assert all(offset / 2 < mpf(1) / 60 for offset, _ in nodes[len(nodes) // 2 - 2:])
+    if hasattr(os, "fork"):
+        # the back halves came from the children's records
+        assert calls == _front_halves(table)
+    _assert_serial_tables()
+
+
+def test_a_failure_in_the_front_half_of_a_cold_split_level_leaves_it_out(monkeypatch):
+    # a node in the front half of level 2, which this process evaluates
+    P = 30
+    with _working(P, _WORK_GUARD):
+        tmax_q4 = _truncation_range(P, default_tolerance(P))
+        nodes = _build_level(2, mpf(tmax_q4) / 4)
+        near = nodes[len(nodes) // 4][0] / 2
+
+    def bad(x, da, db):
+        if da == near:
+            raise ZeroDivisionError("bad node")
+        return mp.sqrt(da)
+
+    def good(x, da, db):
+        return mp.sqrt(da)
+
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _NEVER)
+    with pytest.raises(ZeroDivisionError, match="bad node"):
+        integrate_1d(bad, 0, 1, P)
+    serial = integrate_1d(good, 0, 1, P)
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _ALWAYS)
+    with pytest.raises(ZeroDivisionError, match="bad node"):
+        integrate_1d(bad, 0, 1, P)
+    (table,) = quadrature._NODE_CACHE.values()
+    assert len(table) == 2  # levels 0 and 1; level 2 joins only whole
+    _assert_serial_tables()
+    assert integrate_1d(good, 0, 1, P) == serial
+    assert len(table) == serial.levels
+    _assert_serial_tables()
+
+
 def _evaluating_pids(monkeypatch, split_after, path):
     def f(x, da, db):
         with open(path, "a", encoding="utf-8") as fh:
@@ -710,9 +849,9 @@ def test_the_default_threshold_splits_only_costly_levels(monkeypatch):
     levels = []
     split = quadrature._level_contributions
 
-    def logged(f, nodes, geometry, half, hr, cutoff):
-        levels.append(half is not None)
-        return split(f, nodes, geometry, half, hr, cutoff)
+    def logged(f, table, level, tmax_q4, geometry, split_level, hr, cutoff):
+        levels.append(split_level)
+        return split(f, table, level, tmax_q4, geometry, split_level, hr, cutoff)
 
     monkeypatch.setattr(quadrature, "_level_contributions", logged)
     integrate_1d(lambda x, da, db: x, 0, 1, 30)
@@ -725,9 +864,18 @@ def _dies(how):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _with_cold_tables(*cases):
+    """Each case on the node tables that its serial run leaves, and again,
+    as case-cold-table, on an empty node cache."""
+    return [pytest.param(case, cold, id=f"{case}-cold-table" if cold else case)
+            for case in cases for cold in (False, True)]
+
+
 @needs_fork
-@pytest.mark.parametrize("how", ["raises", "killed"])
-def test_a_child_that_fails_leaves_the_serial_result(how, monkeypatch):
+@pytest.mark.parametrize("how, cold", _with_cold_tables("raises", "killed"))
+def test_a_child_that_fails_leaves_the_serial_result(how, cold, monkeypatch):
+    # with a cold table the child's back half of the nodes is lost with it,
+    # and this process builds that half itself
     parent = os.getpid()
 
     def f(x, da, db):
@@ -737,8 +885,11 @@ def test_a_child_that_fails_leaves_the_serial_result(how, monkeypatch):
 
     monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _NEVER)
     serial = integrate_1d(f, 0, 1, 30)
+    if cold:
+        monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
     monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _ALWAYS)
     assert integrate_1d(f, 0, 1, 30) == serial
+    _assert_serial_tables()
 
 
 @pytest.mark.parametrize("bad", ["raises", "inf"])
@@ -747,7 +898,7 @@ def test_a_failure_in_the_childs_half_is_the_serial_failure(bad, monkeypatch):
     P = 30
     with _working(P, _WORK_GUARD):
         tmax_q4 = _truncation_range(P, default_tolerance(P))
-        nodes = _node_levels(P + _WORK_GUARD, tmax_q4, 1)[1]
+        nodes = _build_level(1, mpf(tmax_q4) / 4)
         near = nodes[len(nodes) * 3 // 4][0] / 2
 
     def f(x, da, db):
@@ -790,8 +941,8 @@ def _fork_fails():
     raise OSError("fork: resource temporarily unavailable")
 
 
-@pytest.mark.parametrize("no_fork", ["raises", "missing"])
-def test_without_fork_a_split_level_runs_here(no_fork, monkeypatch):
+@pytest.mark.parametrize("no_fork, cold", _with_cold_tables("raises", "missing"))
+def test_without_fork_a_split_level_runs_here(no_fork, cold, monkeypatch):
     pids = set()
 
     def f(x, da, db):
@@ -804,9 +955,12 @@ def test_without_fork_a_split_level_runs_here(no_fork, monkeypatch):
         monkeypatch.setattr(os, "fork", _fork_fails)
     else:
         monkeypatch.delattr(os, "fork", raising=False)
+    if cold:
+        monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
     monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _ALWAYS)
     assert integrate_1d(f, 0, 1, 30) == serial
     assert pids == {os.getpid()}
+    _assert_serial_tables()
 
 
 # ---------------------------------------------------------------------------

@@ -390,6 +390,15 @@ def test_kernel_k1_integral_meets_its_tolerance_at_a_tiny_z(z):
         assert gap <= mpf(10) ** -(P - 10)
 
 
+@pytest.mark.parametrize("z", ["1e-10", "1e-20"])
+def test_kernel_k0_integral_meets_its_tolerance_at_a_tiny_z(z):
+    # K0(z) = z + O(z^2), so it must be held to tol z, like K1
+    P = 30
+    with mp.workdps(60):
+        gap = abs(kernel_k0(z, P, method="integral") - kernel_k0(z, P, method="series"))
+        assert gap <= mpf(10) ** -(P - 10) * mpf(z)
+
+
 @pytest.mark.parametrize("P", [10, 40, 300])
 def test_kernel_series_match_the_twin_loop_references(P):
     # at P = 10, z = 1e-16 ends K0's sum after its second term, the earliest
