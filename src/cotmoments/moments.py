@@ -29,9 +29,10 @@ theta = asin z gives them, with terms falling by 4x each.  The quadrature
 evidence for both identities is therefore a 1-D tanh-sinh integral of the
 kernel-reduced integrand, the kernel summed by Horner's rule in fixed-point
 integers in x = (theta/pi)^2; the package has no 2-D rule.  The
-theta-series expands the same incomplete moment that the series layer's
-K1/K0 integrals evaluate by quadrature, but shares no code with them, and
-the suite checks the two against each other.
+theta-series expands the same incomplete moment that the quadrature's one
+cot integrand (``quadrature._cot_moment``) evaluates for the series
+layer's K1/K0 integrals, but shares no code with it, and the suite checks
+the two against each other.
 """
 
 from __future__ import annotations
@@ -105,8 +106,8 @@ def c_eta_route(m: int, P: int) -> Evaluation:
     survive cancelling the digits of that ratio; the guard digits cover
     this up to m = 10, where no digits are added.
     """
-    if m < 1:
-        raise ValueError(f"c_eta_route: need m >= 1, got {m}")
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"c_eta_route: need an integer m >= 1, got m={m!r}")
     log10_floor = ((m + 2) * math.log10(math.pi) - math.log10(4)
                    - math.lgamma(m + 3) / math.log(10))
     cancelled = math.ceil(math.log10(math.exp(math.pi) + math.pi ** 2 / 6) - log10_floor)
@@ -224,8 +225,8 @@ def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> Evaluation:
     tail is at most H1max N^(-3/2)/(6 sqrt pi), times 2^(2k+1), and the even
     one (1/2) H0max sqrt(pi) ((2/3) N^(-3/2) + N^(-5/2)/10).
     """
-    if m < 1:
-        raise ValueError(f"c_cfn_route: need m >= 1, got {m}")
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"c_cfn_route: need an integer m >= 1, got m={m!r}")
     if N < m:
         raise ValueError(f"c_cfn_route: need N >= m, got N={N}, m={m}")
     fbits = fixed_point_bits(P)
@@ -258,8 +259,8 @@ def c_nested_route(m: int, P: int, N: int = _DEFAULT_N) -> Evaluation:
 
     with the error bound propagated through the absolute weights.
     """
-    if m < 1:
-        raise ValueError(f"c_nested_route: need m >= 1, got {m}")
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"c_nested_route: need an integer m >= 1, got m={m!r}")
     k = (m - 1) // 2
     # 2^(2l+1) pi^(2k-2l)/(2k-2l)! = 2^(2k+1) A1(k-l); the even weight is A0(k-l)
     s_fn, a_fn, scale = (s_odd, a1, 2 ** (2 * k + 1)) if m % 2 else (s_even, a0, 1)
@@ -382,7 +383,8 @@ def _theta_kernels(P: int):
     4 u = 2^-(working bits + 8) relative.
 
     The Bernoulli numbers are mpmath's: the kernels share nothing with
-    the series layer's K1/K0, which the consequence checks compare against.
+    the series layer's K1/K0 power series, which the consequence checks
+    compare against.
     """
     K = math.ceil((P + _WORK_GUARD + math.log10(3)) / math.log10(4))
     with _working(P, _WORK_GUARD):

@@ -65,6 +65,13 @@ The rule is one-dimensional; the consequence identities' double integrals
 reach it already reduced to 1-D integrals of theta-series kernels
 (moments.py).
 
+The package's one cot integrand is ``_cot_moment``, int_0^b t^m cot t dt
+for 0 < b <= pi/2: C(m) is 2^m/m! times it at b = pi/2, and the series
+layer's kernel integrals are z K1(z) and K0(z)/2.  No check compares two of
+its values: the quadrature route is checked against the eta route, a kernel
+integral against the power series (at z = 1 against log 2 and the eta
+route's C(2)), and the nested route never calls the kernel integrals.
+
 ``moment_quadrature`` keeps its finished value in the package's one store
 (``hpreal._value``) per (m, P, tol), with tol the mpf that the tolerance
 rule makes of the caller's tol (or the default for P) at the working
@@ -333,14 +340,15 @@ def integrate_1d(f: IntegrandFn, a, b, P: int, tol=None) -> QuadratureResult:
     """Integrate ``f(x, da, db)`` over [a, b], a <= b, to absolute accuracy
     ~tol at P digits.  Raises QuadratureError if the capped refinements do
     not reach tol, and ValueError for reversed (or NaN) limits, whose
-    endpoint distances would be negative.
+    endpoint distances would be negative, and for infinite ones, which the
+    finite substitution cannot map.
     """
     dps = P + _WORK_GUARD
     with _working(P, _WORK_GUARD):
         a = mpf(a)
         b = mpf(b)
-        if not a <= b:
-            raise ValueError(f"integrate_1d: need a <= b, got [{a}, {b}]")
+        if not (a <= b and mp.isfinite(a) and mp.isfinite(b)):
+            raise ValueError(f"integrate_1d: need a <= b, both finite, got [{a}, {b}]")
         tol = _tolerance(P, tol)
         width = b - a
         r = width / 2
@@ -415,37 +423,54 @@ def integrate_1d(f: IntegrandFn, a, b, P: int, tol=None) -> QuadratureResult:
 # ---------------------------------------------------------------------------
 
 def moment_quadrature(m: int, P: int, tol=None) -> mpf:
-    """The m-th cotangent moment by direct quadrature: the integral over
-    [0, pi] of x^m/(2 m!) * cot(x/2).
-
-    The half-angle cotangent comes from the exact distance v = min(da, db)
-    to the nearer endpoint: cot(x/2) = cot(v/2) near 0 and tan(v/2) near
-    pi, from one cos_sin(v/2), taken _TRIG_GUARD_BITS above the working
-    precision.  A node pair's two abscissas share v, so its mirror node
-    reuses the last (v, cos, sin): one cos_sin per pair.  Any other v
-    recomputes them, so no value depends on the order of the calls or on
-    the process that makes them.  The value is stored per (m, P, tol); a
-    failure is not.
+    """The m-th cotangent moment by direct quadrature: with x = 2t, the
+    integral over [0, pi] of x^m/(2 m!) * cot(x/2) is 2^m/m! times
+    ``_cot_moment`` over [0, pi/2], whose cotangent there is exactly 0.
+    The integral is held to tol divided by that scale, so C(m) is held to
+    the absolute tol.  The value is stored per (m, P, tol); a failure is
+    not.
     """
-    if m < 1:
-        raise ValueError(f"moment_quadrature: need m >= 1, got {m}")
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"moment_quadrature: need an integer m >= 1, got m={m!r}")
     with _working(P, _WORK_GUARD):
         tol = _tolerance(P, tol)
         return _value(("moment", m, P, tol._mpf_), partial(_moment_integral, m, P, tol))
 
 
 def _moment_integral(m: int, P: int, tol: mpf) -> mpf:
-    two_fact = 2 * mp.factorial(m)
-    # (v, cos(v/2), sin(v/2)) of the last node: a pair's mirror node,
-    # evaluated next, has the same v
-    last = [None, None, None]
+    scale = mpf(2) ** m / mp.factorial(m)
+    return scale * _cot_moment(m, mp.pi / 2, mpf(0), P, tol / scale)
 
-    def f(x, da, db):
+
+def _cot_moment(m: int, b: mpf, cot_b: mpf, P: int, tol: mpf) -> mpf:
+    """int_0^b t^m cot t dt for 0 < b <= pi/2, to tol, at one cos_sin per
+    node pair; cot_b is the cotangent of the true endpoint, which the mpf b
+    may round.  Callers hold the precision scope.
+
+    A pair's two nodes lie at the same exact distance v = min(da, db) from
+    their own endpoints.  The near node t = v takes q = cot v = c/s from
+    (c, s) = cos_sin(v), _TRIG_GUARD_BITS above the working precision; the
+    far node t = b - v takes cot(b - v) = (cot_b q + 1)/(q - cot_b) from the
+    same q, at the true endpoint and with no cos_sin of b.  The numerator
+    adds two terms >= 0.  As v <= b/2, q >= cot(b/2) = cot_b + 1/sin b >=
+    2 cot_b, so q - cot_b >= 1/sin b and >= q/2: the denominator loses at
+    most one bit.  The mirror node, evaluated next, reuses the last (v, q);
+    any other v recomputes it, so no value depends on the order of the
+    calls or on the process that makes them.
+    """
+    # (v, cot v) of the last node: a pair's mirror node, evaluated next,
+    # has the same v
+    last = [None, None]
+
+    def f(t, da, db):
         v = min(da, db)
         if v != last[0]:
             with mp.extraprec(_TRIG_GUARD_BITS):
-                last[:] = v, *mp.cos_sin(v / 2)
-        _, c, s = last
-        return x ** m / two_fact * (c / s if da <= db else s / c)
+                c, s = mp.cos_sin(v)
+            last[:] = v, c / s
+        q = last[1]
+        if da <= db:
+            return t ** m * q
+        return t ** m * (cot_b * q + 1) / (q - cot_b)
 
-    return integrate_1d(f, 0, mp.pi, P, tol).value
+    return integrate_1d(f, 0, b, P, tol).value

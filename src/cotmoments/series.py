@@ -13,9 +13,10 @@ Three layers live here:
   the S families' outer terms against powers of z, one loop for both:
   K1(z) = sum_j b_odd(j) z^(2j) and K0(z) = sum_j b_even(j) z^j, so
   K1(1) = S_odd(0) and K0(1) = S_even(0).  The integrals are incomplete
-  moments of cot, int_0^b g(t) cot t dt with b = asin z, g = t (divided by
-  z) for K1 and b = asin sqrt z, g = 2 t^2 for K0, by tanh-sinh at one
-  cos_sin per node pair (``_cot_moment``).  An integral's finished value is
+  moments of cot, int_0^b t^m cot t dt with m = 1, b = asin z (divided by
+  z) for K1 and m = 2, b = asin sqrt z (times 2) for K0, by the
+  quadrature's one cot integrand (``quadrature._cot_moment``), which the
+  moment route integrates at b = pi/2.  An integral's finished value is
   kept in the package's one store (``hpreal._value``) per (kind, z, P), with
   z the mpf that the working precision makes of the caller's z, so a repeat
   costs one lookup; the power series and a failed integral keep nothing.
@@ -67,7 +68,7 @@ from mpmath import mp, mpf
 from .exact import bernoulli, cycle_count, euler_zigzag, partitions
 from .hpreal import (_DEFAULT_N, _SWEEP_BLOCK_BITS, Evaluation, _paired_sweep, _value,
                      _working, default_tolerance, fixed_point_bits, zeta)
-from .quadrature import _TRIG_GUARD_BITS, _WORK_GUARD, integrate_1d
+from .quadrature import _WORK_GUARD, _cot_moment
 
 __all__ = [
     "r_odd",
@@ -474,65 +475,27 @@ def _kernel_series(kind: str, z: mpf, P: int) -> mpf:
         term *= x * (2 * j - s) / (2 * j - 1 + s)
 
 
-def _cot_moment(g, b: mpf, P: int, tol=None) -> mpf:
-    """int_0^b g(t) cot t dt for 0 < b <= pi/2, to tol, at one cos_sin per
-    node pair.
-
-    A pair's two nodes lie at the same exact distance v = min(da, db) from
-    their own endpoints.  The near node t = v takes cot v = c/s from
-    (c, s) = cos_sin(v); the far node t = b - v takes
-
-        cot(b - v) = (cos b c + sin b s) / (sin b c - cos b s)
-
-    from the same (c, s), with cos b and sin b taken once.  The numerator
-    adds two terms >= 0, and the denominator sin(b - v) >= sin(b/2) loses at
-    most a bit, so neither cancels.  The mirror node, evaluated next, reuses
-    the last (v, c, s); any other v recomputes them, so no value depends on
-    the order of the calls or on the process that makes them.  b is the
-    mpf of the working precision, and the rule integrates over that b;
-    every cos_sin, b's included, is taken _TRIG_GUARD_BITS above it.
-    """
-    with _working(P, _WORK_GUARD), mp.extraprec(_TRIG_GUARD_BITS):
-        cb, sb = mp.cos_sin(b)
-    # (v, cos v, sin v) of the last node: a pair's mirror node, evaluated
-    # next, has the same v
-    last = [None, None, None]
-
-    def f(t, da, db):
-        v = min(da, db)
-        if v != last[0]:
-            with mp.extraprec(_TRIG_GUARD_BITS):
-                last[:] = v, *mp.cos_sin(v)
-        _, c, s = last
-        if da <= db:
-            return g(t) * c / s
-        return g(t) * (cb * c + sb * s) / (sb * c - cb * s)
-
-    return integrate_1d(f, 0, b, P, tol).value
-
-
-# With y = sin t the kernels are incomplete moments of cot:
+# With y = sin t the kernels are incomplete moments of cot, which
+# ``quadrature._cot_moment`` integrates given the exact cot of the endpoint:
 #
-#     z K1(z) = int_0^asin z t cot t dt,   K0(z) = int_0^asin sqrt z 2 t^2 cot t dt.
+#     z K1(z) = int_0^asin z t cot t dt,          cot asin z = sqrt((1 - z)(1 + z))/z,
+#     K0(z) = 2 int_0^asin sqrt z t^2 cot t dt,   cot asin sqrt z = sqrt((1 - z)/z).
 #
-# t cot t is analytic for |t| < pi, so nothing singular lies within pi/2 of
-# [0, b]; asin(y)/y has a branch point at y = 1, just past z, which costs a
-# double-exponential rule levels near z = 1.
+# t^m cot t is analytic for |t| < pi, while asin(y)/y has a branch point at
+# y = 1, just past z, which costs a double-exponential rule levels near
+# z = 1.  K1's integral is divided by z and K0(z) = z + O(z^2), so both are
+# held to tol z.
 
 def _kernel_integral_k1(z: mpf, P: int) -> mpf:
-    # the integral is divided by z, so it is held to tol z
     with _working(P, _WORK_GUARD):
-        b = mp.asin(z)
         tol = default_tolerance(P) * z
-    return _cot_moment(lambda t: t, b, P, tol) / z
+        return _cot_moment(1, mp.asin(z), mp.sqrt((1 - z) * (1 + z)) / z, P, tol) / z
 
 
 def _kernel_integral_k0(z: mpf, P: int) -> mpf:
-    # K0(z) = z + O(z^2), so it is held to tol z, like K1
     with _working(P, _WORK_GUARD):
-        b = mp.asin(mp.sqrt(z))
-        tol = default_tolerance(P) * z
-    return _cot_moment(lambda t: 2 * t * t, b, P, tol)
+        tol = default_tolerance(P) * z / 2
+        return 2 * _cot_moment(2, mp.asin(mp.sqrt(z)), mp.sqrt((1 - z) / z), P, tol)
 
 
 def _kernel(kind: str, z, P: int, method: str, integral_fn, at_zero: mpf) -> mpf:

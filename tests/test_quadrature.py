@@ -231,30 +231,16 @@ def test_moment_matches_the_eta_route_at_high_precision(m, P):
         assert abs(value - closed) <= default_tolerance(P)
 
 
-@pytest.mark.parametrize("m", [1, 12, 40])
-def test_a_moment_takes_one_cos_sin_per_node_pair(m, monkeypatch):
-    # a pair's two nodes share v, the distance to the nearer endpoint, and
-    # the centre node is its own mirror image
-    calls = {"cos_sin": 0, "tan": 0}
-
-    def counted(name, fn):
-        def call(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return call
-
-    for name in calls:
-        monkeypatch.setattr(mp, name, counted(name, getattr(mp, name)))
-    [res] = _results(monkeypatch, _NEVER, partial(moment_quadrature, m, 30))
-    assert calls == {"cos_sin": (res.evaluations + 1) // 2, "tan": 0}
-    assert res.evaluations % 2 == 1
-
-
 def test_moment_rejects_bad_arguments():
     with pytest.raises(ValueError):
         moment_quadrature(0, 30)
     with pytest.raises(ValueError):
         moment_quadrature(1, 5)
+    # 2.5 would integrate x^2.5 cot(x/2), and 2.0 would share the store key
+    # of m = 2
+    for m in (2.5, 2.0):
+        with pytest.raises(ValueError, match=rf"need an integer m >= 1, got m={m!r}"):
+            moment_quadrature(m, 30)
 
 
 @pytest.mark.parametrize("tol", [0, -1, "-1e-20", "inf", float("inf"), "nan"])
@@ -304,6 +290,10 @@ def test_reversed_limits_raise():
         integrate_1d(lambda x, da, db: -mp.log(da), 1, 0, 30)
     with pytest.raises(ValueError, match="need a <= b"):
         integrate_1d(lambda x, da, db: x, 0, mp.nan, 30)
+    # the finite substitution cannot map an infinite limit
+    for a, b in ((0, mp.inf), (-mp.inf, 0)):
+        with pytest.raises(ValueError, match="need a <= b, both finite"):
+            integrate_1d(lambda x, da, db: mp.exp(-abs(x)), a, b, 30)
     assert integrate_1d(lambda x, da, db: x, 1, 1, 30).value == 0
 
 
@@ -516,19 +506,34 @@ def test_the_atan_folds_agree_with_the_asin_forms(P):
 
 
 # ---------------------------------------------------------------------------
-# the kernel integrals: incomplete moments of cot
+# the one cot integrand: the moment integrals are int_0^(pi/2) t^m cot t dt
+# scaled by 2^m/m!, z K1(z) is int_0^asin z t cot t dt and K0(z) is 2
+# int_0^asin sqrt z t^2 cot t dt
 # ---------------------------------------------------------------------------
 
-# g(t) of z K1(z) = int_0^asin z t cot t dt and K0(z) = int_0^asin sqrt z
-# 2 t^2 cot t dt
-_KERNEL_INTEGRALS = {
-    "k1": (series._kernel_integral_k1, lambda t: t),
-    "k0": (series._kernel_integral_k0, lambda t: 2 * t * t),
-}
+def _cot_moment_case(case, P):
+    """(m, run, gap) of "moment-m", "k1-z" or "k0-z": run() hands
+    integrate_1d that integral's t^m cot t, and gap() is pi/2 minus its true
+    endpoint b_exact at the caller's precision, for z as ``series._kernel``
+    holds it: 0, acos z or acos sqrt z."""
+    kind, arg = case.split("-")
+    if kind == "moment":
+        m = int(arg)
+
+        def run():
+            with _working(P, _WORK_GUARD):
+                return quadrature._moment_integral(m, P, default_tolerance(P))
+
+        return m, run, lambda: mpf(0)
+    with _working(P):
+        z = mpf(arg)
+    if kind == "k1":
+        return 1, partial(series._kernel_integral_k1, z, P), lambda: mp.acos(z)
+    return 2, partial(series._kernel_integral_k0, z, P), lambda: mp.acos(mp.sqrt(z))
 
 
-def _integrand_of(integral, z, P, monkeypatch):
-    """The integrand and the upper limit b that integral(z, P) hands to
+def _integrand_of(run, monkeypatch):
+    """The integrand and the upper limit b that run() hands to
     integrate_1d."""
     seen = []
 
@@ -536,20 +541,22 @@ def _integrand_of(integral, z, P, monkeypatch):
         seen.append((f, b))
         return QuadratureResult(mpf(1), mpf(0), 0, 0)
 
-    monkeypatch.setattr(series, "integrate_1d", capture)
-    with _working(P):
-        integral(mpf(z), P)
+    monkeypatch.setattr(quadrature, "integrate_1d", capture)
+    run()
     return seen[0]
 
 
 @pytest.mark.parametrize("P", [30, 100])
-@pytest.mark.parametrize("z", ["0.3", "1"])
-@pytest.mark.parametrize("kind", sorted(_KERNEL_INTEGRALS))
-def test_a_kernel_node_pair_is_within_a_few_ulps_of_cot(kind, z, P, monkeypatch):
-    # both nodes of the pair at distance v from their own endpoints, as
-    # integrate_1d calls them: t = v near 0, then t = b - v near b
-    integral, g = _KERNEL_INTEGRALS[kind]
-    f, b = _integrand_of(integral, z, P, monkeypatch)
+@pytest.mark.parametrize("case", ["k0-0.3", "k0-1", "k1-0.3", "k1-1",
+                                  "moment-1", "moment-12", "moment-40"])
+def test_a_kernel_node_pair_is_within_a_few_ulps_of_cot(case, P, monkeypatch):
+    # the moments' integrand is the kernels' at b = pi/2.  Both nodes of the
+    # pair at distance v from their own endpoints, as integrate_1d calls
+    # them: t = v near 0, then t = b - v near b, against t^m cot(b_exact - v)
+    # = t^m tan(gap + v), which forms no difference; K0's factor 2 is
+    # applied outside the integrand
+    m, run, gap = _cot_moment_case(case, P)
+    f, b = _integrand_of(run, monkeypatch)
     worst = {}
     with _working(P, _WORK_GUARD):
         prec = mp.prec
@@ -561,19 +568,21 @@ def test_a_kernel_node_pair_is_within_a_few_ulps_of_cot(kind, z, P, monkeypatch)
             nodes["near", name] = (v, f(v, v, far))
             nodes["far", name] = (far, f(far, far, v))
     with _working(P + _EXTRA, _WORK_GUARD):
+        complement = gap()
         for (side, name), (t, value) in nodes.items():
-            # b - v exactly: near b = pi/2 its cot is about v, far below b
-            angle = t if side == "near" else mp.fsub(b, vs[name], exact=True)
-            ref = g(t) * mp.cot(angle)
+            cot = mp.cot(t) if side == "near" else mp.tan(complement + vs[name])
+            ref = t ** m * cot
             worst[side, name] = float(_ulps(value, ref, prec))
     assert max(worst.values()) <= 4, worst
 
 
-@pytest.mark.parametrize("z", ["0.5", "0.95", "1"])
-@pytest.mark.parametrize("kind", sorted(_KERNEL_INTEGRALS))
-def test_a_kernel_integral_takes_one_cos_sin_per_node_pair(kind, z, monkeypatch):
-    # one for b, then one per pair: the centre node is its own mirror image
-    calls = {"cos_sin": 0, "asin": 0}
+@pytest.mark.parametrize("case", ["k0-0.5", "k0-0.95", "k0-1", "k1-0.5", "k1-0.95", "k1-1",
+                                  "moment-1", "moment-12", "moment-40"])
+def test_a_kernel_integral_takes_one_cos_sin_per_node_pair(case, monkeypatch):
+    # the moments' integrand is the kernels' at b = pi/2.  One cos_sin per
+    # pair, as the centre node is its own mirror image, and none for b,
+    # whose cotangent the caller gives
+    calls = {"cos_sin": 0, "cot": 0, "tan": 0}
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -581,11 +590,11 @@ def test_a_kernel_integral_takes_one_cos_sin_per_node_pair(kind, z, monkeypatch)
             return fn(*args, **kwargs)
         return call
 
+    _, run, _ = _cot_moment_case(case, 30)
     for name in calls:
         monkeypatch.setattr(mp, name, counted(name, getattr(mp, name)))
-    integral, _ = _KERNEL_INTEGRALS[kind]
-    [res] = _results(monkeypatch, _NEVER, partial(integral, mpf(z), 30))
-    assert calls == {"cos_sin": 1 + (res.evaluations + 1) // 2, "asin": 1}
+    [res] = _results(monkeypatch, _NEVER, run)
+    assert calls == {"cos_sin": (res.evaluations + 1) // 2, "cot": 0, "tan": 0}
     assert res.evaluations % 2 == 1
 
 
@@ -601,7 +610,7 @@ def _mp_quad_kernel(kind, z, P):
 
 @pytest.mark.parametrize("P", [30, 100])
 @pytest.mark.parametrize("z", ["0.95", "0.99"])
-@pytest.mark.parametrize("kind", sorted(_KERNEL_INTEGRALS))
+@pytest.mark.parametrize("kind", ["k0", "k1"])
 def test_a_kernel_integral_near_1_keeps_p_plus_2_digits(kind, z, P):
     # an arcsine integrand's branch point at y = 1, just past z, would cost
     # the rule digits here.  Its tolerance is 10^-(P-10), and its tail cut
@@ -698,8 +707,7 @@ def _recording(monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(hpreal, "_values", {})
-    for module in (quadrature, series):
-        monkeypatch.setattr(module, "integrate_1d", recorded)
+    monkeypatch.setattr(quadrature, "integrate_1d", recorded)
     return results
 
 
