@@ -20,21 +20,22 @@ precision under the same lock.
 
 Work that can run on a second core goes through one helper,
 ``_from_child(work)``: the function ``work`` runs in a child made by
-``os.fork``, and its value comes back through a pipe as one ``marshal``
-record, or not at all.  No child outlives the block that made it: on
-leaving it the parent closes the pipe, kills the child if it still runs
-and reaps it (only a parent killed outright leaves its child to finish and
-exit on the broken pipe).  It forks only while the calling thread is the
-process's only thread.  When no value comes back (the child failed, or
-there is no ``os.fork``, or it failed, or other threads run) the caller
-does that work itself, so every value is the same either way.  A traced
-run sees only the parent's spans: what the child records is lost with it.
-It has two users:
+``os.fork``, and its value, a tuple, comes back through a pipe as one
+record of ``marshal`` pieces, or not at all.  No child outlives the block
+that made it: on leaving it the parent closes the pipe, kills the child if
+it still runs and reaps it (only a parent killed outright leaves its child
+to finish and exit on the broken pipe).  It forks only while the calling
+thread is the process's only thread.  When no value comes back (the child
+failed, or there is no ``os.fork``, or it failed, or other threads run)
+the caller does that work itself, so every value is the same either way.
+A traced run sees only the parent's spans: what the child records is lost
+with it.  It has two users:
 
-* ``quadrature.integrate_1d`` evaluates the second half of a costly
-  tanh-sinh level's node pairs in the child (building them there first if
-  the node table lacks the level), and sums every contribution here, in
-  the serial order.
+* the tanh-sinh engine (``quadrature._tanh_sinh``) evaluates the second
+  half of a costly level's node pairs in the child (building them there
+  first if the node table lacks the level, and sending back the cot
+  values that it adds to the table's cot column), and sums every
+  contribution here, in the serial order.
 * ``_in_halves(works)`` runs the back half of a list of independent works
   that fill the store in the child and the front half here, and the store
   entries that the child added come back exactly.  The consequences and
@@ -130,6 +131,12 @@ def _value(key: tuple, compute: Callable[[], mpf]) -> mpf:
     return mp.make_mpf(hit)
 
 
+def _integer(n) -> bool:
+    """Whether n is an int and not a bool: the one test of an integer
+    argument (m, s), so that True is refused as 2.0 is, not taken as 1."""
+    return isinstance(n, int) and not isinstance(n, bool)
+
+
 def _require_digits(P: int) -> None:
     if P < MIN_DIGITS:
         raise ValueError(f"precision must be >= {MIN_DIGITS} digits, got {P}")
@@ -217,7 +224,7 @@ def eta(s: int, P: int) -> mpf:
     2^bitlength(c) floors to 0 or -1 without the power, so the cost stays
     bounded however large s is.
     """
-    if not isinstance(s, int):
+    if not _integer(s):
         # (k+1)^s would be a float, good to ~15 digits whatever P is
         raise ValueError(f"eta: need an integer s, got s={s!r}")
     if s < 1:
@@ -247,7 +254,7 @@ def _eta_sum(s: int, P: int) -> mpf:
 
 def zeta(s: int, P: int) -> mpf:
     """zeta(s) for integer s >= 2, via zeta(s) = eta(s) / (1 - 2^(1-s))."""
-    if not isinstance(s, int):
+    if not _integer(s):
         raise ValueError(f"zeta: need an integer s, got s={s!r}")
     if s < 2:
         raise ValueError(f"zeta: need s >= 2, got {s}")
@@ -261,7 +268,7 @@ def zeta_even_closed(s: int, P: int) -> mpf:
     zeta(2l) = (2 pi)^(2l) |B_2l| / (2 (2l)!) — an independent cross-check of
     the eta-based route.
     """
-    if not isinstance(s, int):
+    if not _integer(s):
         raise ValueError(f"zeta_even_closed: need an integer s, got s={s!r}")
     if s < 2 or s % 2:
         raise ValueError(f"zeta_even_closed: need even s >= 2, got {s}")
@@ -284,22 +291,24 @@ def fixed_point_bits(P: int) -> int:
 
 @contextmanager
 def _from_child(work: Callable[[], object]) -> Iterator[Callable[[], object]]:
-    """A function ``fetch`` that returns the value of ``work()``, which runs
-    in a child made by ``os.fork``, at the same time as the caller's block;
-    or None, and then the caller does that work itself.
+    """A function ``fetch`` that returns the value of ``work()``, a tuple,
+    which runs in a child made by ``os.fork``, at the same time as the
+    caller's block; or None, and then the caller does that work itself.
 
-    The child sends the value as one ``marshal`` record (ints, strings,
-    lists, tuples, dicts) and ends with ``os._exit``.  ``fetch()`` waits for
-    that record.  It returns None when the record is missing or cut short:
-    when the child raised, was killed or returned a value ``marshal`` cannot
-    write.  It also returns None without ``os.fork``, when the pipe or
-    the fork fails, and when another thread runs: it forks only while the
-    caller's thread is the only one, since the child would keep only that
-    thread, and any lock another thread held would stay held there (from
-    Python 3.12 on, ``os.fork`` warns of this).  On leaving the block the
-    caller closes the pipe, kills the child (SIGKILL) if it is still
-    running and reaps it, however the block ends: with the value fetched,
-    not fetched, or by an exception.
+    The child sends the tuple as one record, its item count and then each
+    item as a length-prefixed ``marshal`` piece (ints, strings, lists,
+    tuples, dicts), and ends with ``os._exit``.  ``fetch()`` waits for that
+    record, and reads and parses one piece at a time, so beside the values
+    it holds the bytes of one piece only.  It returns None when the record
+    is missing or cut short: when the child raised, was killed or returned
+    a value ``marshal`` cannot write.  It also returns None without
+    ``os.fork``, when the pipe or the fork fails, and when another thread
+    runs: it forks only while the caller's thread is the only one, since
+    the child would keep only that thread, and any lock another thread held
+    would stay held there (from Python 3.12 on, ``os.fork`` warns of
+    this).  On leaving the block the caller closes the pipe, kills the
+    child (SIGKILL) if it is still running and reaps it, however the block
+    ends: with the value fetched, not fetched, or by an exception.
     """
     pid = None
     if hasattr(os, "fork") and threading.active_count() == 1:
@@ -320,20 +329,32 @@ def _from_child(work: Callable[[], object]) -> Iterator[Callable[[], object]]:
         status = 1
         try:
             os.close(r)
-            value = work()
+            items = work()
             with open(w, "wb") as out:
-                marshal.dump(value, out)
+                out.write(len(items).to_bytes(8, "little"))
+                for item in items:
+                    piece = marshal.dumps(item)
+                    out.write(len(piece).to_bytes(8, "little"))
+                    out.write(piece)
             status = 0
         finally:
             os._exit(status)
     os.close(w)
     reader = open(r, "rb")
 
+    def read(size):
+        data = reader.read(size)
+        if len(data) < size:
+            raise EOFError("the record is cut short")
+        return data
+
     def fetch():
-        # read to the end, then parse: marshal.load on the pipe's file
-        # object makes one readinto call per 15-bit digit of every int
+        # read a whole piece, then parse it: marshal.load on the pipe's
+        # file object makes one readinto call per 15-bit digit of every int
         try:
-            return marshal.loads(reader.read())
+            count = int.from_bytes(read(8), "little")
+            return tuple(marshal.loads(read(int.from_bytes(read(8), "little")))
+                         for _ in range(count))
         except (EOFError, ValueError):
             return None
 
@@ -348,14 +369,14 @@ def _from_child(work: Callable[[], object]) -> Iterator[Callable[[], object]]:
 def _in_halves(works: Sequence[Callable[[], object]]) -> None:
     """Run works, independent calls that each fill the store: the back
     half, works[len(works) // 2:], in a child (``_from_child``) while this
-    process runs the front half.  The child's one record holds the entries
-    it added, past the store's length at the fork (a deeper sweep that
-    replaces an entry keeps its dict position, so only keys new at the fork
-    are sent; ``_paired_sweep`` forks only when both its keys are missing).
-    They join this store unless it has the key.  With no record (no fork,
-    or the child failed) nothing joins, and a read of a back-half value
-    computes it here on its miss.  So the store holds a serial run's values,
-    and a front-half work that raises raises here.  Callers hold the
+    process runs the front half.  The child's record holds, as one piece,
+    the entries it added, past the store's length at the fork (a deeper
+    sweep that replaces an entry keeps its dict position, so only keys new
+    at the fork are sent; ``_paired_sweep`` forks only when both its keys
+    are missing).  They join this store unless it has the key.  With no
+    record (no fork, or the child failed) nothing joins, and a read of a
+    back-half value computes it here on its miss.  So the store holds a
+    serial run's values, and a front-half work that raises raises here.  Callers hold the
     precision scope, read their values through the store, and order works
     so that the two halves cost about the same."""
     half = len(works) // 2
@@ -364,12 +385,12 @@ def _in_halves(works: Sequence[Callable[[], object]]) -> None:
         start = len(_values)
         for work in works[half:]:
             work()
-        return dict(islice(_values.items(), start, None))
+        return (dict(islice(_values.items(), start, None)),)
 
     with _from_child(child) as fetch:
         for work in works[:half]:
             work()
-        added = fetch() or {}
+        (added,) = fetch() or ({},)
     for key, value in added.items():
         _values.setdefault(key, value)
 

@@ -47,9 +47,9 @@ from mpmath import mp, mpf
 
 from . import cfn
 from .hpreal import (_DEFAULT_DIGITS, _DEFAULT_N, _SWEEP_BLOCK_BITS, GUARD_DIGITS, Evaluation,
-                     _closed_form_tolerance, _in_halves, _paired_sweep, _require_digits,
-                     _tolerance, _value, _working, _zeta_even_tolerance, default_tolerance,
-                     eta, fixed_point_bits, zeta, zeta_even_closed)
+                     _closed_form_tolerance, _in_halves, _integer, _paired_sweep,
+                     _require_digits, _tolerance, _value, _working, _zeta_even_tolerance,
+                     default_tolerance, eta, fixed_point_bits, zeta, zeta_even_closed)
 from .quadrature import _WORK_GUARD, integrate_1d, moment_quadrature
 from .report import VerificationReport
 from .series import (
@@ -106,7 +106,7 @@ def c_eta_route(m: int, P: int) -> Evaluation:
     survive cancelling the digits of that ratio; the guard digits cover
     this up to m = 10, where no digits are added.
     """
-    if not isinstance(m, int) or m < 1:
+    if not _integer(m) or m < 1:
         raise ValueError(f"c_eta_route: need an integer m >= 1, got m={m!r}")
     log10_floor = ((m + 2) * math.log10(math.pi) - math.log10(4)
                    - math.lgamma(m + 3) / math.log(10))
@@ -225,7 +225,7 @@ def c_cfn_route(m: int, P: int, N: int = _DEFAULT_N) -> Evaluation:
     tail is at most H1max N^(-3/2)/(6 sqrt pi), times 2^(2k+1), and the even
     one (1/2) H0max sqrt(pi) ((2/3) N^(-3/2) + N^(-5/2)/10).
     """
-    if not isinstance(m, int) or m < 1:
+    if not _integer(m) or m < 1:
         raise ValueError(f"c_cfn_route: need an integer m >= 1, got m={m!r}")
     if N < m:
         raise ValueError(f"c_cfn_route: need N >= m, got N={N}, m={m}")
@@ -259,7 +259,7 @@ def c_nested_route(m: int, P: int, N: int = _DEFAULT_N) -> Evaluation:
 
     with the error bound propagated through the absolute weights.
     """
-    if not isinstance(m, int) or m < 1:
+    if not _integer(m) or m < 1:
         raise ValueError(f"c_nested_route: need an integer m >= 1, got m={m!r}")
     k = (m - 1) // 2
     # 2^(2l+1) pi^(2k-2l)/(2k-2l)! = 2^(2k+1) A1(k-l); the even weight is A0(k-l)

@@ -10,8 +10,8 @@ import pytest
 @pytest.fixture(autouse=True)
 def no_child_outlives_a_test():
     """``hpreal._in_halves`` may run half of a suite's integrals, or the
-    sibling of a series sweep, in a forked child, and
-    ``quadrature.integrate_1d`` half of a level in one; both go through
+    sibling of a series sweep, in a forked child, and the tanh-sinh engine
+    (``quadrature._tanh_sinh``) half of a level in one; both go through
     ``hpreal._from_child``.  Every
     such child must be reaped by the call that made it, so none is left,
     running or finished, when a test ends."""

@@ -92,10 +92,12 @@ def _mpf_build_level(level, tmax):
 
 @lru_cache(maxsize=None)
 def _reference_nodes(dps, tmax_q4, level):
-    """Level ``level`` of the node table for tmax_q4 at dps digits, built
-    once per argument tuple and kept here, apart from the engine's tables."""
+    """Level ``level`` of the node table for tmax_q4 at dps digits, as mpf
+    pairs, built once per argument tuple and kept here, apart from the
+    engine's tables."""
     with mp.workdps(dps):
-        return _build_level(level, mpf(tmax_q4) / 4)
+        return [(mp.make_mpf(offset), mp.make_mpf(weight))
+                for offset, weight in _build_level(level, mpf(tmax_q4) / 4)]
 
 
 def _reference_tanh_sinh(f, a, b, P, tol=None, level_cap=12):

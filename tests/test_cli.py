@@ -242,6 +242,16 @@ def test_moments_unreachable_tolerance_fails(capsys):
     assert "did not converge" in err
 
 
+def test_moments_tolerance_below_the_working_resolution_fails(capsys):
+    # the last delta rounded to 0 at 45 working digits, and the run printed
+    # bound=1.0e-60 for a value 3.77e-46 from pi log 2
+    code, out, err = run_cli(["moments", "--m", "1", "--route", "quad", "--digits", "30",
+                              "--tol", "1e-60"], capsys)
+    assert code == 1
+    assert "bound=" not in out
+    assert "that 45 working digits resolve" in err
+
+
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------

@@ -178,10 +178,12 @@ def test_eta_rejects_bad_arguments():
         eta(3, 5)  # precision floor is 10 digits
 
 
-@pytest.mark.parametrize("fn, s", [(eta, 1.5), (eta, 3.0), (zeta, 2.5), (zeta, 3.0)])
+@pytest.mark.parametrize("fn, s", [(eta, 1.5), (eta, 3.0), (eta, True), (zeta, 2.5), (zeta, 3.0),
+                                   (zeta, True)])
 def test_eta_and_zeta_reject_a_non_integer_s(fn, s):
-    # (k+1)^s would be a float, good to about 15 digits whatever P is, and
-    # eta(3.0, P) would share the cache key of eta(3, P)
+    # (k+1)^s would be a float, good to about 15 digits whatever P is,
+    # eta(3.0, P) would share the cache key of eta(3, P), and eta(True, P)
+    # returned log 2
     with pytest.raises(ValueError, match=rf"need an integer s, got s={s!r}"):
         fn(s, 30)
 
@@ -216,9 +218,12 @@ def test_zeta_rejects_s_below_two():
 
 
 def test_zeta_even_closed_rejects_a_float_s():
-    # the Bernoulli table takes an integer index; 4.0 must not reach it
+    # the Bernoulli table takes an integer index; 4.0 must not reach it, and
+    # a bool is refused as a non-integer
     with pytest.raises(ValueError, match=r"zeta_even_closed: need an integer s, got s=4\.0"):
         zeta_even_closed(4.0, 30)
+    with pytest.raises(ValueError, match=r"zeta_even_closed: need an integer s, got s=True"):
+        zeta_even_closed(True, 30)
 
 
 # ---------------------------------------------------------------------------
@@ -364,31 +369,47 @@ def test_from_child_returns_the_serial_values():
                               (series._sums_sweep, ("odd", 2), ("even", 2)),
                               (series._tails_sweep, ("even", 2), ("odd", 2))):
         own, other = partial(sweep, *own, 3000, 140), partial(sweep, *other, 3000, 140)
-        with _from_child(other) as fetch:
+        with _from_child(lambda: (other(),)) as fetch:
             pair = own(), fetch()
-        assert pair == (own(), other())
+        assert pair == (own(), (other(),))
 
 
 @needs_fork
 @pytest.mark.parametrize("other", [_raise, lambda: os.kill(os.getpid(), signal.SIGKILL),
-                                   lambda: object()], ids=["raises", "killed", "unmarshallable"])
+                                   lambda: (object(),)], ids=["raises", "killed", "unmarshallable"])
 def test_a_failed_child_gives_none_and_keeps_the_parents_value(other):
     with _from_child(other) as fetch:
         pair = 41 + 1, fetch()
     assert pair == (42, None)
 
 
+class _Longer(bytes):
+    """A marshal piece whose length prefix promises twice its bytes."""
+
+    def __len__(self):
+        return 2 * bytes.__len__(self)
+
+
 @needs_fork
 def test_a_record_cut_short_gives_none(monkeypatch):
-    def half_then_fail(value, out):  # the child inherits this marshal.dump
-        whole = marshal.dumps(value)
-        out.write(whole[: len(whole) // 2])
-        out.flush()
-        raise OSError("the pipe broke")
+    # the record is cut inside a piece, between two pieces, or has a piece
+    # that does not parse
+    dumps = marshal.dumps
+    for cut in ("mid-piece", "between-pieces", "unparsable-piece"):
+        def cut_short(value):  # the child inherits this marshal.dumps
+            whole = dumps(value)
+            if cut == "mid-piece":
+                return _Longer(whole)
+            if cut == "unparsable-piece":
+                return whole[: len(whole) // 2]
+            if value == "x" * 100:
+                # the first piece, larger than the file buffer, is in the pipe
+                os.kill(os.getpid(), signal.SIGKILL)
+            return whole
 
-    monkeypatch.setattr(marshal, "dump", half_then_fail)
-    with _from_child(lambda: [1 << 900, "x" * 100, (2, 3)]) as fetch:
-        assert fetch() is None
+        monkeypatch.setattr(marshal, "dumps", cut_short)
+        with _from_child(lambda: (1 << 100_000, "x" * 100, (2, 3))) as fetch:
+            assert fetch() is None, cut
 
 
 @needs_fork
@@ -409,7 +430,7 @@ def test_a_failed_sibling_sweep_stays_uncached(monkeypatch):
 
 
 @needs_fork
-@pytest.mark.parametrize("other", [lambda: bytes(1 << 20), lambda: time.sleep(600)],
+@pytest.mark.parametrize("other", [lambda: (bytes(1 << 20),), lambda: time.sleep(600)],
                          ids=["larger-than-the-pipe", "never-ends"])
 def test_own_raising_reraises_and_leaves_no_child(other):
     with _deadline(60):
@@ -457,7 +478,7 @@ def test_without_fork_only_the_asked_for_sweep_runs_here(no_fork, monkeypatch):
         monkeypatch.setattr(os, "fork", _fork_fails)
     else:
         monkeypatch.delattr(os, "fork", raising=False)
-    with _from_child(lambda: 42) as fetch:
+    with _from_child(lambda: (42,)) as fetch:
         assert fetch() is None
     calls = []
 
@@ -627,13 +648,13 @@ def _fd_paths():
         return run
 
     return {
-        "value": fetched(lambda: 42, 42),
+        "value": fetched(lambda: (42, [1 << 900]), (42, [1 << 900])),
         "child-raises": fetched(_raise, None),
         "child-killed": fetched(lambda: os.kill(os.getpid(), signal.SIGKILL), None),
         "caller-raises": caller_raises,
         "in-halves-failed-child": in_halves_failed_child,
         "level-split": level_split,
-        "fork-raises": fetched(lambda: 42, None),
+        "fork-raises": fetched(lambda: (42,), None),
     }
 
 

@@ -8,6 +8,7 @@ package's own eta acceleration.
 from __future__ import annotations
 
 import ast
+import hashlib
 import inspect
 import json
 import marshal
@@ -85,7 +86,7 @@ def test_eta_route_keeps_digits_through_cancellation(m, P):
 def test_eta_route_rejects_bad_m():
     with pytest.raises(ValueError):
         c_eta_route(0, 30)
-    for m in (2.5, 2.0):
+    for m in (2.5, 2.0, True):
         with pytest.raises(ValueError, match=rf"need an integer m >= 1, got m={m!r}"):
             c_eta_route(m, 30)
 
@@ -93,8 +94,8 @@ def test_eta_route_rejects_bad_m():
 @pytest.mark.parametrize("route", ROUTES)
 def test_compute_moment_refuses_a_non_integer_m(route):
     # a float m would reach range() in the series routes and x^m in the
-    # quadrature
-    for m in (2.5, 2.0):
+    # quadrature, and True was taken as m = 1
+    for m in (2.5, 2.0, True):
         with pytest.raises(ValueError, match=rf"need an integer m >= 1, got m={m!r}"):
             compute_moment(m, 30, route)
 
@@ -613,6 +614,17 @@ def test_run_suite_all_body_matches_the_frozen_copy():
     assert body == frozen, f"check ids that differ: {changed}"
 
 
+@pytest.mark.parametrize("P, digest", [
+    (40, "207bd3ed34728bb6256f1eaa448bbcdf2e2366e44f7676f962397f927faa9180"),
+    (100, "1ecc561308b131b37eb14f8f1dc16dd4819e14f135f62667093286eef51ac399"),
+])
+def test_run_suite_all_body_keeps_its_sha256(P, digest):
+    # the frozen copy holds P = 30 byte for byte; a speed change that keeps
+    # every number keeps these bodies too
+    body = run_suite("all", P).to_json()
+    assert hashlib.sha256(body.encode("utf-8")).hexdigest() == digest
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
 @pytest.mark.parametrize("suite", ["consequences", "routes", "all"])
 def test_suite_body_is_the_same_with_and_without_fork(suite, monkeypatch):
@@ -646,11 +658,13 @@ def test_a_second_routes_suite_integrates_nothing(monkeypatch):
     suites = ("routes", "consequences")
     first = [run_suite(suite, 30).to_json() for suite in suites]  # half of the integrals in a child
     calls = []
-    for module in (quadrature, moments):
-        def counted(*args, integrate=module.integrate_1d, **kwargs):
-            calls.append(args)
-            return integrate(*args, **kwargs)
-        monkeypatch.setattr(module, "integrate_1d", counted)
+    engine = quadrature._tanh_sinh  # what integrate_1d and the cot integrand run
+
+    def counted(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(quadrature, "_tanh_sinh", counted)
     monkeypatch.delattr(os, "fork")  # so every lookup of the second run is counted here
     assert [run_suite(suite, 30).to_json() for suite in suites] == first
     assert calls == []

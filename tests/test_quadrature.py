@@ -9,12 +9,14 @@ import math
 import os
 import pathlib
 import signal
+import subprocess
 import sys
 import threading
 from functools import partial
 
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import round_nearest
 
 import cotmoments
 from cotmoments import hpreal, moments, quadrature, series
@@ -26,6 +28,7 @@ from cotmoments.quadrature import (
     QuadratureResult,
     _build_level,
     _level_size,
+    _tanh_sinh,
     _truncation_range,
     integrate_1d,
     moment_quadrature,
@@ -98,6 +101,16 @@ def test_linear_integral():
     assert isinstance(res, QuadratureResult)
     assert res.levels >= 2
     assert res.evaluations > 0
+
+
+def test_an_integrand_may_return_an_int_or_a_float():
+    # the engine sums _mpf_ tuples, and takes a plain number exactly, as
+    # mpf arithmetic does
+    one, half = mpf(1), mpf("0.5")
+    assert (integrate_1d(lambda x, da, db: 1, 0, 2, 30)
+            == integrate_1d(lambda x, da, db: one, 0, 2, 30))
+    assert (integrate_1d(lambda x, da, db: 0.5, 0, 2, 30)
+            == integrate_1d(lambda x, da, db: half, 0, 2, 30))
 
 
 def test_cosine_integral_shifted_interval():
@@ -236,9 +249,9 @@ def test_moment_rejects_bad_arguments():
         moment_quadrature(0, 30)
     with pytest.raises(ValueError):
         moment_quadrature(1, 5)
-    # 2.5 would integrate x^2.5 cot(x/2), and 2.0 would share the store key
-    # of m = 2
-    for m in (2.5, 2.0):
+    # 2.5 would integrate x^2.5 cot(x/2), 2.0 would share the store key of
+    # m = 2, and True that of m = 1
+    for m in (2.5, 2.0, True):
         with pytest.raises(ValueError, match=rf"need an integer m >= 1, got m={m!r}"):
             moment_quadrature(m, 30)
 
@@ -283,6 +296,19 @@ def test_level_cap_raises_with_context(monkeypatch):
     assert err.value.levels == 4  # base level plus three refinements
 
 
+def test_a_tol_below_the_working_resolution_raises():
+    # the last level's delta rounded to exactly 0, and 0 <= tol reported the
+    # tol as met: C(1) came back 3.77e-46 from pi log 2 with the bound
+    # 1.0e-60, and C(2) 6.05e-46 from its value with the bound 1.0e-50
+    for m, tol in ((1, "1e-60"), (2, "1e-50")):
+        with pytest.raises(QuadratureError, match="that 45 working digits resolve") as err:
+            moments.compute_moment(m, 30, "quad", tol=tol)
+        assert err.value.best is not None and err.value.gap is not None
+    # the rule already raised where the delta does not round to 0
+    with pytest.raises(QuadratureError, match=r"no convergence to 1\.0e-60 .* 6\.13e-46"):
+        integrate_1d(lambda x, da, db: x * x, 0, 1, 30, "1e-60")
+
+
 def test_reversed_limits_raise():
     # over [1, 0] the endpoint distances would be negative and h*r < 0 would
     # keep the tail cut from firing: -log(da) came out as -1 + pi*i
@@ -310,7 +336,7 @@ def test_nan_from_one_pair_raises_at_its_level():
     P = 30
     with _working(P, _WORK_GUARD):
         tmax_q4 = _truncation_range(P, default_tolerance(P))
-        near = _build_level(1, mpf(tmax_q4) / 4)[0][0] / 2
+        near = mp.make_mpf(_build_level(1, mpf(tmax_q4) / 4)[0][0]) / 2
 
     def f(x, da, db):
         if da == near:
@@ -333,6 +359,11 @@ def test_repeated_runs_are_deterministic():
 # ---------------------------------------------------------------------------
 # the node tables: one exponential per node against the sinh/cosh reference
 # ---------------------------------------------------------------------------
+
+def _mpf_pairs(nodes):
+    """A level's (offset, weight) pairs of _mpf_ tuples as mpf pairs."""
+    return [(mp.make_mpf(offset), mp.make_mpf(weight)) for offset, weight in nodes]
+
 
 def _tmax(P):
     with _working(P, _WORK_GUARD):
@@ -361,7 +392,7 @@ def test_nodes_match_the_reference_within_a_few_ulps(P):
     with _working(P, _WORK_GUARD):
         prec = mp.prec
         for level in range(7):
-            nodes = _build_level(level, tmax)
+            nodes = _mpf_pairs(_build_level(level, tmax))
             with mp.extradps(30):
                 ts = list(_reference_abscissas(level, tmax))
                 ref = _reference_build_level(level, tmax)
@@ -382,7 +413,7 @@ def test_nodes_equal_the_mpf_formulas_bit_for_bit(dps):
         for tmax_q4 in (12, 19, 26):
             tmax = mpf(tmax_q4) / 4
             for level in range(6):
-                got = [(o._mpf_, w._mpf_) for o, w in _build_level(level, tmax)]
+                got = _build_level(level, tmax)
                 want = [(o._mpf_, w._mpf_) for o, w in _mpf_build_level(level, tmax)]
                 assert got == want, (tmax_q4, level)
 
@@ -532,18 +563,37 @@ def _cot_moment_case(case, P):
     return 2, partial(series._kernel_integral_k0, z, P), lambda: mp.acos(mp.sqrt(z))
 
 
-def _integrand_of(run, monkeypatch):
-    """The integrand and the upper limit b that run() hands to
-    integrate_1d."""
+def _pair_of(run, monkeypatch):
+    """The pair function and the half-width r (an _mpf_) that run() hands
+    to the engine, on an empty node cache."""
     seen = []
 
-    def capture(f, a, b, *args):
-        seen.append((f, b))
+    def capture(pair, r, *args):
+        seen.append((pair, r))
         return QuadratureResult(mpf(1), mpf(0), 0, 0)
 
-    monkeypatch.setattr(quadrature, "integrate_1d", capture)
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    monkeypatch.setattr(quadrature, "_tanh_sinh", capture)
     run()
     return seen[0]
+
+
+def _node_values(pair, offset, monkeypatch):
+    """The two node values, low node first, whose sum pair(offset) returns:
+    the operands of the pair function's last mpf_add."""
+    operands = []
+    add = quadrature.mpf_add
+
+    def recorded(x, y, *args):
+        operands.append((x, y))
+        return add(x, y, *args)
+
+    monkeypatch.setattr(quadrature, "mpf_add", recorded)
+    total = pair(offset)
+    monkeypatch.setattr(quadrature, "mpf_add", add)
+    low, high = operands[-1]
+    assert add(low, high, mp.prec, round_nearest) == total
+    return mp.make_mpf(low), mp.make_mpf(high)
 
 
 @pytest.mark.parametrize("P", [30, 100])
@@ -551,26 +601,33 @@ def _integrand_of(run, monkeypatch):
                                   "moment-1", "moment-12", "moment-40"])
 def test_a_kernel_node_pair_is_within_a_few_ulps_of_cot(case, P, monkeypatch):
     # the moments' integrand is the kernels' at b = pi/2.  Both nodes of the
-    # pair at distance v from their own endpoints, as integrate_1d calls
-    # them: t = v near 0, then t = b - v near b, against t^m cot(b_exact - v)
-    # = t^m tan(gap + v), which forms no difference; K0's factor 2 is
-    # applied outside the integrand
+    # pair at distance v = r*offset from their own endpoints, as the engine
+    # evaluates them: t = v near 0, then t = b - v near b, against
+    # t^m cot(b_exact - v) = t^m tan(gap + v), which forms no difference;
+    # the centre (offset 1) is one node.  K0's factor 2 is applied outside
+    # the integrand
     m, run, gap = _cot_moment_case(case, P)
-    f, b = _integrand_of(run, monkeypatch)
+    pair, r = _pair_of(run, monkeypatch)
     worst = {}
     with _working(P, _WORK_GUARD):
         prec = mp.prec
-        vs = {"1e-40": mpf("1e-40") * b, "1e-6": mpf("1e-6") * b, "b/4": b / 4,
-              "b/2 - ulp": b / 2 - mp.ldexp(b, -prec), "b/2": b / 2}
+        offsets = {"1e-40": mpf("2e-40"), "1e-6": mpf("2e-6"), "b/4": mpf(1) / 2,
+                   "b/2 - ulp": 1 - mp.ldexp(1, 1 - prec), "b/2": mpf(1)}
+        r = mp.make_mpf(r)
+        b = 2 * r
         nodes = {}
-        for name, v in vs.items():
-            far = b - v
-            nodes["near", name] = (v, f(v, v, far))
-            nodes["far", name] = (far, f(far, far, v))
+        for name, offset in offsets.items():
+            v = r * offset
+            if offset == 1:
+                nodes["near", name] = (v, v, mp.make_mpf(pair(offset._mpf_)))
+                continue
+            low, high = _node_values(pair, offset._mpf_, monkeypatch)
+            nodes["near", name] = (v, v, low)
+            nodes["far", name] = (b - v, v, high)
     with _working(P + _EXTRA, _WORK_GUARD):
         complement = gap()
-        for (side, name), (t, value) in nodes.items():
-            cot = mp.cot(t) if side == "near" else mp.tan(complement + vs[name])
+        for (side, name), (t, v, value) in nodes.items():
+            cot = mp.cot(t) if side == "near" else mp.tan(complement + v)
             ref = t ** m * cot
             worst[side, name] = float(_ulps(value, ref, prec))
     assert max(worst.values()) <= 4, worst
@@ -579,10 +636,23 @@ def test_a_kernel_node_pair_is_within_a_few_ulps_of_cot(case, P, monkeypatch):
 @pytest.mark.parametrize("case", ["k0-0.5", "k0-0.95", "k0-1", "k1-0.5", "k1-0.95", "k1-1",
                                   "moment-1", "moment-12", "moment-40"])
 def test_a_kernel_integral_takes_one_cos_sin_per_node_pair(case, monkeypatch):
-    # the moments' integrand is the kernels' at b = pi/2.  One cos_sin per
-    # pair, as the centre node is its own mirror image, and none for b,
-    # whose cotangent the caller gives
-    calls = {"cos_sin": 0, "cot": 0, "tan": 0}
+    # the moments' integrand is the kernels' at b = pi/2.  On an empty node
+    # cache (a cold cot column at b = pi/2), one mpf_cos_sin per pair, as
+    # the centre node is its own mirror image, and none for b, whose
+    # cotangent the caller gives
+    _, run, _ = _cot_moment_case(case, 30)
+    calls = _counted_trig(monkeypatch)
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    [res] = _results(monkeypatch, _NEVER, run)
+    assert calls == {"mpf_cos_sin": (res.evaluations + 1) // 2, "cos_sin": 0, "cot": 0,
+                     "tan": 0}
+    assert res.evaluations % 2 == 1
+
+
+def _counted_trig(monkeypatch):
+    """A dict that counts, from now on, this process's calls of the cot
+    integrand's mpf_cos_sin and of mpmath's cos_sin, cot and tan."""
+    calls = {"mpf_cos_sin": 0, "cos_sin": 0, "cot": 0, "tan": 0}
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -590,12 +660,11 @@ def test_a_kernel_integral_takes_one_cos_sin_per_node_pair(case, monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    _, run, _ = _cot_moment_case(case, 30)
-    for name in calls:
+    monkeypatch.setattr(quadrature, "mpf_cos_sin",
+                        counted("mpf_cos_sin", quadrature.mpf_cos_sin))
+    for name in ("cos_sin", "cot", "tan"):
         monkeypatch.setattr(mp, name, counted(name, getattr(mp, name)))
-    [res] = _results(monkeypatch, _NEVER, run)
-    assert calls == {"cos_sin": (res.evaluations + 1) // 2, "cot": 0, "tan": 0}
-    assert res.evaluations % 2 == 1
+    return calls
 
 
 def _mp_quad_kernel(kind, z, P):
@@ -632,19 +701,14 @@ _ALWAYS, _NEVER = 0.0, math.inf
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork here")
 
 
-def _bits(nodes):
-    return [(offset._mpf_, weight._mpf_) for offset, weight in nodes]
-
-
 def _assert_serial_tables():
     """Every node table in the cache holds, _mpf_ for _mpf_, the levels that
     _build_level builds whole."""
     assert quadrature._NODE_CACHE
-    for (dps, tmax_q4), table in quadrature._NODE_CACHE.items():
+    for (dps, tmax_q4), (table, _) in quadrature._NODE_CACHE.items():
         with mp.workdps(dps):
             tmax = mpf(tmax_q4) / 4
-            assert [_bits(nodes) for nodes in table] == [
-                _bits(_build_level(level, tmax)) for level in range(len(table))]
+            assert table == [_build_level(level, tmax) for level in range(len(table))]
 
 
 def _logged_builds(monkeypatch):
@@ -694,20 +758,21 @@ def _stored(tag):
 
 def _recording(monkeypatch):
     """Empties the store of finished values, and returns a list that gets
-    every QuadratureResult that integrate_1d returns from then on, or the
-    QuadratureError that it raises."""
+    every QuadratureResult that the engine (which integrate_1d and the cot
+    integrand both run) returns from then on, or the QuadratureError that it
+    raises."""
     results = []
 
     def recorded(*args):
         try:
-            results.append(integrate_1d(*args))
+            results.append(_tanh_sinh(*args))
         except QuadratureError as err:
             results.append(err)
             raise
         return results[-1]
 
     monkeypatch.setattr(hpreal, "_values", {})
-    monkeypatch.setattr(quadrature, "integrate_1d", recorded)
+    monkeypatch.setattr(quadrature, "_tanh_sinh", recorded)
     return results
 
 
@@ -741,7 +806,7 @@ def test_cold_split_levels_give_the_serial_results_and_tables(case, P, monkeypat
     serial = _results(monkeypatch, _NEVER, run)
     monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
     assert _results(monkeypatch, _ALWAYS, run) == serial
-    assert max(len(table) for table in quadrature._NODE_CACHE.values()) >= serial[0].levels
+    assert max(len(table) for table, _ in quadrature._NODE_CACHE.values()) >= serial[0].levels
     _assert_serial_tables()
 
 
@@ -751,12 +816,12 @@ def test_a_level_built_in_pieces_equals_the_level_built_whole(level):
     # for bit its slice; at level 0 index 0 is the centre node
     with mp.workdps(45):
         tmax = mpf(19) / 4
-        whole = _bits(_build_level(level, tmax))
+        whole = _build_level(level, tmax)
         size = len(whole)
         assert size == _level_size(level, 19)
         for start, stop in [(0, 1), (0, size // 2), (size // 2, size), (size // 2, None),
                             (1, size), (size - 1, size + 5), (3, 3), (size, None)]:
-            assert _bits(_build_level(level, tmax, start, stop)) == whole[start:stop], \
+            assert _build_level(level, tmax, start, stop) == whole[start:stop], \
                 (start, stop)
 
 
@@ -771,7 +836,7 @@ def test_a_cold_split_level_builds_its_back_half_in_the_child(monkeypatch):
     monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _ALWAYS)
     calls = _logged_builds(monkeypatch)
     assert integrate_1d(f, 0, 1, 30) == serial
-    (table,) = quadrature._NODE_CACHE.values()
+    ((table, _),) = quadrature._NODE_CACHE.values()
     assert len(table) == serial.levels
     assert calls == _front_halves(table)
     _assert_serial_tables()
@@ -789,10 +854,11 @@ def test_a_tail_cut_in_the_front_half_leaves_the_level_whole(monkeypatch):
     monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _ALWAYS)
     calls = _logged_builds(monkeypatch)
     assert integrate_1d(f, 0, 1, 30) == serial
-    (table,) = quadrature._NODE_CACHE.values()
+    ((table, _),) = quadrature._NODE_CACHE.values()
     assert len(table) == serial.levels > 3
     for nodes in table[2:]:
-        assert all(offset / 2 < mpf(1) / 60 for offset, _ in nodes[len(nodes) // 2 - 2:])
+        assert all(mp.make_mpf(offset) / 2 < mpf(1) / 60
+                   for offset, _ in nodes[len(nodes) // 2 - 2:])
     if hasattr(os, "fork"):
         # the back halves came from the children's records
         assert calls == _front_halves(table)
@@ -805,7 +871,7 @@ def test_a_failure_in_the_front_half_of_a_cold_split_level_leaves_it_out(monkeyp
     with _working(P, _WORK_GUARD):
         tmax_q4 = _truncation_range(P, default_tolerance(P))
         nodes = _build_level(2, mpf(tmax_q4) / 4)
-        near = nodes[len(nodes) // 4][0] / 2
+        near = mp.make_mpf(nodes[len(nodes) // 4][0]) / 2
 
     def bad(x, da, db):
         if da == near:
@@ -823,7 +889,7 @@ def test_a_failure_in_the_front_half_of_a_cold_split_level_leaves_it_out(monkeyp
     monkeypatch.setattr(quadrature, "_SPLIT_AFTER_S", _ALWAYS)
     with pytest.raises(ZeroDivisionError, match="bad node"):
         integrate_1d(bad, 0, 1, P)
-    (table,) = quadrature._NODE_CACHE.values()
+    ((table, _),) = quadrature._NODE_CACHE.values()
     assert len(table) == 2  # levels 0 and 1; level 2 joins only whole
     _assert_serial_tables()
     assert integrate_1d(good, 0, 1, P) == serial
@@ -857,9 +923,9 @@ def test_the_default_threshold_splits_only_costly_levels(monkeypatch):
     levels = []
     split = quadrature._level_contributions
 
-    def logged(f, table, level, tmax_q4, geometry, split_level, hr, cutoff):
+    def logged(pair, table, column, level, tmax_q4, split_level, hr, cutoff):
         levels.append(split_level)
-        return split(f, table, level, tmax_q4, geometry, split_level, hr, cutoff)
+        return split(pair, table, column, level, tmax_q4, split_level, hr, cutoff)
 
     monkeypatch.setattr(quadrature, "_level_contributions", logged)
     integrate_1d(lambda x, da, db: x, 0, 1, 30)
@@ -907,7 +973,7 @@ def test_a_failure_in_the_childs_half_is_the_serial_failure(bad, monkeypatch):
     with _working(P, _WORK_GUARD):
         tmax_q4 = _truncation_range(P, default_tolerance(P))
         nodes = _build_level(1, mpf(tmax_q4) / 4)
-        near = nodes[len(nodes) * 3 // 4][0] / 2
+        near = mp.make_mpf(nodes[len(nodes) * 3 // 4][0]) / 2
 
     def f(x, da, db):
         if da == near:
@@ -969,6 +1035,127 @@ def test_without_fork_a_split_level_runs_here(no_fork, cold, monkeypatch):
     assert integrate_1d(f, 0, 1, 30) == serial
     assert pids == {os.getpid()}
     _assert_serial_tables()
+
+
+# ---------------------------------------------------------------------------
+# the cot column: the integrals over [0, pi/2] at one working precision take
+# cot at the same nodes, and only the first computes it
+# ---------------------------------------------------------------------------
+
+def _assert_columns_hold_cot():
+    """Every q in every cot column is cot(r*offset) of its own offset key,
+    r = pi/4, at its table's precision, as the cot integrand computes it."""
+    for (dps, _), (_, column) in quadrature._NODE_CACHE.items():
+        with mp.workdps(dps):
+            prec = mp.prec
+            r = (mp.pi / 4)._mpf_
+            for offset, q in column.items():
+                v = quadrature.mpf_mul(r, offset, prec, round_nearest)
+                c, s = quadrature.mpf_cos_sin(v, prec + quadrature._TRIG_GUARD_BITS,
+                                              round_nearest)
+                assert q == quadrature.mpf_div(c, s, prec, round_nearest)
+
+
+def _cold_serial(monkeypatch, run):
+    """run()'s engine results from an empty node cache, with no level split."""
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    return _results(monkeypatch, _NEVER, run)
+
+
+@pytest.mark.parametrize("split_after", [_NEVER, _ALWAYS], ids=["serial", "split"])
+@pytest.mark.parametrize("first, second, P", [
+    ("moment-1", "moment-2", 30), ("moment-1", "k1-1", 30), ("moment-1", "k0-1", 30),
+    ("k1-1", "moment-40", 30), ("moment-1", "moment-17", 100), ("k1-1", "k0-1", 100)])
+def test_a_second_integral_over_half_pi_takes_no_cos_sin(first, second, P, split_after,
+                                                         monkeypatch):
+    # C(m), K1(1) and K0(1) all integrate t^m cot t over [0, pi/2].  The
+    # first fills the cot column, at one mpf_cos_sin per pair evaluated
+    # here; split levels build and evaluate their back halves in a child,
+    # whose q's join the column from its record.  The second, run here
+    # whole so that every cotangent it takes is counted, reads them all
+    first_run, second_run = (_cot_moment_case(case, P)[1] for case in (first, second))
+    expected = _cold_serial(monkeypatch, second_run)
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    calls = _counted_trig(monkeypatch)
+    [res] = _results(monkeypatch, split_after, first_run)
+    pairs = (res.evaluations + 1) // 2
+    if split_after == _NEVER:
+        assert calls["mpf_cos_sin"] == pairs
+    elif hasattr(os, "fork"):
+        assert 0 < calls["mpf_cos_sin"] < pairs  # the rest ran in the children
+    calls["mpf_cos_sin"] = 0
+    assert _results(monkeypatch, _NEVER, second_run) == expected
+    assert calls == {"mpf_cos_sin": 0, "cos_sin": 0, "cot": 0, "tan": 0}
+    _assert_columns_hold_cot()
+    _assert_serial_tables()
+
+
+@pytest.mark.parametrize("split_after", [_NEVER, _ALWAYS], ids=["serial", "split"])
+def test_a_kernel_integral_below_z_1_neither_reads_nor_fills_the_column(split_after,
+                                                                        monkeypatch):
+    # at z < 1 the upper limit asin z (or asin sqrt z) is not pi/2, so the
+    # far node's cotangent is not a function of the offset alone
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    _results(monkeypatch, split_after, _cot_moment_case("moment-1", 30)[1])
+    ((key, (_, column)),) = quadrature._NODE_CACHE.items()
+    filled = dict(column)
+    assert filled
+    calls = _counted_trig(monkeypatch)
+    for case in ("k1-0.8", "k0-0.8", "k1-0.95"):
+        run = _cot_moment_case(case, 30)[1]
+        expected = _cold_serial(monkeypatch, run)
+        monkeypatch.setattr(quadrature, "_NODE_CACHE", {key: ([], column)})
+        calls["mpf_cos_sin"] = 0
+        assert _results(monkeypatch, _NEVER, run) == expected
+        assert calls["mpf_cos_sin"] == (expected[0].evaluations + 1) // 2
+        assert column == filled and list(column) == list(filled)
+
+
+@needs_fork
+@pytest.mark.parametrize("how", ["raises", "killed"])
+def test_a_child_that_fails_leaves_the_serial_column(how, monkeypatch):
+    # the child dies at its first cotangent; this process evaluates the
+    # back half itself, so the result, the tables and the column are those
+    # of a serial run, and a later integral at the same precision takes no
+    # cotangent that it would not take after the serial run
+    parent = os.getpid()
+    cos_sin = quadrature.mpf_cos_sin
+
+    def dies_in_child(*args):
+        if os.getpid() != parent:
+            _dies(how)
+        return cos_sin(*args)
+
+    run, later = (_cot_moment_case(case, 30)[1] for case in ("moment-1", "moment-2"))
+    serial = _cold_serial(monkeypatch, run)
+    ((_, serial_column),) = quadrature._NODE_CACHE.values()
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    monkeypatch.setattr(quadrature, "mpf_cos_sin", dies_in_child)
+    assert _results(monkeypatch, _ALWAYS, run) == serial
+    ((_, column),) = quadrature._NODE_CACHE.values()
+    assert column == serial_column
+    _assert_columns_hold_cot()
+    _assert_serial_tables()
+    calls = _counted_trig(monkeypatch)
+    _results(monkeypatch, _NEVER, later)
+    assert calls["mpf_cos_sin"] == 0
+
+
+def test_a_fresh_process_gives_the_bits_of_a_warm_column(monkeypatch):
+    # C(17) and K0(1) at 40 digits read a column that C(1) filled here, and
+    # are computed from cold tables in a new interpreter
+    monkeypatch.setattr(quadrature, "_NODE_CACHE", {})
+    monkeypatch.setattr(hpreal, "_values", {})
+    moment_quadrature(1, 40)
+    warm = [moment_quadrature(17, 40)._mpf_, kernel_k0(1, 40)._mpf_]
+    code = ("from cotmoments.quadrature import moment_quadrature\n"
+            "from cotmoments.series import kernel_k0\n"
+            "print(repr([moment_quadrature(17, 40)._mpf_, kernel_k0(1, 40)._mpf_]))")
+    src = str(pathlib.Path(cotmoments.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=120, check=True).stdout
+    assert ast.literal_eval(fresh) == warm
 
 
 # ---------------------------------------------------------------------------
